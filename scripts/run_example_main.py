@@ -24,7 +24,7 @@ from dp6.fieldtower import (
     apply,
     norm_class,
 )
-from dp6.points import ClosedPointSpec, composite_for, general_position, validate_point
+from dp6.points import ClosedPointSpec, composite_for, general_position
 from dp6.sarkisov import link
 from dp6.surface import automorphism_description, index, make_surface
 
@@ -67,7 +67,7 @@ def main(argv=None):
     points = []
     for z in range(args.count):
         p = point_at(spec, z)
-        ok = validate_point(spec, p) and general_position(spec, p)
+        ok = general_position(spec, p)  # validates p in the same pass
         print(f"point over E{z}: valid and in general position: {ok}")
         points.append(p)
 

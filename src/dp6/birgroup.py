@@ -23,6 +23,7 @@ from .sarkisov import (
     as_data_surface,
     declared_point_handle,
     link,
+    point_handles,
     transport,
 )
 from .surface import SurfaceSpec, TwistedAutomorphism, is_automorphism
@@ -51,11 +52,6 @@ class EdgeClass:
     self_loop: bool = False
     almost_involution: bool | None = None
     witnesses: tuple = ()
-
-    def record_for(self, edge_id):
-        if edge_id in self.records:
-            return self.records[edge_id]
-        raise GraphError(f"edge id {edge_id} not materialized")
 
 
 @dataclass
@@ -295,13 +291,7 @@ def explore_graph(source, point_generators, depth=1):
     src = as_data_surface(source) if isinstance(source, SurfaceSpec) else source
     graph = BirGraph(base_key=src.vertex_key())
     base_v, _ = graph.add_vertex(src)
-    handles = []
-    for p in point_generators:
-        if isinstance(p, ClosedPointSpec):
-            handles.append(declared_point_handle(src.spec, p))
-        else:
-            handles.append(p)
-    graph.handles[src.vertex_key()] = handles
+    graph.handles[src.vertex_key()] = point_handles(src.spec, point_generators)
 
     frontier = [(src.vertex_key(), 0)]
     seen_depth = {src.vertex_key(): 0}

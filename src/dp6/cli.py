@@ -23,13 +23,11 @@ from .points import (
     construct_2point,
     construct_3point,
     general_position,
-    validate_point,
 )
 from .sarkisov import (
     LinkError,
     are_birational,
     as_data_surface,
-    declared_point_handle,
     is_birationally_rigid,
     link,
 )
@@ -148,10 +146,10 @@ def _dispatch(scen, state, cmd, emit):
             return
         spec = _surface(scen, args[0])
         p = _point(scen, args[1])
-        validate_point(spec, p)
+        gp = general_position(spec, p)  # raises if p is not valid
         emit(f"point: {args[1]}")
         emit("valid: true")
-        emit(f"general-position: {str(general_position(spec, p)).lower()}")
+        emit(f"general-position: {str(gp).lower()}")
         return
     if op == "classify":
         spec = _surface(scen, args[0])

@@ -140,12 +140,6 @@ class CurveConfig:
     def class_of(self, label):
         return self.labels[label]
 
-    def label_of(self, cls_):
-        for name, c in self.labels.items():
-            if c == cls_:
-                return name
-        raise KeyError(f"no label for {cls_}")
-
     def adjacent(self, a, b):
         return intersection(self.labels[a], self.labels[b]) >= 1
 
@@ -276,9 +270,6 @@ class InducedAction:
     new_hexagon_action: dict  # generator key -> hexagon.LABELS permutation tuple
     kernel_pairs: frozenset   # (hex_perm, comp_perm) pairs acting trivially on Sigma'
     group_pairs: frozenset    # all (hex_perm, comp_perm) pairs of the closure
-
-    def acts_trivially(self, hex_perm, comp_perm):
-        return (hex_perm, comp_perm) in self.kernel_pairs
 
 
 @lru_cache(maxsize=8)

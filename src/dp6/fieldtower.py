@@ -737,19 +737,8 @@ class RadElement:
             raise DomainMismatchError("digit vector has wrong length")
         self.digits = tuple(digits)
 
-    def reduce(self):
-        return self
-
     def is_zero(self):
         return all(d.is_zero() for d in self.digits)
-
-    def in_tower(self):
-        return all(d.is_zero() for d in self.digits[1:])
-
-    def as_tower_element(self):
-        if not self.in_tower():
-            raise DomainMismatchError("element genuinely involves the radical")
-        return self.digits[0]
 
     def _coerce(self, other):
         if isinstance(other, RadElement):
@@ -928,11 +917,6 @@ class CompositeGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    def f_part(self, u):
-        if isinstance(u, CompositeElement):
-            return u.uf
-        return u
 
     def fixes_E(self, u):
         """Whether the group element restricts to the identity on E."""

@@ -93,8 +93,10 @@ def d6_elements():
     return _D6
 
 
-def torus_matrix(p):
-    return d6_elements()[p]
+def torus_act(p, a, b):
+    """The torus action of the symmetry p on the pair (a, b)."""
+    m = d6_elements()[p]
+    return (a ** m[0][0] * b ** m[0][1], a ** m[1][0] * b ** m[1][1])
 
 
 def perm_name(p):

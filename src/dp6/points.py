@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._ratfunc import QOmega
+from . import hexagon
 from .fieldtower import (
     CompositeElement,
     CompositeGroup,
@@ -21,7 +21,6 @@ from .fieldtower import (
     apply,
     composite_group,
     is_fixed,
-    norm,
 )
 from .surface import SurfaceSpec, index
 
@@ -76,22 +75,38 @@ def twisted_apply(spec: SurfaceSpec, u, coords):
     uf = u.uf if isinstance(u, CompositeElement) else u
     al = spec.alpha(uf)
     c1, c2 = apply(u, coords[0]), apply(u, coords[1])
+    t1, t2 = al.t1, al.t2
     if isinstance(c1, RadElement):
-        comp = c1.comp
-        i1, i2 = _pair_power(c1, c2, al.perm)
-        return (comp.embed(al.t1) * i1, comp.embed(al.t2) * i2)
-    i1, i2 = _pair_power(c1, c2, al.perm)
-    return (al.t1 * i1, al.t2 * i2)
+        t1, t2 = c1.comp.embed(t1), c1.comp.embed(t2)
+    i1, i2 = hexagon.torus_act(al.perm, c1, c2)
+    return (t1 * i1, t2 * i2)
 
 
-def _pair_power(c1, c2, perm):
-    from . import hexagon
+def _twisted_images(spec: SurfaceSpec, coords, group):
+    """alpha_u o u applied to coords, for every u in group.
 
-    m = hexagon.torus_matrix(perm)
-    return (
-        c1 ** m[0][0] * c2 ** m[0][1],
-        c1 ** m[1][0] * c2 ** m[1][1],
-    )
+    Raises if a coordinate leaves the torus chart (some lambda_i = 0).
+    """
+    for c in coords:
+        if c.is_zero():
+            raise PointValidationError("coordinate leaves the torus chart")
+    return {u: twisted_apply(spec, u, coords) for u in group}
+
+
+def _number_components(images):
+    """Number the distinct images in order of first appearance.
+
+    Returns (comp_of, reps): comp_of[u] is the number of the image of u, and
+    reps[j] the first group element whose image is component j.
+    """
+    comp_of, reps, number = {}, [], {}
+    for u, img in images.items():
+        k = (img[0].key(), img[1].key())
+        if k not in number:
+            number[k] = len(reps)
+            reps.append(u)
+        comp_of[u] = number[k]
+    return comp_of, reps
 
 
 def twisted_orbit(spec: SurfaceSpec, coords, group):
@@ -99,18 +114,9 @@ def twisted_orbit(spec: SurfaceSpec, coords, group):
 
     Raises if a coordinate leaves the torus chart (some lambda_i = 0).
     """
-    for c in coords:
-        if c.is_zero():
-            raise PointValidationError("coordinate leaves the torus chart")
-    seen = {}
-    orbit = []
-    for u in group:
-        img = twisted_apply(spec, u, coords)
-        k = (img[0].key(), img[1].key())
-        if k not in seen:
-            seen[k] = img
-            orbit.append(img)
-    return orbit
+    images = _twisted_images(spec, coords, group)
+    _, reps = _number_components(images)
+    return [images[u] for u in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +160,13 @@ def _allowed_subfield_cases(spec, degree, fixing):
     raise PointCaseError(f"unsupported degree {degree}")
 
 
-def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
-    """Exact case-by-case validation via twisted-orbit computation."""
-    if p.degree == 4:
-        if p.general_position_declared is None:
-            raise PointValidationError(
-                "degree-4 points carry a declared general-position flag"
-            )
-        return True
+def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
+    """Validate a 2- or 3-point with one twisted application per group element.
+
+    Returns (images, comp_of, reps) over the point's group, as in
+    _twisted_images and _number_components; validation, the component list
+    and the component permutations all read this one pass.
+    """
     if p.degree not in (2, 3):
         raise PointCaseError(f"unsupported degree {p.degree}")
     if spec.gtype == "S3" and p.degree == 2:
@@ -179,8 +184,7 @@ def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
         if not (isinstance(p.lam1, FieldElement) and isinstance(p.lam2, FieldElement)):
             raise PointValidationError("coordinates must lie in F")
         group = list(spec.tower.elements)
-        stabilizer = fixing
-        fixes = lambda u: u in stabilizer  # noqa: E731
+        fixes = lambda u: u in fixing  # noqa: E731
     else:
         if p.ext.degree not in _expected_degrees(p.degree):
             raise PointCaseError(
@@ -195,19 +199,30 @@ def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
         fixes = cg.fixes_E
 
     coords = p.coords()
+    images = _twisted_images(spec, coords, group)
     # every element acting trivially on E must fix the first component
     for u in group:
-        if fixes(u):
-            img = twisted_apply(spec, u, coords)
-            if img[0] != coords[0] or img[1] != coords[1]:
-                raise PointValidationError(
-                    "a Galois element fixing the splitting field moves the point"
-                )
-    orbit = twisted_orbit(spec, coords, group)
-    if len(orbit) != p.degree:
+        if fixes(u) and (images[u][0] != coords[0] or images[u][1] != coords[1]):
+            raise PointValidationError(
+                "a Galois element fixing the splitting field moves the point"
+            )
+    comp_of, reps = _number_components(images)
+    if len(reps) != p.degree:
         raise PointValidationError(
-            f"twisted orbit has {len(orbit)} components, expected {p.degree}"
+            f"twisted orbit has {len(reps)} components, expected {p.degree}"
         )
+    return images, comp_of, reps
+
+
+def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
+    """Exact case-by-case validation via twisted-orbit computation."""
+    if p.degree == 4:
+        if p.general_position_declared is None:
+            raise PointValidationError(
+                "degree-4 points carry a declared general-position flag"
+            )
+        return True
+    _twisted_pass(spec, p)
     return True
 
 
@@ -216,25 +231,20 @@ def _expected_degrees(d):
 
 
 def components(spec: SurfaceSpec, p: ClosedPointSpec):
-    cg = composite_for(spec.tower, p.ext)
-    group = list(spec.tower.elements) if cg.intersection == "contained" else cg.elements
-    return twisted_orbit(spec, p.coords(), group)
+    images, _, reps = _twisted_pass(spec, p)
+    return [images[u] for u in reps]
 
 
 def component_permutations(spec: SurfaceSpec, p: ClosedPointSpec):
-    """For each group element: the induced permutation of the component list."""
-    cg = composite_for(spec.tower, p.ext)
-    group = list(spec.tower.elements) if cg.intersection == "contained" else cg.elements
-    comps = components(spec, p)
-    keys = [(c[0].key(), c[1].key()) for c in comps]
-    perms = {}
-    for u in group:
-        images = []
-        for c in comps:
-            img = twisted_apply(spec, u, c)
-            images.append(keys.index((img[0].key(), img[1].key())))
-        perms[u] = tuple(images)
-    return comps, perms
+    """For each group element: the induced permutation of the component list.
+
+    u sends the component v(p) to (u*v)(p): u -> alpha_u o u is a group
+    action because alpha is a cocycle, which make_surface checks on every
+    pair of elements.
+    """
+    images, comp_of, reps = _twisted_pass(spec, p)
+    perms = {u: tuple(comp_of[u * v] for v in reps) for u in comp_of}
+    return [images[u] for u in reps], perms
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +252,16 @@ def component_permutations(spec: SurfaceSpec, p: ClosedPointSpec):
 # ---------------------------------------------------------------------------
 
 def general_position(spec: SurfaceSpec, p: ClosedPointSpec):
+    """Validate p and decide whether it lies in general position."""
     if p.degree == 4:
+        validate_point(spec, p)
         return bool(p.general_position_declared)
-    validate_point(spec, p)
+    _twisted_pass(spec, p)
+    return in_general_position(spec, p)
+
+
+def in_general_position(spec: SurfaceSpec, p: ClosedPointSpec):
+    """General position of a 2- or 3-point that validate_point accepts."""
     if p.degree == 2:
         return True
     cg = composite_for(spec.tower, p.ext)
@@ -313,11 +330,10 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
             lam2 = apply(f, lam.inv()) * spec.xi.inv()
             p = ClosedPointSpec(3, ext, lam, lam2, name="p3")
             try:
-                validate_point(spec, p)
+                if general_position(spec, p):
+                    return p
             except (PointValidationError, PointCaseError):
                 continue
-            if general_position(spec, p):
-                return p
         raise PointValidationError(
             "monomial scan found no 3-point; supply coordinates explicitly"
         )
@@ -341,11 +357,10 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
                 continue
             p = ClosedPointSpec(3, ext, lam1, xi_inv, name="p3")
             try:
-                validate_point(spec, p)
+                if general_position(spec, p):
+                    return p
             except (PointValidationError, PointCaseError):
                 continue
-            if general_position(spec, p):
-                return p
         raise PointValidationError(
             "monomial scan found no 3-point; for non-monomial xi supply the "
             "Hilbert-90 element a with a/h(a) = xi^-1 as scenario data"
@@ -362,11 +377,10 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
         lam2 = apply(f, lam.inv()) * spec.xi.inv()
         p = ClosedPointSpec(3, ext, lam, lam2, name="p3")
         try:
-            validate_point(spec, p)
+            if general_position(spec, p):
+                return p
         except (PointValidationError, PointCaseError):
             continue
-        if general_position(spec, p):
-            return p
     raise PointValidationError(
         "monomial scan found no 3-point; supply coordinates explicitly"
     )

@@ -31,14 +31,13 @@ from .points import (
     PointValidationError,
     component_permutations,
     composite_for,
-    general_position,
-    validate_point,
+    in_general_position,
 )
 from .surface import (
     ClassHandle,
     SurfaceSpec,
     central_element,
-    index,
+    index_from_flags,
     is_isomorphic,
     k_fixing_subgroup,
     l_fixing_subgroup,
@@ -71,12 +70,6 @@ class FieldRef:
     @classmethod
     def radical(cls, ext, label=None):
         return cls("rad", ext.tower, ext=ext, label=label or ext.name)
-
-    @classmethod
-    def from_ext(cls, ext, label=None):
-        if ext.kind == "subfield":
-            return cls.subfield(ext.tower, ext.fixing, label or ext.name)
-        return cls.radical(ext, label)
 
     def degree(self):
         if self.kind == "sub":
@@ -172,21 +165,7 @@ class DataSurface:
                 self.K.key(), sb, self.L.key() if self.L else None, conic)
 
     def surface_index(self):
-        if self.gtype == "S3":
-            if self.k_trivial == IS_NORM:
-                return 1
-            if self.k_trivial == NOT_NORM:
-                return 3
-            return UNKNOWN
-        if UNKNOWN in (self.k_trivial, self.l_trivial):
-            return UNKNOWN
-        if self.k_trivial == IS_NORM and self.l_trivial == IS_NORM:
-            return 1
-        if self.k_trivial == IS_NORM:
-            return 2
-        if self.l_trivial == IS_NORM:
-            return 3
-        return 6
+        return index_from_flags(self.gtype, self.k_trivial, self.l_trivial)
 
     def kernel_keys(self):
         return [k for k, p in self.action.items() if p == hexagon.IDENTITY]
@@ -253,10 +232,11 @@ def as_data_surface(spec: SurfaceSpec) -> DataSurface:
 
 
 def declared_point_handle(spec: SurfaceSpec, p: ClosedPointSpec) -> PointHandle:
-    validate_point(spec, p)
-    gp = general_position(spec, p)
+    if p.degree == 4:
+        raise LinkError("links exist at 2- and 3-points only")
+    _, perms = component_permutations(spec, p)
+    gp = in_general_position(spec, p)
     cg = composite_for(spec.tower, p.ext)
-    comps, perms = component_permutations(spec, p)
     table = {}
     for u, perm in perms.items():
         if isinstance(u, CompositeElement):
@@ -274,6 +254,19 @@ def declared_point_handle(spec: SurfaceSpec, p: ClosedPointSpec) -> PointHandle:
         comp_table=table, origin="declared", point=p, gp=gp,
         root_id=("pt", p.key()),
     )
+
+
+def point_handles(spec: SurfaceSpec | None, points):
+    """Handles of the points that can carry a link.
+
+    PointHandles pass through; declared points get a handle when their
+    surface is known.  Degree-4 points have no links and are left out.
+    """
+    return [
+        declared_point_handle(spec, p) if isinstance(p, ClosedPointSpec) else p
+        for p in points
+        if not isinstance(p, ClosedPointSpec) or (spec is not None and p.degree != 4)
+    ]
 
 
 def transport(handle: PointHandle, rec: "LinkRecord") -> PointHandle:
@@ -738,10 +731,7 @@ def is_birationally_rigid(source, declared_points=()):
                               assumed=assumed)
     if idx == 6:
         return RigidityResult("SuperRigid", assumed=assumed)
-    handles = [
-        declared_point_handle(src.spec, p) if isinstance(p, ClosedPointSpec) else p
-        for p in declared_points
-    ]
+    handles = point_handles(src.spec, declared_points)
     if idx == 2:
         if src.gtype == "D6":
             witness = None
@@ -955,15 +945,7 @@ def _point_chain(a: DataSurface, b: DataSurface, d, declared_points, links):
         if rec.source.vertex_key() == a.vertex_key() and \
                 rec.target.vertex_key() == b.vertex_key():
             return (rec,), True
-    handles = []
-    for p in declared_points:
-        if isinstance(p, ClosedPointSpec):
-            if a.spec is None:
-                continue
-            handles.append(declared_point_handle(a.spec, p))
-        else:
-            handles.append(p)
-    for h in handles:
+    for h in point_handles(a.spec, declared_points):
         if h.degree != d or not h.gp:
             continue
         if h.fld.same_ref(want) is True:
@@ -992,12 +974,7 @@ def fields_d_probe(source, links, candidate_points=()):
     """
     src = as_data_surface(source) if isinstance(source, SurfaceSpec) else source
     violations = []
-    handles = []
-    for p in candidate_points:
-        if isinstance(p, ClosedPointSpec):
-            handles.append(declared_point_handle(src.spec, p))
-        else:
-            handles.append(p)
+    handles = point_handles(src.spec, candidate_points)
     for rec in links:
         if rec.source.vertex_key() != src.vertex_key():
             raise LinkError("fields_d_probe: link does not emanate from S")

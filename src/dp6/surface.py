@@ -52,26 +52,15 @@ class TwistedAutomorphism:
     def is_identity(self):
         return self.t1.is_one() and self.t2.is_one() and self.perm == hexagon.IDENTITY
 
-    def torus_image(self, pair):
-        """Action of the dihedral part on a torus pair."""
-        m = hexagon.torus_matrix(self.perm)
-        a, b = pair
-        return (
-            a ** m[0][0] * b ** m[0][1],
-            a ** m[1][0] * b ** m[1][1],
-        )
-
     def __mul__(self, other):
-        u1, u2 = self.torus_image((other.t1, other.t2))
+        u1, u2 = hexagon.torus_act(self.perm, other.t1, other.t2)
         return TwistedAutomorphism(
             self.t1 * u1, self.t2 * u2, hexagon.compose(self.perm, other.perm)
         )
 
     def inverse(self):
         pinv = hexagon.invert(self.perm)
-        m = hexagon.torus_matrix(pinv)
-        a = self.t1 ** m[0][0] * self.t2 ** m[0][1]
-        b = self.t1 ** m[1][0] * self.t2 ** m[1][1]
+        a, b = hexagon.torus_act(pinv, self.t1, self.t2)
         return TwistedAutomorphism(a.inv(), b.inv(), pinv)
 
     def galois(self, u):
@@ -438,9 +427,13 @@ def sb_class_equivalent(a: FieldElement, b: FieldElement, u, registry=None):
 
 def index(spec: SurfaceSpec):
     """{1,2,3,6,Unknown}: gcd of closed-point degrees, from triviality flags."""
-    data = spec.sbdata
-    k, l = data.k_trivial, data.l_trivial
-    if spec.gtype == "S3":
+    return index_from_flags(spec.gtype, spec.sbdata.k_trivial, spec.sbdata.l_trivial)
+
+
+def index_from_flags(gtype, k, l):
+    """The index of a surface of type gtype whose classes over K and L have
+    the triviality verdicts k and l."""
+    if gtype == "S3":
         if k == IS_NORM:
             return 1
         if k == NOT_NORM:

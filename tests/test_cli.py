@@ -128,3 +128,48 @@ def test_iso_command(tmp_path):
     assert code == 0
     assert text.count("isomorphic: Yes") == 2
     assert "birational: Yes" in text
+
+
+def _hex_scenario(tmp_path, name, points, commands):
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["points"].update(points)
+    scen["commands"] = commands
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scen))
+    return run(str(path))
+
+
+def _sections(text):
+    """Report sections keyed by their '== command' header."""
+    out = {}
+    for block in text.split("\n\n")[1:]:
+        head, _, body = block.partition("\n")
+        out[head] = body
+    return out
+
+
+def test_zero_coordinate_is_semantic_error(tmp_path):
+    zero = {"z": {"surface": "SZ", "degree": 2, "extension": "K",
+                  "lambda1": "0"}}
+    code, text = _hex_scenario(tmp_path, "zero", zero, [["validate", "SZ", "z"]])
+    assert code == 3
+    assert "error: coordinate leaves the torus chart" in text
+
+
+def test_degree4_point_has_no_links(tmp_path):
+    q4 = {"q4": {"surface": "SZ", "degree": 4, "general_position": True}}
+    shared = [["rigid", "SZ"], ["explore", "SZ", 1], ["birational", "SZ", "SZ"]]
+    code, text = _hex_scenario(
+        tmp_path, "q4", q4,
+        [["validate", "SZ", "q4"], ["link", "SZ", "q4"]] + shared)
+    assert code == 3
+    got = _sections(text)
+    assert got["== validate SZ q4"] == (
+        "point: q4\nvalid: true\ngeneral-position: true")
+    assert got["== link SZ q4"] == "error: links exist at 2- and 3-points only"
+    code0, text0 = _hex_scenario(tmp_path, "plain", {}, shared)
+    assert code0 == 0
+    want = _sections(text0)
+    for cmd in ("== rigid SZ", "== explore SZ 1", "== birational SZ SZ"):
+        assert got[cmd] == want[cmd]
+        assert "error:" not in got[cmd]

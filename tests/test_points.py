@@ -134,6 +134,36 @@ def test_z6_3point_orbit_structure(z6_index3):
         assert img[0] == c[0] and img[1] == c[1]
 
 
+def _explicit_permutations(spec, p, comps):
+    """perms[u][j]: index of alpha_u o u (comps[j]) among comps, by applying u."""
+    cg = composite_for(spec.tower, p.ext)
+    group = spec.tower.elements if cg.intersection == "contained" else cg.elements
+    keys = [(c[0].key(), c[1].key()) for c in comps]
+    perms = {}
+    for u in group:
+        imgs = [twisted_apply(spec, u, c) for c in comps]
+        perms[u] = tuple(keys.index((i[0].key(), i[1].key())) for i in imgs)
+    return perms
+
+
+def test_group_law_permutations_match_explicit_action(
+        z6_hex, d6_index2, z6_index3, s3_example, d6_index3):
+    from dp6.cli import bundled_path
+    from dp6.scenario import load_scenario
+
+    scen = load_scenario(bundled_path("example-main"))
+    cases = [(scen.surfaces["S"], p) for p in scen.points.values()]
+    assert sorted(p.name for _, p in cases) == ["p0", "p1", "p2", "p3", "pF"]
+    cases += [(spec, p) for spec in (z6_hex, d6_index2)
+              for p in construct_2point(spec)]
+    cases += [(spec, construct_3point(spec))
+              for spec in (z6_index3, s3_example, d6_index3)]
+    for spec, p in cases:
+        comps, perms = component_permutations(spec, p)
+        assert len(comps) == p.degree
+        assert perms == _explicit_permutations(spec, p, comps), (spec.name, p.name)
+
+
 def test_twisted_orbit_generic_size(s3_example):
     tower = s3_example.tower
     t1 = tower.var("t1")

@@ -52,6 +52,18 @@ def test_kernel_cross_check_runs(s3_example, example_points):
     assert "g" in rec.h_description
 
 
+def test_degree4_points_have_no_links(z6_hex):
+    p = construct_2point(z6_hex)[0]
+    q4 = ClosedPointSpec(4, None, None, None, name="q4",
+                         general_position_declared=True)
+    with pytest.raises(LinkError, match="2- and 3-points only"):
+        link(z6_hex, q4)
+    rec = link(z6_hex, p)
+    assert fields_d_probe(z6_hex, [rec], [p, q4]) == []
+    assert is_birationally_rigid(z6_hex, [p, q4]) == \
+        is_birationally_rigid(z6_hex, [p])
+
+
 def test_2link_self(z6_hex):
     p = construct_2point(z6_hex)[0]
     rec = link(z6_hex, p)
