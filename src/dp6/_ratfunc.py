@@ -17,6 +17,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _sympy_ring
 
 OMEGA_EXPR = Rational(-1, 2) + sqrt(3) * I / 2
+_QQ_TYPE = QQ.dtype
 
 
 class QOmega:
@@ -25,8 +26,12 @@ class QOmega:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=None):
-        self.a = QQ.convert(a)
-        self.b = QQ.zero if b is None else QQ.convert(b)
+        # arithmetic hands over QQ values already; only convert other types
+        self.a = a if type(a) is _QQ_TYPE else QQ.convert(a)
+        if b is None:
+            self.b = QQ.zero
+        else:
+            self.b = b if type(b) is _QQ_TYPE else QQ.convert(b)
 
     # -- constructors ----------------------------------------------------
     @staticmethod

@@ -27,7 +27,6 @@ from .points import (
 from .sarkisov import (
     LinkError,
     are_birational,
-    as_data_surface,
     is_birationally_rigid,
     link,
 )
@@ -135,8 +134,33 @@ def _point(scen, name):
     return scen.points[name]
 
 
+def _int_arg(value, what):
+    """A nonnegative integer command argument."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise CommandError(f"{what} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise CommandError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
+# fewest arguments each command reads
+_MIN_ARGS = {"validate": 1, "classify": 1, "iso": 2, "link": 2, "rigid": 1,
+             "birational": 2, "explore": 1, "psi": 2, "check-relation": 2,
+             "dump-config": 1, "construct-point": 2}
+
+
 def _dispatch(scen, state, cmd, emit):
+    if not cmd:
+        raise CommandError("empty command")
     op, *args = cmd
+    need = _MIN_ARGS.get(op, 0)
+    if op == "check-relation" and args[1:2] == ["hexagonal"]:
+        need = 4
+    if len(args) < need:
+        raise CommandError(
+            f"{op} needs at least {need} argument(s), got {len(args)}")
     if op == "validate":
         if len(args) == 1:
             spec = _surface(scen, args[0])
@@ -221,7 +245,8 @@ def _dispatch(scen, state, cmd, emit):
         return
     if op == "explore":
         spec = _surface(scen, args[0])
-        depth = int(args[1]) if len(args) > 1 else (state["depth"] or 1)
+        depth = _int_arg(args[1] if len(args) > 1 else state["depth"] or 1,
+                         "explore depth")
         pts = [p for p in scen.points.values()]
         graph = birgroup.explore_graph(spec, pts, depth=depth)
         state["graphs"][args[0]] = graph
@@ -244,7 +269,7 @@ def _dispatch(scen, state, cmd, emit):
             graph = birgroup.explore_graph(
                 spec, pts, depth=state["depth"] or 2)
             state["graphs"][args[0]] = graph
-        tour = _walk(scen, graph, spec, word_text)
+        tour = _walk(scen, graph, word_text)
         word = birgroup.word_to_generators(graph, tour)
         emit(f"word: {word}")
         image = birgroup.psi_image(graph, word)
@@ -270,7 +295,7 @@ def _dispatch(scen, state, cmd, emit):
             graph = birgroup.explore_graph(
                 spec, list(scen.points.values()), depth=state["depth"] or 2)
             state["graphs"][args[0]] = graph
-        tour = _walk(scen, graph, spec, args[1])
+        tour = _walk(scen, graph, args[1])
         word = birgroup.word_to_generators(graph, tour)
         ok = birgroup.check_relation(graph, word)
         image = birgroup.psi_image(graph, word)
@@ -279,7 +304,9 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"psi-identity: {str(image.is_identity()).lower()}")
         return
     if op == "dump-config":
-        n = int(args[0])
+        n = _int_arg(args[0], "point count")
+        if n not in curveconfig.POINT_COUNTS:
+            raise CommandError(f"unsupported point count {n}")
         cfg = curveconfig.config(n)
         action = None
         if len(args) > 1:
@@ -301,7 +328,9 @@ def _dispatch(scen, state, cmd, emit):
         return
     if op == "construct-point":
         spec = _surface(scen, args[0])
-        d = int(args[1])
+        d = _int_arg(args[1], "point degree")
+        if d not in (2, 3):
+            raise CommandError(f"construct-point builds 2- and 3-points, not {d}")
         if d == 3:
             p = construct_3point(spec)
             emit(f"point-degree: 3")
@@ -317,9 +346,10 @@ def _dispatch(scen, state, cmd, emit):
     raise CommandError(f"unknown command {op!r}")
 
 
-def _walk(scen, graph, spec, word_text):
+def _walk(scen, graph, word_text):
     """Turn a word like 'p0 p1 !' into a tour of link records."""
-    base = as_data_surface(spec)
+    if not isinstance(word_text, str):
+        raise CommandError(f"a tour word is a string, got {word_text!r}")
     cur_key = graph.base_key
     tour = []
     for tok in word_text.replace(",", " ").split():

@@ -15,6 +15,9 @@ from functools import lru_cache
 
 from . import hexagon
 
+# the point counts n whose labeled configurations are built
+POINT_COUNTS = (3, 5, 6)
+
 
 class LatticeMismatchError(ValueError):
     pass
@@ -118,7 +121,7 @@ class CurveConfig:
 
     @classmethod
     def build(cls, n):
-        if n not in (3, 5, 6):
+        if n not in POINT_COUNTS:
             raise ValueError(f"unsupported point count {n}")
         classes = minus_one_classes(n)
         lab = _labels(n)

@@ -239,8 +239,8 @@ def component_permutations(spec: SurfaceSpec, p: ClosedPointSpec):
     """For each group element: the induced permutation of the component list.
 
     u sends the component v(p) to (u*v)(p): u -> alpha_u o u is a group
-    action because alpha is a cocycle, which make_surface checks on every
-    pair of elements.
+    action because alpha is a cocycle, which make_surface checks with
+    verify_cocycle.
     """
     images, comp_of, reps = _twisted_pass(spec, p)
     perms = {u: tuple(comp_of[u * v] for v in reps) for u in comp_of}

@@ -191,7 +191,12 @@ def _build_extension(name, node, towers):
 
 def _build_point(name, node, scenario):
     spec = scenario.surfaces[node["surface"]]
-    degree = int(node["degree"])
+    try:
+        degree = int(node["degree"])
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"point {name}: degree must be an integer, got {node['degree']!r}"
+        ) from None
     if degree == 4:
         return ClosedPointSpec(4, None, None, None, name=name,
                                general_position_declared=bool(
@@ -216,6 +221,12 @@ def _build_point(name, node, scenario):
     return ClosedPointSpec(degree, ext, lam1, lam2, name=name)
 
 
+def _commands(node):
+    if not isinstance(node, list) or not all(isinstance(c, list) for c in node):
+        raise ScenarioError("commands must be a list of lists")
+    return list(node)
+
+
 def load_scenario(path_or_dict):
     if isinstance(path_or_dict, dict):
         raw = path_or_dict
@@ -234,7 +245,7 @@ def load_scenario(path_or_dict):
         surfaces={},
         points={},
         registry=registry,
-        commands=list(raw.get("commands", [])),
+        commands=_commands(raw.get("commands", [])),
         raw=raw,
     )
     for name in sorted(raw.get("extensions", {})):

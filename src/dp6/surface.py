@@ -191,22 +191,8 @@ class SurfaceSpec:
         return self.tower.element_named(word)
 
     def alpha(self, u):
-        """Cocycle value on an arbitrary group element."""
-        if u in self.cocycle:
-            return self.cocycle[u]
-        word = self.tower.words[u]
-        if not word:
-            val = TwistedAutomorphism.identity(self.tower)
-        else:
-            head, rest_word = word[0], word[1:]
-            rest = self.tower.element_named("".join(rest_word)) if rest_word else None
-            a_head = self.cocycle[self.tower.generators[head]]
-            if rest is None:
-                val = a_head
-            else:
-                val = a_head * self.alpha(rest).galois(self.tower.generators[head])
-        self.cocycle[u] = val
-        return val
+        """Cocycle value on a group element (the table verify_cocycle built)."""
+        return self.cocycle[u]
 
     def key(self):
         return (self.gtype, self.tower.key(), self.xi.key(),
@@ -270,7 +256,7 @@ def _base_cocycle(spec):
     tower = spec.tower
     xi_inv = spec.xi.inv()
     emb = {n: tower.embedding[n] for n in tower.generators}
-    out = {}
+    out = {tower.element_named("1"): TwistedAutomorphism.identity(tower)}
     g = tower.generators["g"]
     out[g] = TwistedAutomorphism(xi_inv, xi_inv, emb["g"])
     if spec.gtype in ("Z6", "D6"):
@@ -290,17 +276,39 @@ def cocycle_assignments(spec: SurfaceSpec):
 
 
 def verify_cocycle(spec: SurfaceSpec):
-    """Check alpha_{uv} = alpha_u * u(alpha_v) for every pair of elements."""
+    """Check alpha_{sv} = alpha_s * s(alpha_v) for every generator s and every
+    element v, filling in the missing values of the cocycle table on the way.
+
+    This decides alpha_{uv} = alpha_u * u(alpha_v) for every pair u, v.  The
+    set U of the u for which it holds for all v is closed under products: for
+    u, u' in U,
+
+        alpha_{uu'v} = alpha_u * u(alpha_{u'v})
+                     = alpha_u * u(alpha_{u'}) * (uu')(alpha_v)
+                     = alpha_{uu'} * (uu')(alpha_v),
+
+    using (uu')(x) = u(u'(x)) and u(A * B) = u(A) * u(B), which holds because
+    the torus action is monomial.  The group is finite, so once U holds the
+    generators it is the whole group.
+
+    The table starts with alpha_1 = identity and the generator values.  The
+    elements are walked in closure order, where every v other than 1 is s'v'
+    for a v' met before it, so alpha_v is in the table when it is read.  A
+    missing alpha_{sv} is set to the right-hand side; a present one is
+    compared with it, so a call on a built table compares every pair.
+    """
     tower = spec.tower
-    for u in tower.elements:
-        au = spec.alpha(u)
-        for v in tower.elements:
-            av = spec.alpha(v)
-            lhs = spec.alpha(u * v)
-            rhs = au * av.galois(u)
-            if lhs != rhs:
+    table = spec.cocycle
+    for v in tower.elements:
+        av = table[v]
+        for s in tower.generators.values():
+            rhs = table[s] * av.galois(s)
+            sv = s * v
+            if sv not in table:
+                table[sv] = rhs
+            elif table[sv] != rhs:
                 raise SurfaceConditionError(
-                    f"cocycle identity fails at ({tower.words[u]}, {tower.words[v]})"
+                    f"cocycle identity fails at ({tower.words[s]}, {tower.words[v]})"
                 )
     return True
 

@@ -1,6 +1,7 @@
 """Scenario loading, command reports, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -30,6 +31,27 @@ def test_bundled_scenarios_run(name):
     code, text = run(bundled_path(name))
     assert code == 0, text
     assert "error:" not in text
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden")
+
+
+@pytest.mark.parametrize("name,strict", [
+    ("z6-index2-hex", False), ("z6-index2-hex", True),
+    ("z6-index6", False), ("z6-index6", True),
+    ("d6-swap", False), ("d6-swap", True),
+    ("example-main", False),
+])
+def test_golden_reports(name, strict):
+    case = name + ("--strict" if strict else "")
+    with open(os.path.join(GOLDEN_DIR, "exit_codes.json"), encoding="utf-8") as fh:
+        want_code = json.load(fh)[case]
+    with open(os.path.join(GOLDEN_DIR, case + ".out"), encoding="utf-8",
+              newline="") as fh:
+        want_text = fh.read()
+    code, text = run(bundled_path(name), strict=strict)
+    assert text == want_text
+    assert code == want_code
 
 
 def test_reports_deterministic():
@@ -173,3 +195,37 @@ def test_degree4_point_has_no_links(tmp_path):
     for cmd in ("== rigid SZ", "== explore SZ 1", "== birational SZ SZ"):
         assert got[cmd] == want[cmd]
         assert "error:" not in got[cmd]
+
+
+@pytest.mark.parametrize("command,message", [
+    (["explore", "SZ", "x"], "explore depth must be an integer, got 'x'"),
+    (["explore", "SZ", "-1"], "explore depth must be nonnegative, got -1"),
+    (["dump-config", 9], "unsupported point count 9"),
+    ([], "empty command"),
+    (["validate"], "validate needs at least 1 argument(s), got 0"),
+    (["construct-point", "SZ", 7], "construct-point builds 2- and 3-points, not 7"),
+    (["psi", "SZ", 5], "a tour word is a string, got 5"),
+], ids=["explore-word", "explore-negative", "dump-config-9", "empty",
+        "validate-bare", "construct-point-7", "psi-number"])
+def test_malformed_command_is_semantic_error(tmp_path, command, message):
+    code, text = _hex_scenario(tmp_path, "malformed", {},
+                               [command, ["classify", "SZ"]])
+    assert code == 3
+    got = _sections(text)
+    assert got["== " + " ".join(str(c) for c in command)] == "error: " + message
+    assert "index: 2" in got["== classify SZ"]
+
+
+def test_point_degree_not_an_integer(tmp_path):
+    bad = {"b": {"surface": "SZ", "degree": "x", "extension": "K",
+                 "lambda1": "x1"}}
+    code, text = _hex_scenario(tmp_path, "degree", bad, [])
+    assert code == 2
+    assert text == "load-error: point b: degree must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("commands", [5, [5], ["rigid SZ"]])
+def test_commands_not_lists_is_load_error(tmp_path, commands):
+    code, text = _hex_scenario(tmp_path, "commands", {}, commands)
+    assert code == 2
+    assert text == "load-error: commands must be a list of lists\n"

@@ -1,5 +1,6 @@
 """Surface construction, cocycles, equivalence moves, automorphisms."""
 
+import copy
 import random
 
 import pytest
@@ -67,6 +68,59 @@ def test_cocycle_soundness_random(gtype, s3_tower, z6_tower, d6_tower):
         xi, rho = random_valid_params(gtype, tower, rng)
         spec = make_surface(gtype, tower, xi, rho)
         assert verify_cocycle(spec)
+
+
+def _failing_pairs(spec):
+    """Reference check: the pairs (u, v) of all |G|^2 at which the table
+    breaks alpha_{uv} = alpha_u * u(alpha_v)."""
+    a, elements = spec.cocycle, spec.tower.elements
+    return [(u, v) for u in elements for v in elements
+            if a[u * v] != a[u] * a[v].galois(u)]
+
+
+def _tampered(spec, changes):
+    bad = copy.copy(spec)
+    bad.cocycle = {**spec.cocycle, **changes}
+    return bad
+
+
+def _coset_twist(spec, name, c):
+    """The table multiplied by x(c) at each x*s, s the generator called name
+    and x in the subgroup H of the other generators.  The identity still holds
+    for every other generator t (t*x*s is again in H*s, and x(c) is carried
+    along), so only the pairs (s, v) can show the change."""
+    tower = spec.tower
+    s = tower.generators[name]
+    others = tower.subgroup([n for n in tower.generators if n != name])
+    return _tampered(spec, {x * s: spec.cocycle[x * s] * c.galois(x)
+                            for x in others})
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+def test_verify_cocycle_rejects_broken_tables(gtype, z6_hex, s3_example,
+                                              d6_index2):
+    spec = {"Z6": z6_hex, "S3": s3_example, "D6": d6_index2}[gtype]
+    tower = spec.tower
+    x1 = tower.var(tower.variables[0])
+    assert len(spec.cocycle) == len(tower.elements)
+    assert verify_cocycle(spec) and not _failing_pairs(spec)
+    bad_tables = []
+    for w in tower.elements:
+        a = spec.cocycle[w]
+        bad_tables.append(_tampered(spec, {w: TwistedAutomorphism(
+            a.t1 * x1, a.t2, a.perm)}))
+        bad_tables.append(_tampered(spec, {w: TwistedAutomorphism(
+            a.t1, a.t2, hexagon.compose(a.perm, hexagon.CENTRAL))}))
+    for name in tower.generators:
+        bad = _coset_twist(spec, name, TwistedAutomorphism.toric(x1, tower.one()))
+        failing = _failing_pairs(bad)
+        others = {u for n, u in tower.generators.items() if n != name}
+        assert not others & {u for u, _ in failing}
+        bad_tables.append(bad)
+    for bad in bad_tables:
+        assert _failing_pairs(bad)
+        with pytest.raises(SurfaceConditionError, match="cocycle identity"):
+            verify_cocycle(bad)
 
 
 def test_make_surface_rejections(z6_tower, s3_tower, d6_tower):
