@@ -30,7 +30,7 @@ from .sarkisov import (
     is_birationally_rigid,
     link,
 )
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, section
 from .surface import (
     SurfaceConditionError,
     automorphism_description,
@@ -74,10 +74,10 @@ def run(path, strict=False, seed=0, depth=None, dump_dir=None, out=None):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         return 2, f"parse-error: {e}\n"
-    if strict:
-        raw = dict(raw)
-        dropped = len(raw.pop("facts", []) or [])
     try:
+        if strict:
+            raw = dict(section(raw, dict, "a scenario"))
+            dropped = len(section(raw.pop("facts", None), list, "facts"))
         scen = load_scenario(raw)
     except (ScenarioError, TowerError, SurfaceConditionError, KeyError) as e:
         return (2 if isinstance(e, ScenarioError) else 3), f"load-error: {e}\n"
@@ -145,22 +145,26 @@ def _int_arg(value, what):
     return n
 
 
-# fewest arguments each command reads
-_MIN_ARGS = {"validate": 1, "classify": 1, "iso": 2, "link": 2, "rigid": 1,
-             "birational": 2, "explore": 1, "psi": 2, "check-relation": 2,
-             "dump-config": 1, "construct-point": 2}
+# (fewest, most) arguments of each command
+_ARGS = {"validate": (1, 2), "classify": (1, 1), "iso": (2, 2), "link": (2, 2),
+         "rigid": (1, 1), "birational": (2, 2), "explore": (1, 2),
+         "psi": (2, 2), "check-relation": (2, 2), "dump-config": (1, 2),
+         "construct-point": (2, 2)}
 
 
 def _dispatch(scen, state, cmd, emit):
     if not cmd:
         raise CommandError("empty command")
     op, *args = cmd
-    need = _MIN_ARGS.get(op, 0)
+    fewest, most = _ARGS.get(op, (0, len(args)))
     if op == "check-relation" and args[1:2] == ["hexagonal"]:
-        need = 4
-    if len(args) < need:
+        fewest = most = 4
+    if len(args) < fewest:
         raise CommandError(
-            f"{op} needs at least {need} argument(s), got {len(args)}")
+            f"{op} needs at least {fewest} argument(s), got {len(args)}")
+    if len(args) > most:
+        raise CommandError(
+            f"{op} takes at most {most} argument(s), got {len(args)}")
     if op == "validate":
         if len(args) == 1:
             spec = _surface(scen, args[0])

@@ -340,6 +340,7 @@ class GaloisTower:
         self.elements, self.words = self._closure()
         self.embed_map = self._extend_embedding()
         self.gtype = self._derive_gtype()
+        self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
 
     # -- group structure ---------------------------------------------------
     def _check_presentation(self):
@@ -540,13 +541,7 @@ def element_order(u):
 
 def norm(u, x):
     """Norm of x under the cyclic group generated by u: prod of u^k(x)."""
-    n = element_order(u)
-    out = x
-    y = x
-    for _ in range(n - 1):
-        y = apply(u, y)
-        out = out * y
-    return out
+    return _norm_n(u, x, element_order(u))
 
 
 def is_fixed(x, autos):
@@ -648,19 +643,9 @@ class ExtensionDescriptor:
             # same underlying field presented through another tower object
             other_rad = FieldElement(self.tower, other_rad.num, other_rad.den,
                                      _canonical=True)
-        for j in range(1, n):
-            if _gcd(j, n) != 1:
-                continue
-            ratio = self.radicand / (other_rad**j)
-            root = ratio.nth_root(n)
-            if root is None:
-                continue
-            # n-th roots differ by roots of unity, all of which lie in k
-            for unit in UNITS:
-                if is_fixed(root * self.tower.const(unit),
-                            self.tower.generators.values()):
-                    return True
-        return False
+        return any(_gcd(j, n) == 1
+                   and _root_in_base(self.tower, self.radicand / other_rad**j, n)
+                   for j in range(1, n))
 
     def key(self):
         if self.kind == "subfield":
@@ -1299,14 +1284,9 @@ def hilbert90_witness(lam: FieldElement, u):
         if sum(e[i] for i in orb) != 0:
             return None
         acc = 0
-        order_cycle = [orb[0]]
-        j = uf.perm[orb[0]]
-        while j != orb[0]:
-            order_cycle.append(j)
-            j = uf.perm[j]
-        for idx in range(1, len(order_cycle)):
-            acc += e[order_cycle[idx]]
-            d[order_cycle[idx]] = acc
+        for i in orb[1:]:  # _perm_orbits lists each orbit in cycle order
+            acc += e[i]
+            d[i] = acc
     n_ord = uf.order()
     # adjust constants by shifting whole orbits (changes the quotient by a unit);
     # start from the shift that clears negative exponents

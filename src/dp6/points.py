@@ -52,14 +52,16 @@ class ClosedPointSpec:
         return (self.degree, self.ext.key() if self.ext is not None else None, lk)
 
 
-_COMPOSITE_CACHE: dict = {}
-
-
 def composite_for(tower, ext) -> CompositeGroup:
-    key = (id(tower), ext.key())
-    if key not in _COMPOSITE_CACHE:
-        _COMPOSITE_CACHE[key] = composite_group(tower, ext)
-    return _COMPOSITE_CACHE[key]
+    """The composite group of ext, built once per tower object.
+
+    The group lives on the tower, not in a table keyed by content: composite
+    elements check that they belong to the very same tower object.
+    """
+    key = ext.key()
+    if key not in tower.composites:
+        tower.composites[key] = composite_group(tower, ext)
+    return tower.composites[key]
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +165,12 @@ def _allowed_subfield_cases(spec, degree, fixing):
 def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
     """Validate a 2- or 3-point with one twisted application per group element.
 
-    Returns (images, comp_of, reps) over the point's group, as in
-    _twisted_images and _number_components; validation, the component list
-    and the component permutations all read this one pass.
+    Returns (images, comp_of, reps, gp) over the point's group: images,
+    comp_of and reps as in _twisted_images and _number_components, gp the
+    general-position verdict.  Validation, general position, the component
+    list and the component permutations all read this one pass.  It is kept
+    on the surface, keyed by the point's content, so it runs once per surface
+    and point; a point that fails is not kept and raises on every call.
     """
     if p.degree not in (2, 3):
         raise PointCaseError(f"unsupported degree {p.degree}")
@@ -173,24 +178,21 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         raise PointCaseError(_EXCLUSIONS[("S3", 2)])
 
     cg = composite_for(spec.tower, p.ext)
-    if cg.intersection == "contained":
+    contained = cg.intersection == "contained"
+    if contained:
         fixing = p.ext.fixing_subgroup_in_F()
         _allowed_subfield_cases(spec, p.degree, fixing)
-        if p.ext.degree not in _expected_degrees(p.degree):
-            raise PointCaseError(
-                f"splitting field degree {p.ext.degree} cannot split a "
-                f"{p.degree}-point"
-            )
+    if p.ext.degree not in _expected_degrees(p.degree):
+        raise PointCaseError(
+            f"splitting field degree {p.ext.degree} cannot split a "
+            f"{p.degree}-point"
+        )
+    if contained:
         if not (isinstance(p.lam1, FieldElement) and isinstance(p.lam2, FieldElement)):
             raise PointValidationError("coordinates must lie in F")
         group = list(spec.tower.elements)
         fixes = lambda u: u in fixing  # noqa: E731
     else:
-        if p.ext.degree not in _expected_degrees(p.degree):
-            raise PointCaseError(
-                f"splitting field degree {p.ext.degree} cannot split a "
-                f"{p.degree}-point"
-            )
         comp = cg.comp
         lam1 = comp.embed(p.lam1) if isinstance(p.lam1, FieldElement) else p.lam1
         lam2 = comp.embed(p.lam2) if isinstance(p.lam2, FieldElement) else p.lam2
@@ -198,6 +200,9 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         group = cg.elements
         fixes = cg.fixes_E
 
+    key = p.key()
+    if key in spec.point_passes:
+        return spec.point_passes[key]
     coords = p.coords()
     images = _twisted_images(spec, coords, group)
     # every element acting trivially on E must fix the first component
@@ -211,7 +216,10 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         raise PointValidationError(
             f"twisted orbit has {len(reps)} components, expected {p.degree}"
         )
-    return images, comp_of, reps
+    # 2-points, and 3-points not split over F, are always in general position
+    gp = p.degree == 2 or not contained or _general_position_conditions(spec, p)
+    spec.point_passes[key] = images, comp_of, reps, gp
+    return spec.point_passes[key]
 
 
 def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
@@ -231,7 +239,7 @@ def _expected_degrees(d):
 
 
 def components(spec: SurfaceSpec, p: ClosedPointSpec):
-    images, _, reps = _twisted_pass(spec, p)
+    images, _, reps, _ = _twisted_pass(spec, p)
     return [images[u] for u in reps]
 
 
@@ -242,7 +250,7 @@ def component_permutations(spec: SurfaceSpec, p: ClosedPointSpec):
     action because alpha is a cocycle, which make_surface checks with
     verify_cocycle.
     """
-    images, comp_of, reps = _twisted_pass(spec, p)
+    images, comp_of, reps, _ = _twisted_pass(spec, p)
     perms = {u: tuple(comp_of[u * v] for v in reps) for u in comp_of}
     return [images[u] for u in reps], perms
 
@@ -256,36 +264,22 @@ def general_position(spec: SurfaceSpec, p: ClosedPointSpec):
     if p.degree == 4:
         validate_point(spec, p)
         return bool(p.general_position_declared)
-    _twisted_pass(spec, p)
-    return in_general_position(spec, p)
+    return _twisted_pass(spec, p)[3]
 
 
-def in_general_position(spec: SurfaceSpec, p: ClosedPointSpec):
-    """General position of a 2- or 3-point that validate_point accepts."""
-    if p.degree == 2:
-        return True
-    cg = composite_for(spec.tower, p.ext)
-    if cg.intersection != "contained":
-        return True  # 3-points not split over F are always in general position
+def _general_position_conditions(spec: SurfaceSpec, p: ClosedPointSpec):
+    """General position of a valid 3-point split inside F."""
     tower = spec.tower
     g = tower.element_named("g")
     lam1, lam2 = p.lam1, p.lam2
     if spec.gtype == "Z6":
-        if lam2 == lam1 * apply(g, lam1):
-            return False
-        if lam1 == spec.xi * lam2 * apply(g * g, lam2):
-            return False
-        if (spec.xi * apply(g, lam1) * apply(g * g, lam2)).is_one():
-            return False
-        return True
+        return not (lam2 == lam1 * apply(g, lam1)
+                    or lam1 == spec.xi * lam2 * apply(g * g, lam2)
+                    or (spec.xi * apply(g, lam1) * apply(g * g, lam2)).is_one())
     f = tower.element_named("f")
     gf = tower.element_named("gf")
-    lam = lam1
-    if (spec.xi * lam * apply(g, lam) * apply(f, lam)).is_one():
-        return False
-    if apply(gf, lam) == lam:
-        return False
-    return True
+    return not ((spec.xi * lam1 * apply(g, lam1) * apply(f, lam1)).is_one()
+                or apply(gf, lam1) == lam1)
 
 
 # ---------------------------------------------------------------------------

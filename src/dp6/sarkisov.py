@@ -31,7 +31,7 @@ from .points import (
     PointValidationError,
     component_permutations,
     composite_for,
-    in_general_position,
+    general_position,
 )
 from .surface import (
     ClassHandle,
@@ -235,15 +235,14 @@ def declared_point_handle(spec: SurfaceSpec, p: ClosedPointSpec) -> PointHandle:
     if p.degree == 4:
         raise LinkError("links exist at 2- and 3-points only")
     _, perms = component_permutations(spec, p)
-    gp = in_general_position(spec, p)
+    gp = general_position(spec, p)
     cg = composite_for(spec.tower, p.ext)
     table = {}
     for u, perm in perms.items():
         if isinstance(u, CompositeElement):
             table[(u.uf.key(), u.zeta.key())] = perm
         else:
-            table[(u.key(), ("1", "0"))] = perm
-            table[(u.key(), None)] = perm
+            table[(u.key(), _ZKEY_ONE)] = perm
     if cg.intersection == "contained":
         fld = FieldRef.subfield(spec.tower, p.ext.fixing_subgroup_in_F(),
                                 p.ext.name)

@@ -8,6 +8,7 @@ the extension in scope.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from ._ratfunc import QOmega, unit_from_str
@@ -160,16 +161,47 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
+def section(value, kind, what):
+    """value if it is a JSON object (kind dict) or list; null reads as empty."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ScenarioError(
+            f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _entries(raw, key):
+    """The (name, node) pairs of a scenario section, sorted by name."""
+    nodes = section(raw.get(key), dict, key)
+    return [(name, section(nodes[name], dict, f"{key} entry {name!r}"))
+            for name in sorted(nodes)]
+
+
 def _build_tower(name, node):
-    variables = node["variables"]
+    variables = section(node["variables"], list, f"tower {name}: variables")
+    if not all(isinstance(v, str) for v in variables):
+        raise ScenarioError(f"tower {name}: variables must be names")
+
+    def var(v):
+        if v not in variables:
+            raise ScenarioError(f"tower {name}: unknown variable {v!r}")
+        return variables.index(v)
+
     gens = {}
-    for gname, desc in node["generators"].items():
+    gens_node = section(node["generators"], dict, f"tower {name}: generators")
+    for gname, desc in gens_node.items():
+        where = f"tower {name}: generator {gname}"
+        section(desc, dict, where)
         perm = list(range(len(variables)))
-        for a, b in desc.get("perm", {}).items():
-            perm[variables.index(a)] = variables.index(b)
+        for a, b in section(desc.get("perm"), dict, f"{where}: perm").items():
+            perm[var(a)] = var(b)
         scal = [QOmega.one()] * len(variables)
-        for a, u in desc.get("scale", {}).items():
-            scal[variables.index(a)] = unit_from_str(u)
+        for a, u in section(desc.get("scale"), dict, f"{where}: scale").items():
+            try:
+                scal[var(a)] = unit_from_str(str(u))
+            except ValueError as e:
+                raise ScenarioError(f"tower {name}: {e}") from None
         gens[gname] = VarAutomorphism(perm, scal)
     embedding = None
     if "embedding" in node:
@@ -183,7 +215,8 @@ def _build_extension(name, node, towers):
     tower = towers[node["tower"]]
     kind = node["kind"]
     if kind == "subfield":
-        fixing = tower.subgroup(node["fixing"])
+        fixing = tower.subgroup(section(node["fixing"], list,
+                                        f"extension {name}: fixing"))
         return ExtensionDescriptor("subfield", tower, fixing=fixing, name=name)
     radicand = parse_element(node["radicand"], tower)
     return ExtensionDescriptor(kind, tower, radicand=radicand, name=name)
@@ -228,15 +261,15 @@ def _commands(node):
 
 
 def load_scenario(path_or_dict):
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
+    raw = path_or_dict
+    if isinstance(raw, (str, os.PathLike)):
+        with open(raw, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    section(raw, dict, "a scenario")
     registry = FactRegistry()
     towers = {}
-    for name in sorted(raw.get("towers", {})):
-        towers[name] = _build_tower(name, raw["towers"][name])
+    for name, node in _entries(raw, "towers"):
+        towers[name] = _build_tower(name, node)
     extensions = {}
     scen = Scenario(
         name=raw.get("name", "scenario"),
@@ -248,9 +281,10 @@ def load_scenario(path_or_dict):
         commands=_commands(raw.get("commands", [])),
         raw=raw,
     )
-    for name in sorted(raw.get("extensions", {})):
-        extensions[name] = _build_extension(name, raw["extensions"][name], towers)
-    for fact in raw.get("facts", []):
+    for name, node in _entries(raw, "extensions"):
+        extensions[name] = _build_extension(name, node, towers)
+    for fact in section(raw.get("facts"), list, "facts"):
+        section(fact, dict, "a fact")
         tower = towers[fact["tower"]]
         elem = parse_element(fact["element"], tower)
         gen = tower.element_named(fact["generator"])
@@ -261,8 +295,7 @@ def load_scenario(path_or_dict):
             norm_class(elem, gen, cert=cert, registry=registry)
         else:
             registry.assume(elem, gen, fact["verdict"], note=fact.get("note", ""))
-    for name in sorted(raw.get("surfaces", {})):
-        node = raw["surfaces"][name]
+    for name, node in _entries(raw, "surfaces"):
         tower = towers[node["tower"]]
         xi = parse_element(node["xi"], tower)
         rho = parse_element(node["rho"], tower) if node.get("rho") is not None \
@@ -270,6 +303,6 @@ def load_scenario(path_or_dict):
         scen.surfaces[name] = make_surface(
             node["gtype"], tower, xi, rho, registry, name=name
         )
-    for name in sorted(raw.get("points", {})):
-        scen.points[name] = _build_point(name, raw["points"][name], scen)
+    for name, node in _entries(raw, "points"):
+        scen.points[name] = _build_point(name, node, scen)
     return scen

@@ -186,6 +186,9 @@ class SurfaceSpec:
     name: str = "S"
     cocycle: dict = field(default_factory=dict)
     sbdata: SeveriBrauerData | None = None
+    # point.key() -> the point's twisted pass, filled by points._twisted_pass
+    point_passes: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
 
     def gen(self, word):
         return self.tower.element_named(word)

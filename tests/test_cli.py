@@ -205,8 +205,12 @@ def test_degree4_point_has_no_links(tmp_path):
     (["validate"], "validate needs at least 1 argument(s), got 0"),
     (["construct-point", "SZ", 7], "construct-point builds 2- and 3-points, not 7"),
     (["psi", "SZ", 5], "a tour word is a string, got 5"),
+    (["classify", "SZ", "junk"], "classify takes at most 1 argument(s), got 2"),
+    (["check-relation", "SZ", "hexagonal", "p", "q", "p"],
+     "check-relation takes at most 4 argument(s), got 5"),
 ], ids=["explore-word", "explore-negative", "dump-config-9", "empty",
-        "validate-bare", "construct-point-7", "psi-number"])
+        "validate-bare", "construct-point-7", "psi-number", "classify-extra",
+        "hexagonal-extra"])
 def test_malformed_command_is_semantic_error(tmp_path, command, message):
     code, text = _hex_scenario(tmp_path, "malformed", {},
                                [command, ["classify", "SZ"]])
@@ -229,3 +233,44 @@ def test_commands_not_lists_is_load_error(tmp_path, commands):
     code, text = _hex_scenario(tmp_path, "commands", {}, commands)
     assert code == 2
     assert text == "load-error: commands must be a list of lists\n"
+
+
+def _set(path, value):
+    """An edit of the z6-index2-hex scenario: set the entry at path."""
+    def edit(scen):
+        node = scen
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        return scen
+    return edit
+
+
+_TOWER = ("towers", "FZ")
+
+
+@pytest.mark.parametrize("edit,strict,message", [
+    (_set(("facts",), 5), False, "facts must be a JSON list"),
+    (_set(("facts",), 5), True, "facts must be a JSON list"),
+    (_set(("points",), [1]), False, "points must be a JSON object"),
+    (_set(_TOWER + ("variables",), 5), False,
+     "tower FZ: variables must be a JSON list"),
+    (_set(_TOWER + ("generators", "g", "perm"), {"x1": "zz"}), False,
+     "tower FZ: unknown variable 'zz'"),
+    (_set(_TOWER + ("generators", "h", "scale"), {"y": "2"}), False,
+     "tower FZ: not a recognized root-of-unity scale: '2'"),
+    (_set(_TOWER + ("generators", "g", "perm"), [1]), False,
+     "tower FZ: generator g: perm must be a JSON object"),
+    (_set(("extensions", "K", "fixing"), 5), False,
+     "extension K: fixing must be a JSON list"),
+    (lambda scen: [scen], False, "a scenario must be a JSON object"),
+    (lambda scen: [scen], True, "a scenario must be a JSON object"),
+], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
+        "perm-list", "fixing", "list", "list-strict"])
+def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
+    scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(scen))
+    code, text = run(str(path), strict=strict)
+    assert code == 2
+    assert text == f"load-error: {message}\n"

@@ -2,7 +2,15 @@
 
 import pytest
 
-from dp6.fieldtower import ExtensionDescriptor, apply, norm
+from dp6 import points
+from dp6._ratfunc import QOmega
+from dp6.fieldtower import (
+    ExtensionDescriptor,
+    GaloisTower,
+    VarAutomorphism,
+    apply,
+    norm,
+)
 from dp6.points import (
     ClosedPointSpec,
     PointCaseError,
@@ -230,3 +238,85 @@ def test_degree4_declared_flag(s3_example):
     q = ClosedPointSpec(4, None, None, None)
     with pytest.raises(PointValidationError):
         validate_point(s3_example, q)
+
+
+# ---------------------------------------------------------------------------
+# one twisted pass per surface and point; composite groups on their tower
+# ---------------------------------------------------------------------------
+
+def _count_twisted_apply(monkeypatch):
+    """Record every twisted_apply call the point pass makes."""
+    calls = []
+    apply_once = points.twisted_apply
+
+    def counted(spec, u, coords):
+        calls.append(u)
+        return apply_once(spec, u, coords)
+
+    monkeypatch.setattr(points, "twisted_apply", counted)
+    return calls
+
+
+def test_example_main_runs_one_pass_per_point(monkeypatch):
+    from dp6.cli import bundled_path, run
+
+    calls = _count_twisted_apply(monkeypatch)
+    code, _ = run(bundled_path("example-main"))
+    assert code == 0
+    # four Kummer-cubic points over the 18-element composite group, and the
+    # F-split point pF over the 6-element group of F
+    assert len(calls) == 4 * 18 + 6
+
+
+def test_point_pass_keyed_by_content(monkeypatch, z6_tower):
+    x1, x2, x3 = (z6_tower.var(v) for v in ("x1", "x2", "x3"))
+    spec = make_surface("Z6", z6_tower, z6_tower.one(), x1 / x2, name="SZ")
+    g = z6_tower.element_named("g")
+    calls = _count_twisted_apply(monkeypatch)
+
+    p = construct_2point(spec)[0]  # validates p
+    assert len(calls) == 6
+    assert validate_point(spec, p)
+    assert general_position(spec, p)
+    comps_p, _ = component_permutations(spec, p)
+    assert len(calls) == 6  # every reader shares the one pass
+
+    lam = x1 * x2 / (x3 * x3)
+    q = ClosedPointSpec(2, p.ext, lam, lam * apply(g, lam), name=p.name)
+    assert validate_point(spec, q)
+    assert len(calls) == 12  # same name and field, other coordinates
+    assert components(spec, q) != comps_p
+    assert components(spec, p) == comps_p
+    assert len(calls) == 12
+
+    bad = ClosedPointSpec(2, p.ext, x1, x2, name=p.name)
+    for n in (18, 24):
+        with pytest.raises(PointValidationError):
+            validate_point(spec, bad)
+        assert len(calls) == n  # a failing point is not kept
+
+
+def _s3_tower():
+    one = QOmega.one()
+    g = VarAutomorphism([1, 2, 0, 3], [one] * 4)
+    f = VarAutomorphism([0, 2, 1, 3], [one] * 4)
+    return GaloisTower(["t1", "t2", "t3", "s"], {"g": g, "f": f}, name="F")
+
+
+def _kummer(tower):
+    t1, t2, t3, s = (tower.var(v) for v in ("t1", "t2", "t3", "s"))
+    return ExtensionDescriptor("kummer-cubic", tower,
+                               radicand=s * (t1 + 1) * (t2 + 1) * (t3 + 1))
+
+
+def test_composite_groups_belong_to_their_tower():
+    a, b = _s3_tower(), _s3_tower()
+    assert a.key() == b.key()
+    ea, eb = _kummer(a), _kummer(b)
+    assert ea.key() == eb.key()
+    cga, cgb = composite_for(a, ea), composite_for(b, eb)
+    assert cga is not cgb
+    assert cga.comp.tower is a and cgb.comp.tower is b
+    assert composite_for(a, ea) is cga
+    assert composite_for(a, _kummer(a)) is cga
+    assert composite_for(b, eb) is cgb
