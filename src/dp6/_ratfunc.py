@@ -20,6 +20,22 @@ OMEGA_EXPR = Rational(-1, 2) + sqrt(3) * I / 2
 _QQ_TYPE = QQ.dtype
 
 
+def power(x, k, one):
+    """x**k for an integer k >= 0 by square-and-multiply.
+
+    `one` is the result at k = 0.  Otherwise no product with `one` is formed
+    and x is squared only up to the top bit of k, so x**1 is x itself.
+    """
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
+
+
 class QOmega:
     """Element a + b*w of Q(w), with a, b rational (sympy QQ ground type)."""
 
@@ -88,14 +104,7 @@ class QOmega:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        out = _ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, _ONE)
 
     def __eq__(self, other):
         return isinstance(other, QOmega) and self.a == other.a and self.b == other.b
@@ -258,14 +267,7 @@ class CPoly:
         return self * CPoly.const(self.ring, c)
 
     def __pow__(self, k):
-        out = CPoly.one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, CPoly.one(self.ring))
 
     def __eq__(self, other):
         return (

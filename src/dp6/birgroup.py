@@ -12,14 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .fieldtower import IS_NORM, NOT_NORM, UNKNOWN
+from .fieldtower import UNKNOWN
 from .points import ClosedPointSpec
 from .sarkisov import (
     DataSurface,
-    FieldRef,
     LinkError,
     LinkRecord,
-    PointHandle,
     as_data_surface,
     declared_point_handle,
     link,

@@ -2,8 +2,10 @@
 
 Classes live in Z^(1+n) with intersection form diag(+1,-1,..,-1); a class is
 written (d; m_1..m_n) for d*H - sum m_i E_i, so exceptional classes have
-m_i = -1.  Enumeration is by bounded lattice search; the labeled dictionaries
-follow the blow-up identifications for the degree-4 and degree-3 models.
+m_i = -1.  The labeled dictionaries follow the blow-up identifications for
+the degree-4 and degree-3 models; each label is checked by the two equations
+of a (-1)-class, and the labels must give 6, 16 or 27 distinct classes.  The
+bounded lattice search `minus_one_classes` is the tests' reference for them.
 """
 
 from __future__ import annotations
@@ -123,21 +125,15 @@ class CurveConfig:
     def build(cls, n):
         if n not in POINT_COUNTS:
             raise ValueError(f"unsupported point count {n}")
-        classes = minus_one_classes(n)
         lab = _labels(n)
+        bad = [name for name, c in lab.items()
+               if c.self_intersection() != -1 or c.anticanonical_degree() != 1]
+        if bad:
+            raise AssertionError(f"labels not among (-1)-classes: {bad}")
+        # the blow-up of n points in general position has 6, 16 or 27 of them
         expected = {3: 6, 5: 16, 6: 27}[n]
-        if len(classes) != expected:
-            raise AssertionError(
-                f"lattice search found {len(classes)} classes, expected {expected}"
-            )
-        by_vec = {c.vector(): c for c in classes}
-        missing = [name for name, c in lab.items() if c.vector() not in by_vec]
-        if missing:
-            raise AssertionError(f"labels not among (-1)-classes: {missing}")
-        if n in (5, 6) and len(lab) != expected:
+        if len(lab) != expected or len({c.vector() for c in lab.values()}) != expected:
             raise AssertionError("label dictionary does not cover the classes")
-        if n == 3 and len(lab) != 6:
-            raise AssertionError("hexagon label dictionary incomplete")
         return cls(n, lab)
 
     def class_of(self, label):
@@ -173,14 +169,14 @@ class CurveConfig:
 
 def hexagon_action(tower):
     """Label permutations of the hexagon induced by the tower's embedding."""
-    config = CurveConfig.build(3)
+    cfg = config(3)
     out = {}
     for gen_name in sorted(tower.generators):
         perm = tower.embed_map[tower.generators[gen_name]]
         out[gen_name] = {
             hexagon.LABELS[i]: hexagon.LABELS[perm[i]] for i in range(6)
         }
-    _check_action(config, out)
+    _check_action(cfg, out)
     return out
 
 
@@ -196,8 +192,9 @@ def invariant_picard_rank(action_perms):
 
     `action_perms` is an iterable of hexagon label permutations (dicts).
     """
-    config = CurveConfig.build(3)
-    mats = [_lattice_map_from_hexagon(config, perm) for perm in action_perms]
+    hex_perms = [tuple(hexagon.INDEX[p[lab]] for lab in hexagon.LABELS)
+                 for p in action_perms]
+    mats = [_lattice_map(config(3), hp, ()) for hp in hex_perms]
     # invariant subspace: intersection of kernels of (M - I) over Q
     rows = []
     for mat in mats:
@@ -210,20 +207,25 @@ def invariant_picard_rank(action_perms):
     return 4 - rank
 
 
-def _lattice_map_from_hexagon(config, perm):
-    """4x4 integer matrix of the induced map on <H, E1, E2, E3> (columns)."""
-    def vec(label):
-        c = config.labels[label]
-        # coordinates in basis H, E1, E2, E3 for class d*H - sum m_i E_i
-        return [c.d, -c.m[0], -c.m[1], -c.m[2]]
+def _vec(c: CurveClass):
+    """Coordinates of d*H - sum m_i E_i in the basis H, E_1..E_n."""
+    return [c.d] + [-x for x in c.m]
 
-    cols = {}
-    for i, lab in enumerate(("E1", "E2", "E3")):
-        cols[1 + i] = vec(perm[lab])
-    # H = F1 + E2 + E3 as classes
-    img = [a + b + c for a, b, c in zip(vec(perm["F1"]), vec(perm["E2"]), vec(perm["E3"]))]
-    cols[0] = img
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+def _lattice_map(config, hex_perm, comp_perm):
+    """Integer matrix, in columns, of the isometry of <H, E_1..E_n>.
+
+    The images of e_1..e_n and H pin it: the hexagon perm gives those of
+    E_1, E_2, E_3 and of H = F1 + E2 + E3, the component perm those of
+    E_4..E_n.
+    """
+    def image(label):
+        return _vec(config.class_of(hexagon.LABELS[hex_perm[hexagon.INDEX[label]]]))
+
+    cols = [[a + b + c for a, b, c in zip(image("F1"), image("E2"), image("E3"))]]
+    cols += [image(lab) for lab in ("E1", "E2", "E3")]
+    cols += [_vec(config.class_of(f"E{4 + c}")) for c in comp_perm]
+    return [list(row) for row in zip(*cols)]
 
 
 def _row_rank(rows):
@@ -283,9 +285,7 @@ def config(n):
 @lru_cache(maxsize=16384)
 def propagate_pair(d, hex_perm, comp_perm):
     """(full label permutation, relabeled new-hexagon perm) for one action pair."""
-    n = 3 + d
-    cfg = config(n)
-    full = _propagate(cfg, n, d, hex_perm, comp_perm)
+    full = _propagate(config(3 + d), hex_perm, comp_perm)
     back = {v: k for k, v in NEW_HEX[d].items()}
     perm = [0] * 6
     for i, lab in enumerate(hexagon.LABELS):
@@ -303,27 +303,16 @@ def induced_sigma_prime_action(d, generators):
     """
     if d not in (2, 3):
         raise ValueError("links exist at points of degree 2 or 3 only")
-    n = 3 + d
-    cfg = config(n)
-
-    # close the generating set under composition
-    idpair = (hexagon.IDENTITY, tuple(range(d)))
-    pairs = {idpair}
-    frontier = [idpair]
     gen_list = list(generators)
-    while frontier:
-        hp, cp = frontier.pop()
-        for _, ghp, gcp in gen_list:
-            npair = (hexagon.compose(ghp, hp), tuple(gcp[cp[i]] for i in range(d)))
-            if npair not in pairs:
-                pairs.add(npair)
-                frontier.append(npair)
-        if len(pairs) > 72:
-            raise ValueError("generated group is too large")
+    pairs = hexagon.closure(
+        (hexagon.IDENTITY, tuple(range(d))),
+        {i: (ghp, gcp) for i, (_, ghp, gcp) in enumerate(gen_list)},
+        lambda g, u: (hexagon.compose(g[0], u[0]), tuple(g[1][c] for c in u[1])),
+        72)
 
-    full = {}
+    full, new_hex = {}, {}
     for key, ghp, gcp in gen_list:
-        full[key], _ = propagate_pair(d, ghp, gcp)
+        full[key], new_hex[key] = propagate_pair(d, ghp, gcp)
 
     sigma_labels = SIGMA_PRIME[d]
     sigma = {k: {a: p[a] for a in sigma_labels} for k, p in full.items()}
@@ -335,18 +324,9 @@ def induced_sigma_prime_action(d, generators):
         if {a: p[a] for a in sigma_labels} == ident:
             kernel.add((hp, cp))
 
-    new_hex = {}
-    back = {v: k for k, v in NEW_HEX[d].items()}
-    for k, p in sigma.items():
-        perm = [0] * 6
-        for i, lab in enumerate(hexagon.LABELS):
-            image = p[NEW_HEX[d][lab]]
-            perm[i] = hexagon.INDEX[back[image]]
-        new_hex[k] = tuple(perm)
-
     return InducedAction(
         d=d,
-        config=cfg,
+        config=config(3 + d),
         full_action=full,
         sigma_prime_action=sigma,
         new_hexagon_action=new_hex,
@@ -355,47 +335,25 @@ def induced_sigma_prime_action(d, generators):
     )
 
 
-def _propagate(config, n, d, hex_perm, comp_perm):
+def _propagate(config, hex_perm, comp_perm):
     """Label permutation of the full configuration forced by the inputs.
 
-    The lattice isometry is pinned by the images of e_1..e_n and H: hexagon
-    labels give e_1,e_2,e_3 (and H via F-labels), the component permutation
-    gives e_4..e_n.  Ambiguity or breakage is an error, not a guess.
+    The lattice isometry is `_lattice_map`; ambiguity or breakage is an
+    error, not a guess.
     """
-    def vec(c: CurveClass):
-        return [c.d] + [-x for x in c.m]
-
-    img = {}
-    hexlabels = ("E1", "E2", "E3", "F1", "F2", "F3")
-    for i, lab in enumerate(hexlabels):
-        target = hexlabels[hex_perm[i]]
-        img[lab] = config.class_of(target)
-    cols = {}
-    for i in range(3):
-        cols[1 + i] = vec(img[f"E{i+1}"])
-    for i in range(d):
-        cols[4 + i] = vec(config.class_of(f"E{4 + comp_perm[i]}"))
-    hvec = [a + b + c for a, b, c in zip(vec(img["F1"]), vec(img["E2"]), vec(img["E3"]))]
-    cols[0] = hvec
-    mat = [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
-
+    mat = _lattice_map(config, hex_perm, comp_perm)
+    by_vec = {tuple(_vec(c)): name for name, c in config.labels.items()}
     perm = {}
-    by_vec = {tuple(vec(c)): name for name, c in config.labels.items()}
     for name, c in config.labels.items():
-        v = vec(c)
-        image = tuple(
-            sum(mat[i][j] * v[j] for j in range(n + 1)) for i in range(n + 1)
-        )
+        v = _vec(c)
+        image = tuple(sum(a * b for a, b in zip(row, v)) for row in mat)
         if image not in by_vec:
             raise ValueError(
                 f"induced lattice map does not permute the (-1)-classes "
                 f"(inconsistent input action at {name})"
             )
         perm[name] = by_vec[image]
-    # bijectivity + adjacency preservation
     if len(set(perm.values())) != len(perm):
         raise ValueError("induced label map is not a permutation")
-    for a, b in itertools.combinations(sorted(config.labels), 2):
-        if config.adjacent(a, b) != config.adjacent(perm[a], perm[b]):
-            raise ValueError("induced label map breaks the intersection graph")
+    _check_action(config, {"the induced label map": perm})
     return perm

@@ -20,6 +20,7 @@ from ._ratfunc import (
     cancel_pair,
     monic_pair,
     poly_nth_root,
+    power,
     qomega_nth_roots,
     rational_ring,
 )
@@ -130,8 +131,6 @@ class FieldElement:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        if k == 1:
-            return self
         # powers of a coprime pair are coprime, and of a monic den monic
         return FieldElement(self.tower, self.num**k, self.den**k, _canonical=True)
 
@@ -337,7 +336,9 @@ class GaloisTower:
             n: DEFAULT_EMBEDDING[n] for n in self.generators
         }
         self._check_presentation()
-        self.elements, self.words = self._closure()
+        idn = VarAutomorphism.identity(len(self.variables))
+        self.words = hexagon.closure(idn, self.generators, VarAutomorphism.__mul__, 12)
+        self.elements = list(self.words)
         self.embed_map = self._extend_embedding()
         self.gtype = self._derive_gtype()
         self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
@@ -363,21 +364,6 @@ class GaloisTower:
             ur = _word_product(gens, rhs)
             if ul != ur:
                 raise TowerError(f"presentation relation {lhs} = {rhs} fails")
-
-    def _closure(self):
-        idn = VarAutomorphism.identity(len(self.variables))
-        words = {idn: ()}
-        queue = [idn]
-        while queue:
-            u = queue.pop()
-            for gname, gen in self.generators.items():
-                v = gen * u
-                if v not in words:
-                    words[v] = (gname,) + words[u]
-                    queue.append(v)
-            if len(words) > 12:
-                raise TowerError("group larger than D6")
-        return list(words), words
 
     def _extend_embedding(self):
         out = {}
@@ -413,18 +399,9 @@ class GaloisTower:
 
     def subgroup(self, words):
         """Subgroup generated by the given words, as a frozenset of elements."""
-        gens = [self.element_named(w) for w in words]
+        gens = {i: self.element_named(w) for i, w in enumerate(words)}
         idn = VarAutomorphism.identity(len(self.variables))
-        out = {idn}
-        queue = [idn]
-        while queue:
-            u = queue.pop()
-            for gen in gens:
-                v = gen * u
-                if v not in out:
-                    out.add(v)
-                    queue.append(v)
-        return frozenset(out)
+        return frozenset(hexagon.closure(idn, gens, VarAutomorphism.__mul__, 12))
 
     # -- elements ----------------------------------------------------------
     def var_index(self, name):
@@ -787,17 +764,16 @@ class RadElement:
             digits = [self.comp.tower.zero()] * m
             digits[m - i] = (c * self.comp.reduction).inv()
             return RadElement(self.comp, digits)
-        # general: solve (self * x) = 1 as a linear system over F
-        cols = []
-        for j in range(m):
-            basis = [self.comp.tower.zero()] * m
-            basis[j] = self.comp.tower.one()
-            col = self * RadElement(self.comp, basis)
-            cols.append(list(col.digits))
-        mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-        rhs = [self.comp.tower.one()] + [self.comp.tower.zero()] * (m - 1)
-        sol = _solve_linear(mat, rhs)
-        return RadElement(self.comp, sol)
+        # general: x^-1 = prod_{j>0} s_j(x) / N(x), where s_j fixes F and
+        # sends r to zeta_m^j * r; the norm N(x) = x * prod_{j>0} s_j(x) is
+        # fixed by every s_j, so it lies in F (digit 0)
+        idn = VarAutomorphism.identity(len(self.comp.tower.variables))
+        conj = None
+        for j in range(1, m):
+            s_j = CompositeElement(self.comp, idn, _ZETA_POWERS[j * 6 // m])
+            y = apply(s_j, self)
+            conj = y if conj is None else conj * y
+        return conj * (self * conj).digits[0].inv()
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -808,14 +784,7 @@ class RadElement:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        out = self.comp.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.comp.one())
 
     def __eq__(self, other):
         try:
@@ -837,24 +806,6 @@ class RadElement:
                 continue
             parts.append(f"({d})" + ("" if i == 0 else f"*r^{i}" if i > 1 else "*r"))
         return " + ".join(parts) if parts else "0"
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over a field of FieldElements."""
-    m = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system (zero divisor?)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
 
 
 class CompositeField:

@@ -72,6 +72,29 @@ _GEN_MATRICES = {
     REFLECT_F: ((0, -1), (-1, 0)),  # sigma: (l1,l2) -> (l2^-1, l1^-1)
 }
 
+
+def closure(identity, gens, mul, limit):
+    """The group generated by `gens` (name -> element), as element -> word.
+
+    An element first reached as mul(gen, u) gets the word (name,) + word(u);
+    the search is depth-first from `identity`, so the order of the result is
+    fixed by the order of `gens`.  More than `limit` elements raise
+    ValueError.
+    """
+    words = {identity: ()}
+    stack = [identity]
+    while stack:
+        u = stack.pop()
+        for name, gen in gens.items():
+            v = mul(gen, u)
+            if v not in words:
+                words[v] = (name,) + words[u]
+                stack.append(v)
+        if len(words) > limit:
+            raise ValueError(f"generated group has more than {limit} elements")
+    return words
+
+
 _D6 = None
 
 
@@ -79,17 +102,14 @@ def d6_elements():
     """All twelve symmetries with their torus matrices: dict perm -> matrix."""
     global _D6
     if _D6 is None:
-        table = {IDENTITY: ((1, 0), (0, 1))}
-        frontier = [IDENTITY]
-        while frontier:
-            p = frontier.pop()
-            for gen, mat in _GEN_MATRICES.items():
-                q = compose(gen, p)
-                if q not in table:
-                    table[q] = _mat_mul(mat, table[p])
-                    frontier.append(q)
-        assert len(table) == 12
-        _D6 = table
+        words = closure(IDENTITY, {p: p for p in _GEN_MATRICES}, compose, 12)
+        _D6 = {}
+        for p, word in words.items():
+            mat = ((1, 0), (0, 1))
+            for gen in word:
+                mat = _mat_mul(mat, _GEN_MATRICES[gen])
+            _D6[p] = mat
+        assert len(_D6) == 12
     return _D6
 
 

@@ -10,14 +10,15 @@ as full surfaces only when the fixed field is again a supported tower.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import curveconfig, hexagon
+from ._ratfunc import QOmega
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
     FieldElement,
+    GaloisTower,
     IS_NORM,
     NOT_NORM,
     TowerError,
@@ -35,8 +36,8 @@ from .points import (
 )
 from .surface import (
     ClassHandle,
+    SurfaceConditionError,
     SurfaceSpec,
-    central_element,
     index_from_flags,
     is_isomorphic,
     k_fixing_subgroup,
@@ -173,15 +174,8 @@ class DataSurface:
 
 def classify_perm_group(perms):
     """Structure of a subgroup of D6 given by hexagon permutations."""
-    elems = {hexagon.IDENTITY}
-    frontier = list(perms)
-    while frontier:
-        p = frontier.pop()
-        for q in list(elems):
-            for r in (hexagon.compose(p, q), hexagon.compose(q, p)):
-                if r not in elems:
-                    elems.add(r)
-                    frontier.append(r)
+    elems = hexagon.closure(hexagon.IDENTITY, dict(enumerate(perms)),
+                            hexagon.compose, 12)
     n = len(elems)
     abelian = all(
         hexagon.compose(a, b) == hexagon.compose(b, a)
@@ -332,9 +326,9 @@ class LinkRecord:
         return self.source.vertex_key() == self.target.vertex_key()
 
 
-_ZKEY_ONE = ("1", "0")
-_ZKEY_OMEGA = ("0", "1")
-_ZKEY_MINUS = ("-1", "0")
+#: keys of the roots of unity 1, -1, w and w^2 acting on a radical
+_ZKEY_ONE, _ZKEY_MINUS, _ZKEY_OMEGA, _ZKEY_OMEGA2 = (
+    z.key() for z in (QOmega.one(), -QOmega.one(), QOmega.omega(), QOmega.omega() ** 2))
 
 
 def link(source, p, name=None):
@@ -379,7 +373,7 @@ def link(source, p, name=None):
         if edeg == 2:
             zetas = [_ZKEY_ONE, _ZKEY_MINUS]
         elif edeg == 3:
-            zetas = [_ZKEY_ONE, _ZKEY_OMEGA, _omega2_key()]
+            zetas = [_ZKEY_ONE, _ZKEY_OMEGA, _ZKEY_OMEGA2]
         else:
             raise LinkError("degree-6 splitting fields: link not supported at "
                             "data level")
@@ -484,12 +478,6 @@ def link(source, p, name=None):
     return rec
 
 
-def _omega2_key():
-    from ._ratfunc import QOmega
-
-    return (QOmega.omega() ** 2).key()
-
-
 def _identity_key(src: DataSurface):
     idn = src.tower.element_named("1")
     return (idn.key(), ()) if not src.radicals else (
@@ -544,7 +532,7 @@ def _pure_factor_trivial(action, i):
 def _is_identity_ufk(ufk):
     perm, scal = ufk
     return all(p == i for i, p in enumerate(perm)) and all(
-        s == ("1", "0") for s in scal
+        s == _ZKEY_ONE for s in scal
     )
 
 
@@ -650,8 +638,6 @@ def _reconstruct_target(src: DataSurface, handle: PointHandle,
             # re-present the same field with the reflection roles exchanged:
             # the generator named f becomes the automorphism h*f, so that the
             # new s = h*(h*f) is the old f
-            from .fieldtower import GaloisTower
-
             gens = dict(tower.generators)
             gens["f"] = tower.generators["h"] * tower.generators["f"]
             try:
@@ -855,8 +841,6 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
         return BirationalResult("Yes", chain=(), reason="equal data", case=0,
                                 assumed=assumed)
     if a.spec is not None and b.spec is not None:
-        from .surface import is_isomorphic
-
         iso = is_isomorphic(a.spec, b.spec)
         if iso.verdict == "Yes":
             return BirationalResult("Yes", chain=(), case=0,

@@ -13,16 +13,14 @@ from dataclasses import dataclass, field
 
 from ._ratfunc import QOmega, unit_from_str
 from .fieldtower import (
-    CompositeGroup,
     ExtensionDescriptor,
     FactRegistry,
-    FieldElement,
     GaloisTower,
     VarAutomorphism,
     apply,
 )
 from .points import ClosedPointSpec, composite_for
-from .surface import SurfaceSpec, make_surface
+from .surface import make_surface
 from . import hexagon
 
 
@@ -171,6 +169,13 @@ def section(value, kind, what):
     return value
 
 
+def _word(value, what):
+    """value if it is a JSON string (a name or a generator word like "hf")."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _entries(raw, key):
     """The (name, node) pairs of a scenario section, sorted by name."""
     nodes = section(raw.get(key), dict, key)
@@ -215,8 +220,9 @@ def _build_extension(name, node, towers):
     tower = towers[node["tower"]]
     kind = node["kind"]
     if kind == "subfield":
-        fixing = tower.subgroup(section(node["fixing"], list,
-                                        f"extension {name}: fixing"))
+        words = section(node["fixing"], list, f"extension {name}: fixing")
+        fixing = tower.subgroup([_word(w, f"extension {name}: fixing entry")
+                                 for w in words])
         return ExtensionDescriptor("subfield", tower, fixing=fixing, name=name)
     radicand = parse_element(node["radicand"], tower)
     return ExtensionDescriptor(kind, tower, radicand=radicand, name=name)
@@ -272,7 +278,7 @@ def load_scenario(path_or_dict):
         towers[name] = _build_tower(name, node)
     extensions = {}
     scen = Scenario(
-        name=raw.get("name", "scenario"),
+        name=_word(raw.get("name", "scenario"), "scenario name"),
         towers=towers,
         extensions=extensions,
         surfaces={},
@@ -287,7 +293,7 @@ def load_scenario(path_or_dict):
         section(fact, dict, "a fact")
         tower = towers[fact["tower"]]
         elem = parse_element(fact["element"], tower)
-        gen = tower.element_named(fact["generator"])
+        gen = tower.element_named(_word(fact["generator"], "fact generator"))
         if "certificate" in fact:
             from .fieldtower import norm_class
 

@@ -161,6 +161,9 @@ def test_acceptance_3_lattice_oracle():
         assert len(minus_one_classes(n)) == count
         cfg = CurveConfig.build(n)
         assert len(cfg.labels) == count
+        # the exhaustive search is the reference for the labels' classes
+        assert sorted(c.vector() for c in cfg.labels.values()) == sorted(
+            c.vector() for c in minus_one_classes(n))
         assert set(cfg.neighbor_counts().values()) == {reg}
     cfg6 = config(6)
     ring = SIGMA_PRIME[3]

@@ -265,8 +265,15 @@ _TOWER = ("towers", "FZ")
      "extension K: fixing must be a JSON list"),
     (lambda scen: [scen], False, "a scenario must be a JSON object"),
     (lambda scen: [scen], True, "a scenario must be a JSON object"),
+    (_set(("extensions", "K", "fixing"), [5]), False,
+     "extension K: fixing entry must be a string, got 5"),
+    (_set(("facts",), [{"tower": "FZ", "element": "x1", "generator": 5,
+                        "verdict": "IsNorm"}]), False,
+     "fact generator must be a string, got 5"),
+    (_set(("name",), [1]), False, "scenario name must be a string, got [1]"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
-        "perm-list", "fixing", "list", "list-strict"])
+        "perm-list", "fixing", "list", "list-strict", "fixing-word",
+        "fact-generator", "name"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"

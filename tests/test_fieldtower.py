@@ -10,6 +10,7 @@ from dp6.fieldtower import (
     FactRegistry,
     FieldElement,
     GaloisTower,
+    RadElement,
     TowerError,
     UnsupportedCompositeError,
     VarAutomorphism,
@@ -249,6 +250,42 @@ def test_d6_composite_generator_pairs(d6_tower):
     assert not cg.generators["h"].zeta.is_one()
     assert not cg.generators["f"].zeta.is_one()
     assert cg.generators["w"].uf.is_identity()
+
+
+@pytest.mark.parametrize("kind,radicand,intersection,rdeg", [
+    ("quadratic", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 2),
+    ("kummer-cubic", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 3),
+    ("kummer-cubic-with-conjugation", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 6),
+    ("kummer-cubic-with-conjugation", lambda x1, x2, x3, y: (x1 * x2 * x3 * y) ** 2,
+     "quadratic", 3),
+], ids=["quadratic", "kummer-cubic", "degree-6", "quadratic-intersection"])
+def test_rad_inverse_multi_digit(z6_tower, kind, radicand, intersection, rdeg):
+    xs = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    E = ExtensionDescriptor(kind, z6_tower, radicand=radicand(*xs))
+    cg = composite_group(z6_tower, E)
+    comp = cg.comp
+    assert (cg.intersection, comp.rdeg) == (intersection, rdeg)
+    # more than one nonzero digit, so the conjugate-product branch runs
+    x = RadElement(comp, [xs[0], z6_tower.one(), xs[3]][:rdeg])
+    assert x * x.inv() == comp.one()
+
+
+def test_power_is_repeated_product(z6_tower):
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    w = z6_tower.omega()
+    E = ExtensionDescriptor("kummer-cubic", z6_tower, radicand=x1 + x2 + x3)
+    comp = composite_group(z6_tower, E).comp
+    cases = [
+        (QOmega(2, -3), QOmega.one()),
+        ((x1 + w * y).num, CPoly.one(z6_tower.ring)),
+        ((x1 + w) / (y - 1), z6_tower.one()),
+        (comp.embed(x1) + comp.r() * y, comp.one()),
+    ]
+    for x, one in cases:
+        prod = one
+        for k in range(7):
+            assert (x**k).key() == prod.key(), (type(x).__name__, k)
+            prod = prod * x
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Canonical forms and power detection in the polynomial layer."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 
@@ -8,6 +9,7 @@ from dp6._ratfunc import (
     QOmega,
     cancel_pair,
     poly_nth_root,
+    power,
     rational_ring,
 )
 
@@ -113,3 +115,25 @@ def test_qomega_field_axioms(a1, b1, a2, b2):
     assert (u + v) * u == u * u + v * u
     if not v.is_zero():
         assert (u * v) * v.inv() == u
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_power_forms_no_extra_products(k):
+    products = []
+
+    class Counted:
+        def __init__(self, v):
+            self.v = v
+
+        def __mul__(self, other):
+            products.append((self.v, other.v))
+            return Counted(self.v * other.v)
+
+    one = Counted(1)
+    out = power(Counted(3), k, one)
+    assert out.v == 3**k
+    assert (out is one) == (k == 0)
+    # squarings up to the top bit of k, one product per further set bit,
+    # and never a product with `one`
+    assert len(products) == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+    assert all(1 not in pair for pair in products)

@@ -1,0 +1,59 @@
+"""Static name check of the package sources.
+
+Every module in `src/dp6` must load only names it binds somewhere (or
+builtins), and must use every name it imports.  `__init__.py` re-exports its
+imports and `from __future__ import annotations` binds nothing, so both are
+exempt.  The check is scope-blind on purpose: a name bound in any scope of a
+module counts as bound, which gives no false alarms on closures or methods.
+"""
+
+import ast
+import builtins
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dp6"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _names(tree):
+    """(bound names, loaded names, imported name -> line) of a module."""
+    bound, loaded, imported = set(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound.add(name)
+                imported.setdefault(name, node.lineno)
+    # a quoted annotation such as rec: "LinkRecord" loads the names it quotes
+    annotations = [getattr(node, attr, None) for node in ast.walk(tree)
+                   for attr in ("annotation", "returns")]
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                loaded.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return bound, loaded, imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_undefined_or_unused_names(path):
+    bound, loaded, imported = _names(ast.parse(path.read_text(), str(path)))
+    undefined = sorted(loaded - bound - set(dir(builtins)) - {"__file__"})
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in loaded)
+    assert not undefined, f"{path.name} loads undefined names: {undefined}"
+    assert not unused, f"{path.name} imports unused names: {unused}"
