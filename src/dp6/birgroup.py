@@ -21,6 +21,7 @@ from .sarkisov import (
     as_data_surface,
     declared_point_handle,
     link,
+    pair_of,
     point_handles,
     transport,
 )
@@ -69,7 +70,7 @@ class BirGraph:
         return self.vertices[self.base_key]
 
     def edge_of(self, rec: LinkRecord):
-        return self.edges[rec.pair_id()]
+        return self.edges[pair_of(rec.edge_id)]
 
     def add_vertex(self, data: DataSurface):
         key = data.vertex_key()
@@ -93,7 +94,7 @@ class BirGraph:
         return None
 
     def add_edge(self, rec: LinkRecord, is_ref=False):
-        pid = rec.pair_id()
+        pid = pair_of(rec.edge_id)
         edge = self.edges.get(pid)
         if edge is None:
             edge = EdgeClass(
@@ -126,7 +127,8 @@ class BirGraph:
 
     def merge_edges(self, rec1: LinkRecord, rec2: LinkRecord, witness):
         """Declare two links equivalent (same edge class), with a witness."""
-        e1, e2 = self.edges.get(rec1.pair_id()), self.edges.get(rec2.pair_id())
+        e1 = self.edges.get(pair_of(rec1.edge_id))
+        e2 = self.edges.get(pair_of(rec2.edge_id))
         if e1 is None or e2 is None:
             raise GraphError("merge of unexplored edges")
         if e1 is e2:
@@ -138,7 +140,7 @@ class BirGraph:
         e1.witnesses = e1.witnesses + (witness,)
         e1.in_RE = e1.in_RE or e2.in_RE
         for eid in e2.records:
-            self.edges[_pair_of(eid)] = e1
+            self.edges[pair_of(eid)] = e1
         self.edges[e2.pair_id] = e1
         return e1
 
@@ -178,7 +180,6 @@ class BirGraph:
         for v in self.vertices.values():
             tag = " (base)" if v.key == self.base_key else ""
             lines.append(f"  vertex {v.name}{tag}")
-        npos = sum(1 for e in set(map(id, self.edges.values())))
         uniq = {id(e): e for e in self.edges.values()}
         lines.append(f"edges: {len(uniq)}")
         for e in uniq.values():
@@ -192,16 +193,10 @@ class BirGraph:
 
 
 def _record_by_id(graph, edge_id):
-    edge = graph.edges.get(_pair_of(edge_id))
+    edge = graph.edges.get(pair_of(edge_id))
     if edge is None:
         return None
     return edge.records.get(edge_id) or next(iter(edge.records.values()))
-
-
-def _pair_of(edge_id):
-    if isinstance(edge_id, tuple) and len(edge_id) == 2 and edge_id[0] == "inv":
-        return edge_id[1]
-    return edge_id
 
 
 def same_vertex(a: DataSurface, b: DataSurface):
@@ -232,11 +227,11 @@ def same_vertex(a: DataSurface, b: DataSurface):
             matched = _kernels_match(a, b, ())
         if not matched:
             return False
-    checks = [a.K.same_ref(b.K)]
+    checks = [a.K.same_field(b.K)]
     if (a.L is None) != (b.L is None):
         return False
     if a.L is not None:
-        checks.append(a.L.same_ref(b.L))
+        checks.append(a.L.same_field(b.L))
     checks.append(_status_match(a.k_trivial, b.k_trivial))
     checks.append(_status_match(a.l_trivial, b.l_trivial))
     sb = _handles_match(a.sb_pair, b.sb_pair)
@@ -286,7 +281,7 @@ def _handles_match(pair_a, pair_b):
 
 def explore_graph(source, point_generators, depth=1):
     """Breadth-first materialization of the model graph around the surface."""
-    src = as_data_surface(source) if isinstance(source, SurfaceSpec) else source
+    src = as_data_surface(source)
     graph = BirGraph(base_key=src.vertex_key())
     base_v, _ = graph.add_vertex(src)
     graph.handles[src.vertex_key()] = point_handles(src.spec, point_generators)
@@ -349,7 +344,7 @@ def classify_edge(graph: BirGraph, rec: LinkRecord, aut_witnesses=()):
                 if src_spec is None or not is_automorphism(src_spec, psi):
                     ok = False
             if ok and edge.self_loop and \
-                    rec.point.fld.same_ref(rec.inverse_point.fld) is True:
+                    rec.point.fld.same_field(rec.inverse_point.fld) is True:
                 graph.mark_almost_involution(rec, w)
             else:
                 raise GraphError("almost-involution witness failed verification")
@@ -441,7 +436,7 @@ def _segment_tokens(graph, seg):
         return [tok] + _segment_tokens(graph, seg[1:])
     v1 = first.target.vertex_key()
     ref = graph.reference_record(v1)
-    if first.pair_id() != ref.pair_id():
+    if pair_of(first.edge_id) != pair_of(ref.edge_id):
         rest = _segment_tokens(graph, [ref] + seg[1:])
         return [Token("B", first)] + rest
     if len(seg) < 2:
@@ -479,7 +474,7 @@ class QuotientImage:
 
     def __mul__(self, other):
         return QuotientImage(
-            _reduce_letters(self.letters + other.letters, self.mode), self.mode
+            _reduce_letters(self.letters + other.letters), self.mode
         )
 
     def inverse(self):
@@ -489,7 +484,7 @@ class QuotientImage:
                 inv.append((fac, -val))
             else:
                 inv.append((fac, val))
-        return QuotientImage(_reduce_letters(tuple(inv), self.mode), self.mode)
+        return QuotientImage(_reduce_letters(inv), self.mode)
 
     def z_factors(self):
         return {fac[1] for fac, _ in self.letters if fac[0] == "Z"}
@@ -529,38 +524,28 @@ def _short(key):
     return hashlib.sha1(_canonical_repr(key).encode()).hexdigest()[:6]
 
 
-def _reduce_once(letters):
+def _reduce_letters(letters):
+    """The reduced word of a letter sequence, in one pass.
+
+    Each letter merges into the top of the stack; a merge that cancels pops
+    it, so the next letter meets the one below.  Kept letters are nontrivial
+    and differ in factor from their neighbours.
+    """
     out = []
     for fac, val in letters:
         if out and out[-1][0] == fac:
             _, pval = out.pop()
             if fac[0] == "Z":
-                nv = pval + val
+                val = pval + val
             elif fac[0] == "E2sum":
-                nv = pval ^ val
+                val = pval ^ val
             else:
-                nv = (pval + val) % 2
-            if (fac[0] == "Z" and nv) or (fac[0] == "E2sum" and nv) or \
-                    (fac[0] in ("Z2", "geiser") and nv):
-                out.append((fac, nv))
-        else:
-            if fac[0] == "Z" and val == 0:
-                continue
-            if fac[0] == "E2sum" and not val:
-                continue
-            if fac[0] in ("Z2", "geiser") and val % 2 == 0:
-                continue
+                val = (pval + val) % 2
+            if val:
+                out.append((fac, val))
+        elif val % 2 if fac[0] in ("Z2", "geiser") else val:
             out.append((fac, val))
-    return out
-
-
-def _reduce_letters(letters, mode):
-    out = list(letters)
-    while True:
-        new = _reduce_once(out)
-        if new == out:
-            return tuple(new)
-        out = new
+    return tuple(out)
 
 
 def psi_image(graph: BirGraph, word: BirWord, mode=None) -> QuotientImage:
@@ -571,7 +556,7 @@ def psi_image(graph: BirGraph, word: BirWord, mode=None) -> QuotientImage:
     for tok in word.tokens:
         lets = _token_letters(graph, tok, mode)
         letters.extend(lets)
-    return QuotientImage(_reduce_letters(tuple(letters), mode), mode)
+    return QuotientImage(_reduce_letters(letters), mode)
 
 
 def _graph_mode(graph):

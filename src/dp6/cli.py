@@ -198,10 +198,7 @@ def _dispatch(scen, state, cmd, emit):
     if op == "iso":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
         res = is_isomorphic(s1, s2)
-        _guard_unknown(state, "isomorphism", res.verdict
-                       if res.verdict == UNKNOWN else "decided")
-        if state["strict"] and res.verdict == "Unknown":
-            raise UnknownBlocked("isomorphism verdict is Unknown")
+        _guard_unknown(state, "isomorphism", res.verdict)
         emit(f"isomorphic: {res.verdict}")
         if res.moves:
             emit(f"moves: {', '.join(res.moves)}")
@@ -219,9 +216,9 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"target: {rec.target.name}")
         emit(f"target-gtype: {rec.target.gtype}")
         emit(f"self-link: {str(rec.is_self_link()).lower()}")
-        emit(f"K': {rec.target.K.label}")
-        emit(f"L': {rec.target.L.label if rec.target.L else '-'}")
-        emit(f"inverse-point-field: {rec.inverse_point.fld.label}")
+        emit(f"K': {rec.target.K.name}")
+        emit(f"L': {rec.target.L.name if rec.target.L else '-'}")
+        emit(f"inverse-point-field: {rec.inverse_point.fld.name}")
         return
     if op == "rigid":
         spec = _surface(scen, args[0])

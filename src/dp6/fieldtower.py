@@ -602,18 +602,21 @@ class ExtensionDescriptor:
         Radicand comparisons use Kummer theory: k(a^(1/n)) = k(b^(1/n)) iff
         a/b^j is an n-th power in k for some j coprime to n.  Root detection in
         the ambient rational-function field is exact, so radical-vs-radical
-        comparisons always decide.
+        comparisons always decide.  A subfield of F equals a radical exactly
+        when the radical's root lies in F with the same fixing group.
         """
         if self.tower is not other.tower:
             if self.tower.field_key() != other.tower.field_key():
                 return None
         if self.kind != other.kind:
+            if "subfield" in (self.kind, other.kind):
+                sub, rad = (self, other) if self.kind == "subfield" else (other, self)
+                return rad.fixing_subgroup_in_F() == sub.fixing
             if self.degree != other.degree:
                 return False
             return None
         if self.kind == "subfield":
-            return frozenset(u.key() for u in self.fixing) == frozenset(
-                u.key() for u in other.fixing)
+            return self.fixing == other.fixing
         n = self.degree
         other_rad = other.radicand
         if other_rad.tower is not self.tower:
@@ -628,6 +631,14 @@ class ExtensionDescriptor:
         if self.kind == "subfield":
             return ("sub", self.tower.key(), tuple(sorted(u.key() for u in self.fixing)))
         return (self.kind, self.tower.key(), self.radicand.key())
+
+    def field_id(self):
+        """Identity of the field alone: independent of its label and of the
+        presentation of the tower."""
+        if self.kind == "subfield":
+            return ("sub", self.tower.field_key(),
+                    tuple(sorted(u.key() for u in self.fixing)))
+        return ("rad", self.kind, self.tower.field_key(), self.radicand.key())
 
 
 def _gcd(a, b):
@@ -1040,9 +1051,7 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
     n = element_order(u)
 
     if cert is not None:
-        val = norm(u, cert)
-        ok = (val == x) if not isinstance(val, RadElement) else (val == x)
-        if not ok:
+        if norm(u, cert) != x:
             raise CertificateError("certificate does not have the stated norm")
         fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", (str(cert),),
                          witness=cert)

@@ -41,8 +41,8 @@ from .surface import (
     index_from_flags,
     is_isomorphic,
     k_fixing_subgroup,
-    l_fixing_subgroup,
     make_surface,
+    subfield,
 )
 
 
@@ -50,56 +50,9 @@ class LinkError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# field references (descriptors usable for transported data)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldRef:
-    """A field between k and some composite FE: a subfield of F or a radical E."""
-
-    kind: str  # "sub" | "rad"
-    tower: object
-    fixing: frozenset | None = None
-    ext: ExtensionDescriptor | None = None
-    label: str = ""
-
-    @classmethod
-    def subfield(cls, tower, fixing, label):
-        return cls("sub", tower, fixing=frozenset(fixing), label=label)
-
-    @classmethod
-    def radical(cls, ext, label=None):
-        return cls("rad", ext.tower, ext=ext, label=label or ext.name)
-
-    def degree(self):
-        if self.kind == "sub":
-            return len(self.tower.elements) // len(self.fixing)
-        return self.ext.degree
-
-    def key(self):
-        if self.kind == "sub":
-            return ("sub", self.tower.field_key(),
-                    tuple(sorted(u.key() for u in self.fixing)))
-        return ("rad", self.ext.kind, self.tower.field_key(),
-                self.ext.radicand.key())
-
-    def same_ref(self, other):
-        """Tri-valued field equality."""
-        if self.tower is not other.tower and \
-                self.tower.field_key() != other.tower.field_key():
-            return None
-        if self.kind == "sub" and other.kind == "sub":
-            return frozenset(u.key() for u in self.fixing) == frozenset(
-                u.key() for u in other.fixing)
-        if self.kind == "rad" and other.kind == "rad":
-            return self.ext.same_field(other.ext)
-        sub, rad = (self, other) if self.kind == "sub" else (other, self)
-        stab = rad.ext.fixing_subgroup_in_F()
-        if stab is None:
-            return False  # a genuine radical is not a subfield of F
-        return frozenset(u.key() for u in stab) == frozenset(
-            u.key() for u in sub.fixing)
+_ONE = QOmega.one()
+#: by degree: the roots of unity acting on the radical of an independent field
+_ROOTS = {2: (_ONE, -_ONE), 3: (_ONE, QOmega.omega(), QOmega.omega() ** 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +61,21 @@ class FieldRef:
 
 @dataclass
 class PointHandle:
-    """A 2-/3-point known at data level, with its component Galois action."""
+    """A 2-/3-point known at data level, with its component Galois action.
+
+    `fld` is the splitting field E of the point.  `comp_table` maps (u, zeta)
+    to the permutation of the components, where u is an element of Gal(F/k)
+    and zeta the root of unity by which the element acts on the radical of E
+    (zeta = 1 when E lies in F).  One table serves every vertex the point is
+    carried to: the components are defined over E, so an element of the
+    vertex group Gal(F(E_1, ..., E_m)/k) permutes them through its image in
+    Gal(F(E)/k), and that image is fixed by the pair (u, zeta): its
+    restriction to F and its action on the radical of E.
+    """
 
     name: str
     degree: int
-    fld: FieldRef
-    comp_mode: str            # "uf": keyed (uf_key, e_zeta_key); "elem": full keys
+    fld: ExtensionDescriptor
     comp_table: dict
     origin: str               # declared | transported | inverse
     point: ClosedPointSpec | None = None
@@ -121,16 +83,10 @@ class PointHandle:
     gp: bool = True
     root_id: tuple = ()
 
-    def comp_perm(self, elem_key, e_zeta_key):
-        if self.comp_mode == "elem":
-            return self.comp_table[(elem_key, e_zeta_key)]
-        uf_key = elem_key[0]
-        return self.comp_table[(uf_key, e_zeta_key)]
-
     def identity_key(self):
         if self.point is not None:
             return ("pt", self.point.key())
-        return ("handle", self.name, self.fld.key(), self.chain)
+        return ("handle", self.name, self.fld.field_id(), self.chain)
 
 
 @dataclass
@@ -140,10 +96,10 @@ class DataSurface:
     name: str
     tower: object
     radicals: tuple                  # independent radical extensions over k
-    action: dict                     # (uf_key, zeta_keys) -> hexagon perm
+    action: dict                     # (u, zetas on the radicals) -> hexagon perm
     gtype: str                       # structure of the image group on Sigma
-    K: FieldRef
-    L: FieldRef | None
+    K: ExtensionDescriptor
+    L: ExtensionDescriptor | None
     sb_pair: tuple
     conic: ClassHandle | None
     k_trivial: str
@@ -161,14 +117,16 @@ class DataSurface:
         sb = frozenset(h.key + (h.status,) for h in self.sb_pair)
         conic = (self.conic.key, self.conic.status) if self.conic else None
         rads = tuple(r.key() for r in self.radicals)
-        kernel = frozenset(self.kernel_keys())
+        kernel = frozenset((u.key(), tuple(z.key() for z in zs))
+                           for u, zs in self.kernel())
         return (self.tower.field_key(), rads, kernel, self.gtype,
-                self.K.key(), sb, self.L.key() if self.L else None, conic)
+                self.K.field_id(), sb, self.L.field_id() if self.L else None,
+                conic)
 
     def surface_index(self):
         return index_from_flags(self.gtype, self.k_trivial, self.l_trivial)
 
-    def kernel_keys(self):
+    def kernel(self):
         return [k for k, p in self.action.items() if p == hexagon.IDENTITY]
 
 
@@ -200,28 +158,26 @@ def _normalize_handle(h):
     return ClassHandle.trivial() if h.status == IS_NORM else h
 
 
-def as_data_surface(spec: SurfaceSpec) -> DataSurface:
-    tower = spec.tower
-    data = spec.sbdata
-    action = {(u.key(), ()): tower.embed_map[u] for u in tower.elements}
-    K = FieldRef.subfield(tower, k_fixing_subgroup(tower), "K")
-    L = None
-    if spec.gtype in ("Z6", "D6"):
-        L = FieldRef.subfield(tower, l_fixing_subgroup(tower), "L")
+def as_data_surface(source) -> DataSurface:
+    """The vertex payload of a surface; a DataSurface is returned unchanged."""
+    if isinstance(source, DataSurface):
+        return source
+    tower = source.tower
+    data = source.sbdata
     return DataSurface(
-        name=spec.name,
+        name=source.name,
         tower=tower,
         radicals=(),
-        action=action,
-        gtype=spec.gtype,
-        K=K,
-        L=L,
+        action={(u, ()): tower.embed_map[u] for u in tower.elements},
+        gtype=source.gtype,
+        K=data.K,
+        L=data.L,
         sb_pair=tuple(_normalize_handle(h) for h in data.sb_pair),
         conic=_normalize_handle(data.conic),
         k_trivial=data.k_trivial,
         l_trivial=data.l_trivial,
         assumed=data.assumed_facts,
-        spec=spec,
+        spec=source,
     )
 
 
@@ -230,22 +186,15 @@ def declared_point_handle(spec: SurfaceSpec, p: ClosedPointSpec) -> PointHandle:
         raise LinkError("links exist at 2- and 3-points only")
     _, perms = component_permutations(spec, p)
     gp = general_position(spec, p)
-    cg = composite_for(spec.tower, p.ext)
-    table = {}
-    for u, perm in perms.items():
-        if isinstance(u, CompositeElement):
-            table[(u.uf.key(), u.zeta.key())] = perm
-        else:
-            table[(u.key(), _ZKEY_ONE)] = perm
-    if cg.intersection == "contained":
-        fld = FieldRef.subfield(spec.tower, p.ext.fixing_subgroup_in_F(),
-                                p.ext.name)
+    table = {(u.uf, u.zeta) if isinstance(u, CompositeElement) else (u, _ONE): perm
+             for u, perm in perms.items()}
+    if composite_for(spec.tower, p.ext).intersection == "contained":
+        fld = subfield(spec.tower, p.ext.fixing_subgroup_in_F(), p.ext.name)
     else:
-        fld = FieldRef.radical(p.ext)
+        fld = p.ext
     return PointHandle(
-        name=p.name, degree=p.degree, fld=fld, comp_mode="uf",
-        comp_table=table, origin="declared", point=p, gp=gp,
-        root_id=("pt", p.key()),
+        name=p.name, degree=p.degree, fld=fld, comp_table=table,
+        origin="declared", point=p, gp=gp, root_id=("pt", p.key()),
     )
 
 
@@ -280,6 +229,13 @@ def transport(handle: PointHandle, rec: "LinkRecord") -> PointHandle:
 # the link engine
 # ---------------------------------------------------------------------------
 
+def pair_of(edge_id):
+    """The id of the edge pair {chi, chi^-1}: chi's own id, for either record."""
+    if isinstance(edge_id, tuple) and len(edge_id) == 2 and edge_id[0] == "inv":
+        return edge_id[1]
+    return edge_id
+
+
 @dataclass
 class LinkRecord:
     name: str
@@ -293,22 +249,9 @@ class LinkRecord:
     edge_id: tuple
     orientation: str = "unknown"
 
-    def inverse_id(self):
-        if isinstance(self.edge_id, tuple) and len(self.edge_id) == 2 \
-                and self.edge_id[0] == "inv":
-            return self.edge_id[1]
-        return ("inv", self.edge_id)
-
-    def pair_id(self):
-        """Canonical id of the unordered edge pair {chi, chi^-1}."""
-        inv = self.inverse_id()
-        if isinstance(self.edge_id, tuple) and len(self.edge_id) == 2 \
-                and self.edge_id[0] == "inv":
-            return inv
-        return self.edge_id
-
     def reversed(self):
         name = self.name[:-3] if self.name.endswith("^-1") else self.name + "^-1"
+        pid = pair_of(self.edge_id)
         return LinkRecord(
             name=name,
             d=self.d,
@@ -318,17 +261,12 @@ class LinkRecord:
             inverse_point=self.point,
             kernel_pairs=self.kernel_pairs,
             h_description=self.h_description,
-            edge_id=self.inverse_id(),
+            edge_id=("inv", pid) if pid == self.edge_id else pid,
             orientation=self.orientation,
         )
 
     def is_self_link(self):
         return self.source.vertex_key() == self.target.vertex_key()
-
-
-#: keys of the roots of unity 1, -1, w and w^2 acting on a radical
-_ZKEY_ONE, _ZKEY_MINUS, _ZKEY_OMEGA, _ZKEY_OMEGA2 = (
-    z.key() for z in (QOmega.one(), -QOmega.one(), QOmega.omega(), QOmega.omega() ** 2))
 
 
 def link(source, p, name=None):
@@ -337,10 +275,7 @@ def link(source, p, name=None):
     `source` is a SurfaceSpec or DataSurface; `p` a ClosedPointSpec (on a
     full spec) or PointHandle.
     """
-    if isinstance(source, SurfaceSpec):
-        src = as_data_surface(source)
-    else:
-        src = source
+    src = as_data_surface(source)
     if isinstance(p, ClosedPointSpec):
         if src.spec is None:
             raise LinkError("coordinate points need a fully reconstructed source")
@@ -357,62 +292,53 @@ def link(source, p, name=None):
     if idx != d:
         raise LinkError(f"a {d}-link needs index {d}; surface has index {idx}")
 
-    contained = _field_contained(handle.fld, src)
-    elems = list(src.action)
+    # zeta of the point's table: zs[slot] when E is the source's radical
+    # `slot`, else z, the new coordinate (always 1 when E is contained)
+    slot = _field_slot(handle.fld, src)
+    contained = slot is not None
     if contained:
-        gens = []
-        for ek in elems:
-            gens.append((ek, src.action[ek], handle.comp_perm(ek, _ZKEY_ONE)))
-        full_keys = [(ek, _ZKEY_ONE) for ek in elems]
+        zetas = (_ONE,)
+    elif handle.fld.kind == "subfield":
+        raise LinkError("independent splitting fields must be radical extensions")
+    elif handle.fld.degree not in _ROOTS:
+        raise LinkError("degree-6 splitting fields: link not supported at "
+                        "data level")
     else:
-        edeg = handle.fld.degree()
-        if handle.fld.kind != "rad":
-            raise LinkError(
-                "independent splitting fields must be radical extensions"
-            )
-        if edeg == 2:
-            zetas = [_ZKEY_ONE, _ZKEY_MINUS]
-        elif edeg == 3:
-            zetas = [_ZKEY_ONE, _ZKEY_OMEGA, _ZKEY_OMEGA2]
-        else:
-            raise LinkError("degree-6 splitting fields: link not supported at "
-                            "data level")
-        # independence from every current radical was decided in containment
-        gens = []
-        for ek in elems:
-            gens.append((ek, src.action[ek], handle.comp_perm(ek, _ZKEY_ONE)))
-        idk = _identity_key(src)
-        for z in zetas[1:]:
-            gens.append(
-                ((idk[0], idk[1], z), hexagon.IDENTITY,
-                 handle.comp_perm(idk, z))
-            )
-        full_keys = [(ek, z) for ek in elems for z in zetas]
+        zetas = _ROOTS[handle.fld.degree]
+    table = handle.comp_table
 
-    induced = curveconfig.induced_sigma_prime_action(
-        d, [(k, hp, cp) for k, hp, cp in gens]
-    )
+    def comp(u, zs, z):
+        return table[(u, zs[slot] if isinstance(slot, int) else z)]
+
+    gens = [((u, zs), hp, comp(u, zs, _ONE)) for (u, zs), hp in src.action.items()]
+    # independence from every current radical was decided in _field_slot
+    idn = src.tower.element_named("1")
+    ones = (_ONE,) * len(src.radicals)
+    gens += [((idn, ones + (z,)), hexagon.IDENTITY, comp(idn, ones, z))
+             for z in zetas[1:]]
+    induced = curveconfig.induced_sigma_prime_action(d, gens)
 
     # per-element propagation: new hexagon action and kernel membership
     new_action = {}
     inv_comp = {}
-    kernel_keys = []
+    kernel = []
     contracted = ("C", "L45") if d == 2 else ("C1", "C2", "C3")
-    for ek, z in full_keys:
-        hp = src.action[ek]
-        cp = handle.comp_perm(ek, z)
-        fullmap, newhex = curveconfig.propagate_pair(d, hp, cp)
-        new_key = _extended_key(ek, z, contained)
-        new_action[new_key] = newhex
-        images = [fullmap[c] for c in contracted]
-        inv_comp[new_key] = tuple(contracted.index(i) for i in images)
-        if (hp, cp) in induced.kernel_pairs:
-            kernel_keys.append(new_key)
+    for (u, zs), hp in src.action.items():
+        for z in zetas:
+            cp = comp(u, zs, z)
+            fullmap, newhex = curveconfig.propagate_pair(d, hp, cp)
+            new_key = (u, zs if contained else zs + (z,))
+            new_action[new_key] = newhex
+            images = [fullmap[c] for c in contracted]
+            inv_comp[new_key] = tuple(contracted.index(i) for i in images)
+            if (hp, cp) in induced.kernel_pairs:
+                kernel.append(new_key)
 
-    radicals_full = src.radicals if contained else src.radicals + (handle.fld.ext,)
-    inv_field = _stabilizer_field(src, radicals_full, inv_comp, contracted)
-    new_action, new_radicals, kept = _drop_killed_radicals(new_action, radicals_full)
-    inv_table = _reduce_inverse_table(inv_comp, radicals_full, kept, inv_field)
+    radicals_full = src.radicals if contained else src.radicals + (handle.fld,)
+    inv_field, inv_slot = _stabilizer_field(src, radicals_full, inv_comp,
+                                            contracted)
+    new_action, new_radicals = _drop_killed_radicals(new_action, radicals_full)
+    inv_table = _reduce_inverse_table(inv_comp, inv_slot)
     new_gtype = classify_perm_group(set(new_action.values()))
 
     # Severi-Brauer data transport per the link corollaries
@@ -456,7 +382,6 @@ def link(source, p, name=None):
         name=f"ind({name or 'chi'})^-1",
         degree=d,
         fld=inv_field,
-        comp_mode="elem",
         comp_table=inv_table,
         origin="inverse",
         gp=True,
@@ -471,141 +396,93 @@ def link(source, p, name=None):
         point=handle,
         inverse_point=inv_handle,
         kernel_pairs=induced.kernel_pairs,
-        h_description=_describe_kernel(src, kernel_keys),
+        h_description=_describe_kernel(src, kernel),
         edge_id=edge_id,
     )
     _cross_check_kernel(src, handle, rec, contained)
     return rec
 
 
-def _identity_key(src: DataSurface):
-    idn = src.tower.element_named("1")
-    return (idn.key(), ()) if not src.radicals else (
-        idn.key(), tuple(_ZKEY_ONE for _ in src.radicals)
-    )
+def _trivial(zs):
+    return all(z.is_one() for z in zs)
 
 
-def _extended_key(ek, z, contained):
-    if contained:
-        return ek
-    return (ek[0], tuple(ek[1]) + (z,))
+def _field_slot(fld: ExtensionDescriptor, src: DataSurface):
+    """Where the splitting field E sits over the source's splitting field.
 
-
-def _field_contained(fld: FieldRef, src: DataSurface):
-    """Whether the splitting field embeds into the current splitting field."""
-    kernel = src.kernel_keys()
-    if fld.kind == "sub":
-        return all(_uf_of(src, k) in fld.fixing and _zetas_trivial(k)
-                   for k in kernel)
-    stab = fld.ext.fixing_subgroup_in_F()
-    if stab is not None:
-        return all(_uf_of(src, k) in stab and _zetas_trivial(k) for k in kernel)
+    "F" when E lies in F and in the source's splitting field, i when E is
+    the source's radical i, None when E is independent of it.
+    """
+    fixing = fld.fixing_subgroup_in_F()
+    if fixing is not None:
+        if all(u in fixing and _trivial(zs) for u, zs in src.kernel()):
+            return "F"
+        return None
     for i, rad in enumerate(src.radicals):
-        if fld.ext.same_field(rad):
-            return True
-    return False
-
-
-def _uf_of(src: DataSurface, key):
-    for u in src.tower.elements:
-        if u.key() == key[0]:
-            return u
-    raise LinkError("unknown tower element in action table")
-
-
-def _zetas_trivial(key):
-    return all(z == _ZKEY_ONE for z in key[1])
+        if fld.same_field(rad):
+            return i
+    return None
 
 
 def _pure_factor_trivial(action, i):
     """Whether the i-th radical factor acts trivially on the new hexagon."""
-    for (ufk, zs), perm in action.items():
-        if not _is_identity_ufk(ufk):
-            continue
-        if any(z != _ZKEY_ONE for j, z in enumerate(zs) if j != i):
-            continue
-        if zs[i] != _ZKEY_ONE and perm != hexagon.IDENTITY:
-            return False
-    return True
-
-
-def _is_identity_ufk(ufk):
-    perm, scal = ufk
-    return all(p == i for i, p in enumerate(perm)) and all(
-        s == _ZKEY_ONE for s in scal
+    return all(
+        perm == hexagon.IDENTITY or zs[i].is_one()
+        for (u, zs), perm in action.items()
+        if u.is_identity() and _trivial(zs[:i] + zs[i + 1:])
     )
 
 
 def _drop_killed_radicals(action, radicals):
     """Canonical form: remove radical factors acting trivially on the new hexagon."""
-    if not radicals:
-        return action, radicals, ()
     keep = [i for i in range(len(radicals)) if not _pure_factor_trivial(action, i)]
     if len(keep) == len(radicals):
-        return action, radicals, tuple(keep)
+        return action, radicals
     new_action = {}
-    for (ufk, zs), perm in action.items():
-        nk = (ufk, tuple(zs[i] for i in keep))
-        if nk in new_action and new_action[nk] != perm:
+    for (u, zs), perm in action.items():
+        nk = (u, tuple(zs[i] for i in keep))
+        if new_action.setdefault(nk, perm) != perm:
             raise LinkError("radical drop produced an inconsistent action")
-        new_action[nk] = perm
-    return new_action, tuple(radicals[i] for i in keep), tuple(keep)
+    return new_action, tuple(radicals[i] for i in keep)
 
 
-def _reduce_inverse_table(inv_comp, radicals_full, kept, inv_field):
-    """Re-key the inverse-point component action by (reduced key, field zeta).
+def _reduce_inverse_table(inv_comp, slot):
+    """The inverse point's table: (u, zeta on its field's radical `slot`).
 
-    The splitting field of the inverse point may live on a dropped radical;
-    its zeta stays as the extension coordinate of the handle.
+    With no slot the inverse point splits inside F and zeta is 1.
     """
-    e_slot = None
-    if inv_field.kind == "rad":
-        for i, rad in enumerate(radicals_full):
-            if rad is inv_field.ext:
-                if i not in kept:
-                    e_slot = i
-                break
     out = {}
-    for (ufk, zs), perm in inv_comp.items():
-        reduced = (ufk, tuple(zs[i] for i in kept))
-        e_zeta = zs[e_slot] if e_slot is not None else _ZKEY_ONE
-        key = (reduced, e_zeta)
-        prev = out.get(key)
-        if prev is not None and prev != perm:
+    for (u, zs), perm in inv_comp.items():
+        key = (u, _ONE if slot is None else zs[slot])
+        if out.setdefault(key, perm) != perm:
             raise LinkError("inverse-point transport data is inconsistent")
-        out[key] = perm
     return out
 
 
 def _stabilizer_field(src, radicals, inv_comp, contracted):
-    """Splitting field of the inverse base point, from component stabilizers."""
+    """Splitting field of the inverse base point, from component stabilizers.
+
+    Returns the field and the index of its radical in `radicals` (None for a
+    subfield of F).
+    """
     triv = tuple(range(len(contracted)))
-    fixers = frozenset(k for k, p in inv_comp.items() if p == triv)
+    fixers = {k for k, p in inv_comp.items() if p == triv}
     # subfield-of-F shape: fixers = everything over a subgroup of G
-    sub = frozenset(
-        u for u in src.tower.elements
-        if all(inv_comp[k] == triv for k in inv_comp if k[0] == u.key())
-    )
-    sub_keys = {u.key() for u in sub}
-    if fixers == frozenset(k for k in inv_comp if k[0] in sub_keys):
-        return FieldRef.subfield(src.tower, sub, "E(ind)")
+    moved = {u for (u, _), p in inv_comp.items() if p != triv}
+    sub = frozenset(u for u in src.tower.elements if u not in moved)
+    if fixers == {k for k in inv_comp if k[0] in sub}:
+        return subfield(src.tower, sub, "E(ind)"), None
     # pure radical shape: fixers = everything with trivial i-th zeta
     for i, rad in enumerate(radicals):
-        if fixers == frozenset(k for k in inv_comp if k[1][i] == _ZKEY_ONE):
-            return FieldRef.radical(rad, "E(ind)")
+        if fixers == {k for k in inv_comp if k[1][i].is_one()}:
+            return replace(rad, name="E(ind)"), i
     raise LinkError("inverse-point splitting field has no supported descriptor")
 
 
-def _describe_kernel(src, kernel_keys):
-    names = []
-    for k in kernel_keys:
-        for u in src.tower.elements:
-            if u.key() == k[0]:
-                word = "".join(src.tower.words[u]) or "1"
-                extra = "" if _zetas_trivial(k) else "*rad"
-                names.append(word + extra)
-                break
-    return "<" + ", ".join(sorted(set(names))) + ">"
+def _describe_kernel(src, kernel):
+    names = {("".join(src.tower.words[u]) or "1") + ("" if _trivial(zs) else "*rad")
+             for u, zs in kernel}
+    return "<" + ", ".join(sorted(names)) + ">"
 
 
 def _reconstruct_target(src: DataSurface, handle: PointHandle,
@@ -617,7 +494,7 @@ def _reconstruct_target(src: DataSurface, handle: PointHandle,
     tower = spec.tower
     if target.vertex_key() == src.vertex_key():
         return spec  # self-link: the data determines the surface
-    if d != 2 or handle.fld.kind != "sub":
+    if d != 2 or handle.fld.kind != "subfield":
         return None
     g = tower.element_named("g")
     if spec.gtype == "Z6" and handle.fld.fixing == k_fixing_subgroup(tower):
@@ -706,7 +583,7 @@ class RigidityResult:
 
 def is_birationally_rigid(source, declared_points=()):
     """Rigidity per the splitting-field criterion, relative to known points."""
-    src = as_data_surface(source) if isinstance(source, SurfaceSpec) else source
+    src = as_data_surface(source)
     idx = src.surface_index()
     assumed = src.assumed
     if idx == UNKNOWN:
@@ -736,7 +613,7 @@ def is_birationally_rigid(source, declared_points=()):
                 "NotRigid", witness=witness,
                 reason="2-points split over F^<g,f> always exist", assumed=assumed)
         for h in handles:
-            if h.degree == 2 and h.fld.same_ref(src.K) is False:
+            if h.degree == 2 and h.fld.same_field(src.K) is False:
                 return RigidityResult(
                     "NotRigid", witness=h,
                     reason=f"declared 2-point {h.name} splits outside K",
@@ -748,12 +625,11 @@ def is_birationally_rigid(source, declared_points=()):
             assumed=assumed)
     # index 3
     if src.gtype == "S3":
-        ok_field = FieldRef.subfield(
-            src.tower, frozenset([src.tower.element_named("1")]), "F")
+        ok_field = subfield(src.tower, [src.tower.element_named("1")], "F")
     else:
         ok_field = src.L
     for h in handles:
-        if h.degree == 3 and h.fld.same_ref(ok_field) is False:
+        if h.degree == 3 and h.fld.same_field(ok_field) is False:
             return RigidityResult(
                 "NotRigid", witness=h,
                 reason=f"declared 3-point {h.name} splits outside "
@@ -830,8 +706,7 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
     `links` may contain LinkRecords from a common neighbour; they are used to
     produce chains for data-only vertices.
     """
-    a = as_data_surface(a_src) if isinstance(a_src, SurfaceSpec) else a_src
-    b = as_data_surface(b_src) if isinstance(b_src, SurfaceSpec) else b_src
+    a, b = as_data_surface(a_src), as_data_surface(b_src)
     assumed = tuple(a.assumed) + tuple(b.assumed)
     ia, ib = a.surface_index(), b.surface_index()
     if UNKNOWN in (ia, ib):
@@ -855,8 +730,8 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
         return BirationalResult("Yes", reason="both k-rational", case=1,
                                 assumed=assumed)
     if idx == 6:
-        same_k = a.K.same_ref(b.K)
-        same_l = (a.L.same_ref(b.L) if a.L is not None and b.L is not None
+        same_k = a.K.same_field(b.K)
+        same_l = (a.L.same_field(b.L) if a.L is not None and b.L is not None
                   else None)
         am_k = _class_pair_equivalent(a, b, "K")
         am_l = _class_pair_equivalent(a, b, "L")
@@ -871,7 +746,7 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
                                 reason="field or class comparison undecided",
                                 assumed=assumed)
     if idx == 2:
-        same_l = a.L.same_ref(b.L) if (a.L and b.L) else None
+        same_l = a.L.same_field(b.L) if (a.L and b.L) else None
         am_l = _class_pair_equivalent(a, b, "L")
         if same_l is False or am_l is False:
             return BirationalResult("No", case=2, reason="L or Am(S_L) differ",
@@ -890,7 +765,7 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
             reason="point existence open: need a 2-point of S splitting "
                    "over K'", assumed=assumed)
     # idx == 3
-    same_k = a.K.same_ref(b.K)
+    same_k = a.K.same_field(b.K)
     am_k = _class_pair_equivalent(a, b, "K")
     if same_k is False or am_k is False:
         return BirationalResult("No", case=3, reason="K or Am(S_K) differ",
@@ -916,9 +791,9 @@ def _target_field(b: DataSurface, d):
     if b.L is not None:
         return b.L
     # S3-type targets: the splitting field of the hexagon itself
-    return FieldRef.subfield(b.tower, frozenset([b.tower.element_named("1")]),
-                             "F'") if not b.radicals else FieldRef.radical(
-        b.radicals[0], "F'")
+    if b.radicals:
+        return b.radicals[0]
+    return subfield(b.tower, [b.tower.element_named("1")], "F'")
 
 
 def _point_chain(a: DataSurface, b: DataSurface, d, declared_points, links):
@@ -931,7 +806,7 @@ def _point_chain(a: DataSurface, b: DataSurface, d, declared_points, links):
     for h in point_handles(a.spec, declared_points):
         if h.degree != d or not h.gp:
             continue
-        if h.fld.same_ref(want) is True:
+        if h.fld.same_field(want) is True:
             try:
                 rec = link(a, h)
             except LinkError:
@@ -955,7 +830,7 @@ def fields_d_probe(source, links, candidate_points=()):
     attestation must exist on each link target, via the K'/L'/F' bookkeeping
     or transported points.  Returns a list of violations (must stay empty).
     """
-    src = as_data_surface(source) if isinstance(source, SurfaceSpec) else source
+    src = as_data_surface(source)
     violations = []
     handles = point_handles(src.spec, candidate_points)
     for rec in links:
@@ -969,7 +844,7 @@ def fields_d_probe(source, links, candidate_points=()):
             else:
                 # the base point itself: its field is the new K'/L'/F'
                 tgt_field = _target_field(rec.target, h.degree)
-                attested = h.fld.same_ref(tgt_field) is True
+                attested = h.fld.same_field(tgt_field) is True
             if not attested:
                 violations.append((h.name, rec.name))
     return violations

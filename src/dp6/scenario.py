@@ -176,6 +176,14 @@ def _word(value, what):
     return value
 
 
+def _named(table, value, what):
+    """The entry of `table` named by `value`, which must be a JSON string."""
+    name = _word(value, what)
+    if name not in table:
+        raise ScenarioError(f"{what}: unknown name {name!r}")
+    return table[name]
+
+
 def _entries(raw, key):
     """The (name, node) pairs of a scenario section, sorted by name."""
     nodes = section(raw.get(key), dict, key)
@@ -212,13 +220,17 @@ def _build_tower(name, node):
     if "embedding" in node:
         named = {"rot3": hexagon.ROT3, "central": hexagon.CENTRAL,
                  "reflect-f": hexagon.REFLECT_F, "reflect-s": hexagon.REFLECT_S}
-        embedding = {g: named[v] for g, v in node["embedding"].items()}
+        emb = section(node["embedding"], dict, f"tower {name}: embedding")
+        embedding = {g: _named(named, v, f"tower {name}: embedding of {g}")
+                     for g, v in emb.items()}
     return GaloisTower(variables, gens, embedding, name=name)
 
 
 def _build_extension(name, node, towers):
-    tower = towers[node["tower"]]
-    kind = node["kind"]
+    tower = _named(towers, node["tower"], f"extension {name}: tower")
+    kind = _word(node["kind"], f"extension {name}: kind")
+    if kind not in ExtensionDescriptor.KINDS:
+        raise ScenarioError(f"extension {name}: unknown kind {kind!r}")
     if kind == "subfield":
         words = section(node["fixing"], list, f"extension {name}: fixing")
         fixing = tower.subgroup([_word(w, f"extension {name}: fixing entry")
@@ -229,7 +241,7 @@ def _build_extension(name, node, towers):
 
 
 def _build_point(name, node, scenario):
-    spec = scenario.surfaces[node["surface"]]
+    spec = _named(scenario.surfaces, node["surface"], f"point {name}: surface")
     try:
         degree = int(node["degree"])
     except (TypeError, ValueError):
@@ -240,7 +252,8 @@ def _build_point(name, node, scenario):
         return ClosedPointSpec(4, None, None, None, name=name,
                                general_position_declared=bool(
                                    node.get("general_position", False)))
-    ext = scenario.extensions[node["extension"]]
+    ext = _named(scenario.extensions, node["extension"],
+                 f"point {name}: extension")
     cg = composite_for(spec.tower, ext)
     comp = cg.comp
     lam1 = parse_element(node["lambda1"], spec.tower, comp)
@@ -291,7 +304,7 @@ def load_scenario(path_or_dict):
         extensions[name] = _build_extension(name, node, towers)
     for fact in section(raw.get("facts"), list, "facts"):
         section(fact, dict, "a fact")
-        tower = towers[fact["tower"]]
+        tower = _named(towers, fact["tower"], "fact tower")
         elem = parse_element(fact["element"], tower)
         gen = tower.element_named(_word(fact["generator"], "fact generator"))
         if "certificate" in fact:
@@ -302,7 +315,7 @@ def load_scenario(path_or_dict):
         else:
             registry.assume(elem, gen, fact["verdict"], note=fact.get("note", ""))
     for name, node in _entries(raw, "surfaces"):
-        tower = towers[node["tower"]]
+        tower = _named(towers, node["tower"], f"surface {name}: tower")
         xi = parse_element(node["xi"], tower)
         rho = parse_element(node["rho"], tower) if node.get("rho") is not None \
             else None

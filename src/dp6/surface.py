@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import hexagon
 from .fieldtower import (
+    ExtensionDescriptor,
     FactRegistry,
     FieldElement,
     GaloisTower,
@@ -133,10 +134,8 @@ class ClassHandle:
 class SeveriBrauerData:
     """Derived classification payload: fields, class pair, conic triple, flags."""
 
-    f_key: tuple
-    f_label: str
-    K: object           # ExtensionDescriptor or opaque field tag
-    L: object | None
+    K: ExtensionDescriptor
+    L: ExtensionDescriptor | None
     L_i: tuple = ()
     sb_pair: tuple = ()          # (ClassHandle, ClassHandle) for {xi, xi^-1}
     conic: ClassHandle | None = None
@@ -161,15 +160,6 @@ class SeveriBrauerData:
         if self.l_trivial == NOT_NORM:
             return "(Z/2)^2"
         return "unknown"
-
-    def key(self):
-        def fkey(x):
-            if x is None:
-                return None
-            return x.key() if hasattr(x, "key") else x
-        sb = frozenset(h.key + (h.status,) for h in self.sb_pair) if self.sb_pair else None
-        conic = (self.conic.key, self.conic.status) if self.conic else None
-        return (self.f_key, fkey(self.K), sb, fkey(self.L), conic)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +322,8 @@ def are_cohomologous(s1: SurfaceSpec, s2: SurfaceSpec, beta: TwistedAutomorphism
 # Severi-Brauer data extraction
 # ---------------------------------------------------------------------------
 
-def _subfield_fixing(tower, fixing, name):
-    from .fieldtower import ExtensionDescriptor
-
+def subfield(tower, fixing, name):
+    """The subfield of F fixed by the subgroup `fixing`, labelled `name`."""
     return ExtensionDescriptor("subfield", tower, fixing=frozenset(fixing), name=name)
 
 
@@ -370,11 +359,11 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
     xi_inv_handle = ClassHandle.explicit(spec.xi.inv(), "g", xi_fact)
     xi_handle = ClassHandle.explicit(spec.xi, "g", xi_fact)
 
-    K = _subfield_fixing(tower, k_fixing_subgroup(tower), "K")
+    K = subfield(tower, k_fixing_subgroup(tower), "K")
     L = None
     L_i = ()
     if spec.gtype in ("Z6", "D6"):
-        L = _subfield_fixing(tower, l_fixing_subgroup(tower), "L")
+        L = subfield(tower, l_fixing_subgroup(tower), "L")
     if spec.gtype == "D6":
         h = central_element(tower)
         idn = tower.element_named("1")
@@ -391,7 +380,7 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
             if v not in seen:
                 seen.append(v)
         L_i = tuple(
-            _subfield_fixing(tower, v, f"L{i+1}") for i, v in enumerate(seen)
+            subfield(tower, v, f"L{i+1}") for i, v in enumerate(seen)
         )
 
     conic = None
@@ -412,8 +401,6 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
         assumed.append(xi_fact)
 
     return SeveriBrauerData(
-        f_key=tower.key(),
-        f_label=tower.name,
         K=K,
         L=L,
         L_i=L_i,

@@ -212,8 +212,8 @@ def test_acceptance_5_example_reproduction(s3_example, example_points):
     for i in range(4):
         for j in range(i + 1, 4):
             assert same_vertex(recs[i].target, recs[j].target) is False
-            assert recs[i].point.fld.ext.same_field(
-                recs[j].point.fld.ext) is False
+            assert recs[i].point.fld.same_field(
+                recs[j].point.fld) is False
     # explore(depth 1) yields >= 5 vertices
     g1 = explore_graph(s3_example, example_points, depth=1)
     assert len(g1.vertices) >= 5

@@ -1,10 +1,13 @@
 """Graph exploration, generator words, the quotient map, relation checking."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dp6.birgroup import (
     GraphError,
+    QuotientImage,
     Token,
+    _reduce_letters,
     check_relation,
     classify_edge,
     explore_graph,
@@ -259,3 +262,79 @@ def test_graph_dump(example_graph):
     assert "# vertex S: key" in text
     assert "S -- S|p0" in text or "S|p0 -- S" in text
     assert "R_E" in text
+
+
+# -- every vertex is a del Pezzo surface of invariant Picard rank 1 ----------
+
+def _invariant_rank(data):
+    """Rank of the Galois-invariant part of Pic over the vertex's hexagon action."""
+    from dp6 import curveconfig, hexagon
+
+    perms = [{lab: hexagon.LABELS[p[i]] for i, lab in enumerate(hexagon.LABELS)}
+             for p in set(data.action.values())]
+    return curveconfig.invariant_picard_rank(perms)
+
+
+def _explore_all(raw, depth=2):
+    from dp6.scenario import load_scenario
+
+    scen = load_scenario(raw)
+    points = list(scen.points.values())
+    return [explore_graph(spec, points, depth=depth)
+            for spec in scen.surfaces.values()]
+
+
+def _bundled(name):
+    import json
+
+    from dp6.cli import bundled_path
+
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", ["example-main", "z6-index2-hex", "z6-index6",
+                                  "d6-swap"])
+def test_explored_vertices_have_rank_one(name):
+    for graph in _explore_all(_bundled(name)):
+        for v in graph.vertices.values():
+            assert _invariant_rank(v.data) == 1, v.name
+
+
+def test_point_over_an_adjoined_radical():
+    # q splits over E0 like p0 but shares no component with it; at S|p0 the
+    # radical of E0 is already adjoined, and q's component action must be read
+    # at that radical's zeta
+    raw = _bundled("example-main")
+    raw["points"]["q"] = {"surface": "S", "degree": 3, "extension": "E0",
+                          "lambda1": "t1*t2/(t3*r)"}
+    from dp6.points import general_position
+    from dp6.scenario import load_scenario
+
+    scen = load_scenario(raw)
+    assert general_position(scen.surfaces["S"], scen.points["q"]) is True
+    (graph,) = _explore_all(raw)
+    assert len(graph.vertices) == 5
+    for v in graph.vertices.values():
+        assert _invariant_rank(v.data) == 1, v.name
+
+
+# -- free-product reduction ---------------------------------------------------
+
+_LETTER = st.one_of(
+    st.tuples(st.sampled_from([("Z", "a"), ("Z", "b")]), st.integers(-2, 2)),
+    st.tuples(st.sampled_from([("Z2", "c"), ("geiser", "d")]),
+              st.integers(0, 3)),
+    st.tuples(st.just(("E2sum",)), st.frozensets(st.sampled_from("xy"))),
+)
+
+
+@given(st.lists(_LETTER, max_size=12))
+def test_one_pass_gives_the_reduced_word(letters):
+    word = _reduce_letters(letters)
+    assert _reduce_letters(word) == word
+    for i, (fac, val) in enumerate(word):
+        assert (val % 2 if fac[0] in ("Z2", "geiser") else val), word
+        assert i == 0 or word[i - 1][0] != fac, word
+    image = QuotientImage(word, "index3")
+    assert (image * image.inverse()).is_identity()

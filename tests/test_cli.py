@@ -54,6 +54,18 @@ def test_golden_reports(name, strict):
     assert code == want_code
 
 
+def test_example_main_strict_report():
+    # every verdict of example-main is proven, so --strict changes only the
+    # header line of the golden report
+    with open(os.path.join(GOLDEN_DIR, "example-main.out"), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    assert "strict: off\n" in want
+    code, text = run(bundled_path("example-main"), strict=True)
+    assert text == want.replace("strict: off\n", "strict: on\n", 1)
+    assert code == 0
+
+
 def test_reports_deterministic():
     path = bundled_path("z6-index2-hex")
     code1, text1 = run(path)
@@ -271,9 +283,32 @@ _TOWER = ("towers", "FZ")
                         "verdict": "IsNorm"}]), False,
      "fact generator must be a string, got 5"),
     (_set(("name",), [1]), False, "scenario name must be a string, got [1]"),
+    (_set(("extensions", "K", "tower"), [1]), False,
+     "extension K: tower must be a string, got [1]"),
+    (_set(("surfaces", "SZ", "tower"), [1]), False,
+     "surface SZ: tower must be a string, got [1]"),
+    (_set(("facts",), [{"tower": [1], "element": "x1", "generator": "g",
+                        "verdict": "IsNorm"}]), False,
+     "fact tower must be a string, got [1]"),
+    (_set(("points", "p", "surface"), [1]), False,
+     "point p: surface must be a string, got [1]"),
+    (_set(("points", "p", "extension"), [1]), False,
+     "point p: extension must be a string, got [1]"),
+    (_set(_TOWER + ("embedding",), {"g": [1]}), False,
+     "tower FZ: embedding of g must be a string, got [1]"),
+    (_set(_TOWER + ("embedding",), [1]), False,
+     "tower FZ: embedding must be a JSON object"),
+    (_set(("extensions", "K", "kind"), [1]), False,
+     "extension K: kind must be a string, got [1]"),
+    (_set(("extensions", "K", "kind"), "bogus"), False,
+     "extension K: unknown kind 'bogus'"),
+    (_set(("extensions", "K", "tower"), "nope"), False,
+     "extension K: tower: unknown name 'nope'"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
-        "fact-generator", "name"])
+        "fact-generator", "name", "extension-tower", "surface-tower",
+        "fact-tower", "point-surface", "point-extension", "embedding-word",
+        "embedding-list", "kind-list", "kind-bogus", "unknown-tower"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"

@@ -232,6 +232,26 @@ def test_composite_rejects_cubic_intersection(z6_tower):
         composite_group(z6_tower, E)
 
 
+def test_same_field_subfield_against_radical(z6_tower):
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    K = ExtensionDescriptor("subfield", z6_tower,
+                            fixing=z6_tower.subgroup(["g"]), name="K")
+    L = ExtensionDescriptor("subfield", z6_tower,
+                            fixing=z6_tower.subgroup(["h"]), name="L")
+    # the root y of y^2 lies in F and is fixed by <g>: the field is K
+    inside = ExtensionDescriptor("quadratic", z6_tower, radicand=y * y,
+                                 name="Ey")
+    assert inside.same_field(K) is True and K.same_field(inside) is True
+    assert inside.same_field(L) is False and L.same_field(inside) is False
+    # a genuine radical is not a subfield of F
+    genuine = ExtensionDescriptor("quadratic", z6_tower, radicand=x1 + x2 + x3,
+                                  name="Es")
+    assert genuine.same_field(K) is False and K.same_field(genuine) is False
+    # the label is not part of the field
+    assert K.field_id() == ExtensionDescriptor(
+        "subfield", z6_tower, fixing=z6_tower.subgroup(["g"]), name="K'").field_id()
+
+
 def test_d6_composite_generator_pairs(d6_tower):
     # degree-6 E with E cap F = F^<g,h>: generators (g,id),(id,w),(h,id),(f,t)
     x1, x2, x3, y = vars_of(d6_tower, "x1", "x2", "x3", "y")

@@ -28,8 +28,8 @@ def test_3link_data_transport(s3_example, example_links):
     for i, rec in enumerate(example_links):
         # d = 3 links keep the SB pair and replace L by E (Y becomes trivial)
         assert rec.target.sb_pair == src.sb_pair
-        assert rec.target.K.same_ref(src.K) is True
-        assert rec.target.L.ext.same_field(rec.point.fld.ext) is True
+        assert rec.target.K.same_field(src.K) is True
+        assert rec.target.L.same_field(rec.point.fld) is True
         assert rec.target.l_trivial == "IsNorm"
         assert rec.target.k_trivial == src.k_trivial
         assert rec.target.gtype == "Z6"
@@ -69,7 +69,7 @@ def test_2link_self(z6_hex):
     rec = link(z6_hex, p)
     assert rec.is_self_link()
     assert rec.target.spec is z6_hex
-    assert rec.target.K.same_ref(as_data_surface(z6_hex).K) is True
+    assert rec.target.K.same_field(as_data_surface(z6_hex).K) is True
     # d = 2 links keep the conic class
     assert rec.target.conic == as_data_surface(z6_hex).conic
 
@@ -142,11 +142,11 @@ def test_z6_independent_2link(z6_tower):
     rec = link(spec, p, name="chiE")
     assert not rec.is_self_link()
     assert "h" in rec.h_description  # H = <h> for the independent quadratic
-    assert rec.target.K.ext.same_field(E) is True
+    assert rec.target.K.same_field(E) is True
     assert rec.target.l_trivial == "NotNorm"
     # the inverse point splits over the old K, per the link corollary
     src = as_data_surface(spec)
-    assert rec.inverse_point.fld.same_ref(src.K) is True
+    assert rec.inverse_point.fld.same_field(src.K) is True
 
 
 def test_rigidity_verdicts(s3_example, example_points, z6_hex, z6_index6,
