@@ -382,15 +382,7 @@ def cancel_pair(num: CPoly, den: CPoly):
     ring_ = num.ring
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return CPoly.zero(ring_), CPoly.one(ring_)
-
-    # strip the common monomial content
-    mn, md = num.min_degrees(), den.min_degrees()
-    common = tuple(min(a, b) for a, b in zip(mn, md))
-    if any(common):
-        num = num.shift_down(common)
-        den = den.shift_down(common)
+    num, den = strip_monomial_content(num, den)
 
     # a single term divides the other side only through monomial content,
     # which is gone now: the gcd is 1
@@ -407,12 +399,34 @@ def cancel_pair(num: CPoly, den: CPoly):
     return monic_pair(num, den)
 
 
+def strip_monomial_content(num: CPoly, den: CPoly):
+    """Divide num and den by their common monomial content; 0/den is 0/1.
+
+    The first step of `cancel_pair`.  den must be nonzero.
+    """
+    if num.is_zero():
+        return CPoly.zero(num.ring), CPoly.one(num.ring)
+    mn, md = num.min_degrees(), den.min_degrees()
+    common = tuple(min(a, b) for a, b in zip(mn, md))
+    if any(common):
+        num = num.shift_down(common)
+        den = den.shift_down(common)
+    return num, den
+
+
 def monic_pair(num: CPoly, den: CPoly):
     """Scale a coprime pair so that den has lex-leading coefficient 1.
 
     This is the last step of `cancel_pair`; callers that know num and den to
     be coprime (images and powers of canonical pairs) skip the gcd and call it
     directly.
+
+    A product or quotient with a term quotient c/d (c and d single terms) is
+    coprime up to monomial content, so `strip_monomial_content` is its whole
+    gcd: let a/b be coprime and p an irreducible factor, not a monomial, of
+    both a*c and b*d.  p divides no single term, so p divides a and b, which
+    are coprime.  So gcd(a*c, b*d) is a monomial, the common monomial
+    content, and likewise for a*d / (b*c).
     """
     _, lc = den.leading()
     if not lc.is_one():

@@ -23,6 +23,7 @@ from ._ratfunc import (
     power,
     qomega_nth_roots,
     rational_ring,
+    strip_monomial_content,
 )
 
 
@@ -82,6 +83,20 @@ class FieldElement:
     def is_monomial_quotient(self):
         return self.num.is_monomial() and self.den.is_monomial()
 
+    def _is_term_quotient(self):
+        return self.num.is_term() and self.den.is_term()
+
+    def _product(self, o, num, den):
+        """num/den, the product or quotient of self and o, made canonical.
+
+        With a term quotient on either side the common monomial content is
+        the whole gcd (see `monic_pair`).
+        """
+        if self._is_term_quotient() or o._is_term_quotient():
+            num, den = monic_pair(*strip_monomial_content(num, den))
+            return FieldElement(self.tower, num, den, _canonical=True)
+        return FieldElement(self.tower, num, den)
+
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
@@ -107,7 +122,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.tower, self.num * o.num, self.den * o.den)
+        return self._product(o, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -117,7 +132,7 @@ class FieldElement:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError
-        return FieldElement(self.tower, self.num * o.den, self.den * o.num)
+        return self._product(o, self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

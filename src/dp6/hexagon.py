@@ -115,8 +115,16 @@ def d6_elements():
 
 def torus_act(p, a, b):
     """The torus action of the symmetry p on the pair (a, b)."""
-    m = d6_elements()[p]
-    return (a ** m[0][0] * b ** m[0][1], a ** m[1][0] * b ** m[1][1])
+    return tuple(_torus_monomial(a, b, e, f) for e, f in d6_elements()[p])
+
+
+def _torus_monomial(a, b, e, f):
+    # a**e * b**f; no row of an invertible matrix is zero
+    if not f:
+        return a ** e
+    if not e:
+        return b ** f
+    return a ** e * b ** f
 
 
 def perm_name(p):

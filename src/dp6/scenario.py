@@ -184,6 +184,13 @@ def _named(table, value, what):
     return table[name]
 
 
+def _required(node, key, what):
+    """node[key] for a required field of the entry named by `what`."""
+    if key not in node:
+        raise ScenarioError(f"{what}: missing field {key!r}")
+    return node[key]
+
+
 def _entries(raw, key):
     """The (name, node) pairs of a scenario section, sorted by name."""
     nodes = section(raw.get(key), dict, key)
@@ -192,71 +199,78 @@ def _entries(raw, key):
 
 
 def _build_tower(name, node):
-    variables = section(node["variables"], list, f"tower {name}: variables")
+    where = f"tower {name}"
+    variables = section(_required(node, "variables", where), list,
+                        f"{where}: variables")
     if not all(isinstance(v, str) for v in variables):
-        raise ScenarioError(f"tower {name}: variables must be names")
+        raise ScenarioError(f"{where}: variables must be names")
 
     def var(v):
         if v not in variables:
-            raise ScenarioError(f"tower {name}: unknown variable {v!r}")
+            raise ScenarioError(f"{where}: unknown variable {v!r}")
         return variables.index(v)
 
     gens = {}
-    gens_node = section(node["generators"], dict, f"tower {name}: generators")
+    gens_node = section(_required(node, "generators", where), dict,
+                        f"{where}: generators")
     for gname, desc in gens_node.items():
-        where = f"tower {name}: generator {gname}"
-        section(desc, dict, where)
+        gen = f"{where}: generator {gname}"
+        section(desc, dict, gen)
         perm = list(range(len(variables)))
-        for a, b in section(desc.get("perm"), dict, f"{where}: perm").items():
+        for a, b in section(desc.get("perm"), dict, f"{gen}: perm").items():
             perm[var(a)] = var(b)
         scal = [QOmega.one()] * len(variables)
-        for a, u in section(desc.get("scale"), dict, f"{where}: scale").items():
+        for a, u in section(desc.get("scale"), dict, f"{gen}: scale").items():
             try:
                 scal[var(a)] = unit_from_str(str(u))
             except ValueError as e:
-                raise ScenarioError(f"tower {name}: {e}") from None
+                raise ScenarioError(f"{where}: {e}") from None
         gens[gname] = VarAutomorphism(perm, scal)
     embedding = None
     if "embedding" in node:
         named = {"rot3": hexagon.ROT3, "central": hexagon.CENTRAL,
                  "reflect-f": hexagon.REFLECT_F, "reflect-s": hexagon.REFLECT_S}
-        emb = section(node["embedding"], dict, f"tower {name}: embedding")
-        embedding = {g: _named(named, v, f"tower {name}: embedding of {g}")
+        emb = section(node["embedding"], dict, f"{where}: embedding")
+        embedding = {g: _named(named, v, f"{where}: embedding of {g}")
                      for g, v in emb.items()}
     return GaloisTower(variables, gens, embedding, name=name)
 
 
 def _build_extension(name, node, towers):
-    tower = _named(towers, node["tower"], f"extension {name}: tower")
-    kind = _word(node["kind"], f"extension {name}: kind")
+    where = f"extension {name}"
+    tower = _named(towers, _required(node, "tower", where), f"{where}: tower")
+    kind = _word(_required(node, "kind", where), f"{where}: kind")
     if kind not in ExtensionDescriptor.KINDS:
-        raise ScenarioError(f"extension {name}: unknown kind {kind!r}")
+        raise ScenarioError(f"{where}: unknown kind {kind!r}")
     if kind == "subfield":
-        words = section(node["fixing"], list, f"extension {name}: fixing")
-        fixing = tower.subgroup([_word(w, f"extension {name}: fixing entry")
+        words = section(_required(node, "fixing", where), list,
+                        f"{where}: fixing")
+        fixing = tower.subgroup([_word(w, f"{where}: fixing entry")
                                  for w in words])
         return ExtensionDescriptor("subfield", tower, fixing=fixing, name=name)
-    radicand = parse_element(node["radicand"], tower)
+    radicand = parse_element(_required(node, "radicand", where), tower)
     return ExtensionDescriptor(kind, tower, radicand=radicand, name=name)
 
 
 def _build_point(name, node, scenario):
-    spec = _named(scenario.surfaces, node["surface"], f"point {name}: surface")
+    where = f"point {name}"
+    spec = _named(scenario.surfaces, _required(node, "surface", where),
+                  f"{where}: surface")
+    degree = _required(node, "degree", where)
     try:
-        degree = int(node["degree"])
+        degree = int(degree)
     except (TypeError, ValueError):
         raise ScenarioError(
-            f"point {name}: degree must be an integer, got {node['degree']!r}"
-        ) from None
+            f"{where}: degree must be an integer, got {degree!r}") from None
     if degree == 4:
         return ClosedPointSpec(4, None, None, None, name=name,
                                general_position_declared=bool(
                                    node.get("general_position", False)))
-    ext = _named(scenario.extensions, node["extension"],
-                 f"point {name}: extension")
+    ext = _named(scenario.extensions, _required(node, "extension", where),
+                 f"{where}: extension")
     cg = composite_for(spec.tower, ext)
     comp = cg.comp
-    lam1 = parse_element(node["lambda1"], spec.tower, comp)
+    lam1 = parse_element(_required(node, "lambda1", where), spec.tower, comp)
     if "lambda2" in node:
         lam2 = parse_element(node["lambda2"], spec.tower, comp)
     else:
@@ -304,23 +318,26 @@ def load_scenario(path_or_dict):
         extensions[name] = _build_extension(name, node, towers)
     for fact in section(raw.get("facts"), list, "facts"):
         section(fact, dict, "a fact")
-        tower = _named(towers, fact["tower"], "fact tower")
-        elem = parse_element(fact["element"], tower)
-        gen = tower.element_named(_word(fact["generator"], "fact generator"))
+        tower = _named(towers, _required(fact, "tower", "fact"), "fact tower")
+        elem = parse_element(_required(fact, "element", "fact"), tower)
+        gen = tower.element_named(
+            _word(_required(fact, "generator", "fact"), "fact generator"))
         if "certificate" in fact:
             from .fieldtower import norm_class
 
             cert = parse_element(fact["certificate"], tower)
             norm_class(elem, gen, cert=cert, registry=registry)
         else:
-            registry.assume(elem, gen, fact["verdict"], note=fact.get("note", ""))
+            registry.assume(elem, gen, _required(fact, "verdict", "fact"),
+                            note=fact.get("note", ""))
     for name, node in _entries(raw, "surfaces"):
-        tower = _named(towers, node["tower"], f"surface {name}: tower")
-        xi = parse_element(node["xi"], tower)
+        where = f"surface {name}"
+        tower = _named(towers, _required(node, "tower", where), f"{where}: tower")
+        xi = parse_element(_required(node, "xi", where), tower)
         rho = parse_element(node["rho"], tower) if node.get("rho") is not None \
             else None
         scen.surfaces[name] = make_surface(
-            node["gtype"], tower, xi, rho, registry, name=name
+            _required(node, "gtype", where), tower, xi, rho, registry, name=name
         )
     for name, node in _entries(raw, "points"):
         scen.points[name] = _build_point(name, node, scen)

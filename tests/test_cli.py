@@ -258,7 +258,21 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit of the z6-index2-hex scenario: delete the entry at path."""
+    def edit(scen):
+        node = scen
+        for k in path[:-1]:
+            node = node[k]
+        del node[path[-1]]
+        return scen
+    return edit
+
+
 _TOWER = ("towers", "FZ")
+_K = ("extensions", "K")
+_P = ("points", "p")
+_SZ = ("surfaces", "SZ")
 
 
 @pytest.mark.parametrize("edit,strict,message", [
@@ -304,11 +318,36 @@ _TOWER = ("towers", "FZ")
      "extension K: unknown kind 'bogus'"),
     (_set(("extensions", "K", "tower"), "nope"), False,
      "extension K: tower: unknown name 'nope'"),
+    (_drop(_TOWER + ("variables",)), False,
+     "tower FZ: missing field 'variables'"),
+    (_drop(_TOWER + ("generators",)), False,
+     "tower FZ: missing field 'generators'"),
+    (_drop(_K + ("tower",)), False, "extension K: missing field 'tower'"),
+    (_drop(_K + ("kind",)), False, "extension K: missing field 'kind'"),
+    (_drop(_K + ("fixing",)), False, "extension K: missing field 'fixing'"),
+    (_set(_K + ("kind",), "quadratic"), False,
+     "extension K: missing field 'radicand'"),
+    (_set(("facts",), [{"tower": "FZ", "element": "x1", "generator": "g"}]),
+     False, "fact: missing field 'verdict'"),
+    (_set(("facts",), [{"element": "x1", "generator": "g"}]), False,
+     "fact: missing field 'tower'"),
+    (_drop(_SZ + ("tower",)), False, "surface SZ: missing field 'tower'"),
+    (_drop(_SZ + ("xi",)), False, "surface SZ: missing field 'xi'"),
+    (_drop(_SZ + ("gtype",)), False, "surface SZ: missing field 'gtype'"),
+    (_drop(_P + ("surface",)), False, "point p: missing field 'surface'"),
+    (_drop(_P + ("degree",)), False, "point p: missing field 'degree'"),
+    (_drop(_P + ("extension",)), False, "point p: missing field 'extension'"),
+    (_drop(_P + ("lambda1",)), False, "point p: missing field 'lambda1'"),
+    (_drop(_P + ("lambda1",)), True, "point p: missing field 'lambda1'"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
         "fact-generator", "name", "extension-tower", "surface-tower",
         "fact-tower", "point-surface", "point-extension", "embedding-word",
-        "embedding-list", "kind-list", "kind-bogus", "unknown-tower"])
+        "embedding-list", "kind-list", "kind-bogus", "unknown-tower",
+        "no-variables", "no-generators", "no-extension-tower", "no-kind",
+        "no-fixing", "no-radicand", "no-verdict", "no-fact-tower",
+        "no-surface-tower", "no-xi", "no-gtype", "no-point-surface",
+        "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"

@@ -74,15 +74,6 @@ def test_apply_examples(s3_tower, z6_tower):
     assert apply(h, y) == -y
 
 
-def test_apply_is_field_hom(s3_tower):
-    g = s3_tower.element_named("gf")
-    t1, t2, s = vars_of(s3_tower, "t1", "t2", "s")
-    x = t1 / (t2 + 1) + s
-    y = t2 * s - 3
-    assert apply(g, x + y) == apply(g, x) + apply(g, y)
-    assert apply(g, x * y) == apply(g, x) * apply(g, y)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_apply_composition_on_monomials(s3_tower, data):
@@ -110,27 +101,77 @@ def _substituted(u, p):
     return out
 
 
+#: nonzero coefficients: mixed a + b*w, or rational
+_MIXED = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(any).map(
+    lambda ab: QOmega(*ab))
+_RATIONAL = st.integers(-3, 3).filter(bool).map(QOmega)
+
+
 @st.composite
-def _polys(draw, ring):
+def _polys(draw, ring, coeffs=_MIXED):
     """A monomial of degree up to 7 in each variable times a nonzero polynomial
-    of 1-2 terms with mixed Q(w) coefficients (larger mixed polynomials make
-    the reference gcds of their cubes take minutes)."""
+    of 1-2 terms (larger mixed polynomials make the reference gcds of their
+    cubes take minutes)."""
     mons = draw(st.lists(st.tuples(*[st.integers(0, 1)] * ring.ngens),
                          min_size=1, max_size=2, unique=True))
-    coeffs = [draw(st.tuples(st.integers(-3, 3), st.integers(-2, 2))
-                   .filter(any)) for _ in mons]
     shift = draw(st.tuples(*[st.integers(0, 7)] * ring.ngens))
-    terms = {tuple(e + s for e, s in zip(m, shift)): QOmega(a, b)
-             for m, (a, b) in zip(mons, coeffs)}
+    terms = {tuple(e + s for e, s in zip(m, shift)): draw(coeffs) for m in mons}
     return CPoly.from_terms(ring, terms)
+
+
+@st.composite
+def _elements(draw, tower, coeffs=_MIXED):
+    """A nonzero quotient of two `_polys`."""
+    ring = tower.ring
+    return FieldElement(tower, draw(_polys(ring, coeffs)),
+                        draw(_polys(ring, coeffs)))
+
+
+@st.composite
+def _term_quotients(draw, tower, coeffs=_MIXED):
+    """c/d with c and d single terms of degree up to 3 in each variable."""
+    ring = tower.ring
+    c, d = (CPoly.from_terms(ring, {
+        draw(st.tuples(*[st.integers(0, 3)] * ring.ngens)): draw(coeffs)})
+        for _ in range(2))
+    return FieldElement(tower, c, d)
+
+
+def _factors(tower):
+    """1, a nonzero Q(w) constant, a term quotient, or 0."""
+    return st.one_of(
+        st.just(tower.one()),
+        _MIXED.map(tower.const),
+        _term_quotients(tower),
+        st.just(tower.zero()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_is_field_hom(z6_tower, s3_tower, d6_tower, data):
+    tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
+    u = data.draw(st.sampled_from(tower.elements))
+    # rational coefficients: sums of mixed ones can stall the Q(w) gcd
+    x = data.draw(_elements(tower, _RATIONAL))
+    # a term quotient y takes the gcd-free product on both sides
+    y = data.draw(st.one_of(_elements(tower, _RATIONAL),
+                            _term_quotients(tower, _RATIONAL)))
+    assert apply(u, x + y) == apply(u, x) + apply(u, y)
+    assert apply(u, x * y) == apply(u, x) * apply(u, y)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_gcd_free_paths_match_cancel_pair(z6_tower, s3_tower, d6_tower, data):
+    x1, x2 = vars_of(z6_tower, "x1", "x2")
+    # the monomial content of a product with a term quotient cancels ...
+    assert ((x1 + 1) / x2) * x2 == x1 + 1
+    assert x2 / (x2 / (x1 + 1)) == x1 + 1
+    # ... and a general product keeps the full gcd
+    assert ((x1 + 1) / x2) * (x2 / (x1 + 1)) == 1
     tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
-    x = FieldElement(tower, data.draw(_polys(tower.ring)),
-                     data.draw(_polys(tower.ring)))
+    x = data.draw(_elements(tower))
     u = data.draw(st.one_of(
         st.sampled_from(tower.elements),
         st.builds(VarAutomorphism, st.permutations(range(4)),
@@ -142,6 +183,16 @@ def test_gcd_free_paths_match_cancel_pair(z6_tower, s3_tower, d6_tower, data):
     k = data.draw(st.integers(-3, 3))
     num, den = (x.num, x.den) if k >= 0 else (x.den, x.num)
     assert (x**k).key() == FieldElement(tower, num**abs(k), den**abs(k)).key()
+
+    def cancelled(num, den):
+        return FieldElement(tower, num, den).key()
+
+    m = data.draw(_factors(tower))
+    assert (x * m).key() == cancelled(x.num * m.num, x.den * m.den)
+    assert (m * x).key() == cancelled(m.num * x.num, m.den * x.den)
+    assert (m / x).key() == cancelled(m.num * x.den, m.den * x.num)
+    if not m.is_zero():
+        assert (x / m).key() == cancelled(x.num * m.den, x.den * m.num)
 
 
 def test_non_unit_scalar_refused():
