@@ -223,10 +223,7 @@ def same_vertex(a: DataSurface, b: DataSurface):
             matched = True
             break
     if not matched:
-        if n == 0:
-            matched = _kernels_match(a, b, ())
-        if not matched:
-            return False
+        return False
     checks = [a.K.same_field(b.K)]
     if (a.L is None) != (b.L is None):
         return False
@@ -248,13 +245,9 @@ def same_vertex(a: DataSurface, b: DataSurface):
 
 
 def _kernels_match(a, b, perm):
-    from . import hexagon
-
-    ka = {k for k, p in a.action.items() if p == hexagon.IDENTITY}
-    kb_raw = {k for k, p in b.action.items() if p == hexagon.IDENTITY}
-    kb = {(uf, tuple(zs[j] for j in perm)) if perm else (uf, zs)
-          for uf, zs in kb_raw}
-    return ka == kb
+    """Whether the kernels agree once b's radicals are put in a's order."""
+    kb = {(uf, tuple(zs[j] for j in perm)) for uf, zs in b.kernel()}
+    return set(a.kernel()) == kb
 
 
 def _status_match(s1, s2):
@@ -283,11 +276,10 @@ def explore_graph(source, point_generators, depth=1):
     """Breadth-first materialization of the model graph around the surface."""
     src = as_data_surface(source)
     graph = BirGraph(base_key=src.vertex_key())
-    base_v, _ = graph.add_vertex(src)
+    graph.add_vertex(src)
     graph.handles[src.vertex_key()] = point_handles(src.spec, point_generators)
 
     frontier = [(src.vertex_key(), 0)]
-    seen_depth = {src.vertex_key(): 0}
     while frontier:
         vkey, dth = frontier.pop(0)
         if dth >= depth:
@@ -322,7 +314,6 @@ def explore_graph(source, point_generators, depth=1):
                         continue
                     new_handles.append(transport(other, rec))
                 graph.handles[tgt_v.key] = new_handles
-                seen_depth[tgt_v.key] = dth + 1
                 frontier.append((tgt_v.key, dth + 1))
     return graph
 

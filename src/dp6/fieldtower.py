@@ -4,7 +4,12 @@ A tower is F = Q(w)(x_1, ..., x_n) together with a finite group of
 automorphisms, each acting by a variable permutation composed with scaling
 by roots of unity.  The base field k is the fixed field of the group.
 Radical extensions E = k(r) (r^n = a, a in k*) are supported, with composite
-Galois groups realized as pairs (action on F, action on r).
+Galois groups realized as pairs (action on F, action r -> zeta*r).
+
+Every root of unity in a group element, a variable scalar or the zeta of a
+composite pair, is stored as its exponent t of zeta_6 = -w^2, an int mod 6,
+so products and inverses are integer arithmetic.  Keys and reports print the
+Q(w) value zeta_6^t.
 """
 
 from __future__ import annotations
@@ -191,25 +196,29 @@ class FieldElement:
 #: zeta = -w^2 = 1 + w generates the six roots of unity of Q(w)
 _ZETA_POWERS = tuple((-QOmega.omega() ** 2) ** t for t in range(6))
 _ZETA_EXPONENT = {z: t for t, z in enumerate(_ZETA_POWERS)}
+#: the key printed for zeta^t
+_ZETA_KEYS = tuple(z.key() for z in _ZETA_POWERS)
+#: the exponents of UNITS, in UNITS order
+_UNIT_EXPONENTS = tuple(_ZETA_EXPONENT[z] for z in UNITS)
 
 
 class VarAutomorphism:
-    """x_i -> scal[i] * x_{perm[i]}, scalars roots of unity in Q(w).
+    """x_i -> zeta^zexp[i] * x_{perm[i]}, with zeta = -w^2.
 
-    Each scalar is also kept as its exponent zexp[i] of zeta, so products,
-    inverses and the Galois action reduce scalar powers mod 6.  Any other
-    scalar raises TowerError.
+    The constructor takes the scalars as roots of unity in Q(w) and keeps
+    their exponents, so products, inverses and the Galois action reduce
+    scalar powers mod 6.  Any other scalar raises TowerError.
     """
 
-    __slots__ = ("perm", "scal", "zexp")
+    __slots__ = ("perm", "zexp")
 
     def __init__(self, perm, scal):
         self.perm = tuple(perm)
-        self.scal = tuple(scal)
-        if len(self.perm) != len(self.scal):
+        scal = tuple(scal)
+        if len(self.perm) != len(scal):
             raise ValueError("perm/scal length mismatch")
         zexp = []
-        for s in self.scal:
+        for s in scal:
             t = _ZETA_EXPONENT.get(s)
             if t is None:
                 raise TowerError(f"scalar {s!r} is not a root of unity of Q(w)")
@@ -220,12 +229,11 @@ class VarAutomorphism:
     def _from_zexp(cls, perm, zexp):
         u = cls.__new__(cls)
         u.perm, u.zexp = tuple(perm), tuple(zexp)
-        u.scal = tuple(_ZETA_POWERS[t] for t in u.zexp)
         return u
 
     @classmethod
     def identity(cls, n):
-        return cls(range(n), (QOmega.one(),) * n)
+        return cls._from_zexp(range(n), (0,) * n)
 
     def is_identity(self):
         return all(p == i for i, p in enumerate(self.perm)) and not any(self.zexp)
@@ -269,10 +277,10 @@ class VarAutomorphism:
         return hash((self.perm, self.zexp))
 
     def key(self):
-        return (self.perm, tuple(s.key() for s in self.scal))
+        return (self.perm, tuple(_ZETA_KEYS[t] for t in self.zexp))
 
     def __repr__(self):
-        return f"VarAut(perm={self.perm}, scal={[str(s) for s in self.scal]})"
+        return f"VarAut(perm={self.perm}, scal={[str(_ZETA_POWERS[t]) for t in self.zexp]})"
 
 
 def _apply_varaut_poly(u: VarAutomorphism, p: CPoly) -> CPoly:
@@ -498,11 +506,8 @@ def apply(u, x):
         if isinstance(x, RadElement):
             if x.comp is not u.comp:
                 raise DomainMismatchError("element of a different composite field")
-            digits = []
-            z = QOmega.one()
-            for d in x.digits:
-                digits.append(apply(u.uf, d) * d.tower.const(z))
-                z = z * u.zeta
+            digits = [apply(u.uf, d) * d.tower.const(_ZETA_POWERS[i * u.zexp % 6])
+                      for i, d in enumerate(x.digits)]
             return RadElement(x.comp, digits)
         if isinstance(x, FieldElement):
             return apply(u.uf, x)
@@ -673,23 +678,23 @@ def _root_in_base(tower, a, n):
 
 
 class CompositeElement:
-    """Element of Gal(FE/k): a pair (tower automorphism, action r -> zeta*r)."""
+    """Element of Gal(FE/k): a pair (tower automorphism, r -> zeta^zexp * r)."""
 
-    __slots__ = ("comp", "uf", "zeta")
+    __slots__ = ("comp", "uf", "zexp")
 
-    def __init__(self, comp, uf: VarAutomorphism, zeta: QOmega):
+    def __init__(self, comp, uf: VarAutomorphism, zexp: int):
         self.comp = comp
         self.uf = uf
-        self.zeta = zeta
+        self.zexp = zexp
 
     def __mul__(self, other):
-        return CompositeElement(self.comp, self.uf * other.uf, self.zeta * other.zeta)
+        return CompositeElement(self.comp, self.uf * other.uf, (self.zexp + other.zexp) % 6)
 
     def is_identity(self):
-        return self.uf.is_identity() and self.zeta.is_one()
+        return self.uf.is_identity() and not self.zexp
 
     def inverse(self):
-        return CompositeElement(self.comp, self.uf.inverse(), self.zeta.inv())
+        return CompositeElement(self.comp, self.uf.inverse(), -self.zexp % 6)
 
     def order(self):
         return element_order(self)
@@ -698,17 +703,17 @@ class CompositeElement:
         return (
             isinstance(other, CompositeElement)
             and self.uf == other.uf
-            and self.zeta == other.zeta
+            and self.zexp == other.zexp
         )
 
     def __hash__(self):
-        return hash((self.uf, self.zeta))
+        return hash((self.uf, self.zexp))
 
     def key(self):
-        return (self.uf.key(), self.zeta.key())
+        return (self.uf.key(), _ZETA_KEYS[self.zexp])
 
     def __repr__(self):
-        return f"CompositeElement({self.uf!r}, r->{self.zeta}*r)"
+        return f"CompositeElement({self.uf!r}, r->{_ZETA_POWERS[self.zexp]}*r)"
 
 
 class RadElement:
@@ -796,7 +801,7 @@ class RadElement:
         idn = VarAutomorphism.identity(len(self.comp.tower.variables))
         conj = None
         for j in range(1, m):
-            s_j = CompositeElement(self.comp, idn, _ZETA_POWERS[j * 6 // m])
+            s_j = CompositeElement(self.comp, idn, j * 6 // m)
             y = apply(s_j, self)
             conj = y if conj is None else conj * y
         return conj * (self * conj).digits[0].inv()
@@ -842,7 +847,7 @@ class CompositeField:
         self.ext = ext
         self.rdeg = rdeg  # [FE : F]
         self.reduction = reduction  # r^rdeg = reduction, an element of F
-        self.intersection = intersection  # "k" or ("quadratic", q)
+        self.intersection = intersection  # "k" or "quadratic"
 
     def embed(self, x: FieldElement):
         if x.tower is not self.tower:
@@ -860,8 +865,8 @@ class CompositeField:
     def zero(self):
         return self.embed(self.tower.zero())
 
-    def element(self, uf, zeta):
-        return CompositeElement(self, uf, zeta)
+    def element(self, uf, zexp):
+        return CompositeElement(self, uf, zexp)
 
 
 @dataclass
@@ -885,7 +890,7 @@ class CompositeGroup:
         if self.intersection == "contained":
             fix = self.ext.fixing_subgroup_in_F()
             return u in fix
-        if not u.zeta.is_one():
+        if u.zexp:
             return False
         if self.intersection == "quadratic":
             return apply(u.uf, self.intersection_q) == self.intersection_q
@@ -904,69 +909,36 @@ def composite_group(tower: GaloisTower, ext: ExtensionDescriptor) -> CompositeGr
     if errs:
         raise UnsupportedCompositeError("; ".join(errs))
 
-    if ext.kind == "subfield":
-        gens = {n: u for n, u in tower.generators.items()}
-        return CompositeGroup(tower, ext, None, gens, list(tower.elements), "contained")
-
-    a = ext.radicand
-    n = ext.degree
-    root = a.nth_root(n)
-    root_in_F = root is not None
-    if root_in_F:
+    if ext.kind == "subfield" or ext.radicand.nth_root(ext.degree) is not None:
         # E embeds into F: the composite is F itself
-        gens = {gname: u for gname, u in tower.generators.items()}
-        return CompositeGroup(tower, ext, None, gens, list(tower.elements), "contained")
+        return CompositeGroup(tower, ext, None, dict(tower.generators),
+                              list(tower.elements), "contained")
 
-    if ext.kind == "kummer-cubic":
-        comp = CompositeField(tower, ext, 3, a, "k")
-        zetas = [QOmega.one(), QOmega.omega(), QOmega.omega() ** 2]
-        elements = [
-            comp.element(u, z) for u in tower.elements for z in zetas
-        ]
-        gens = {gname: comp.element(u, QOmega.one()) for gname, u in tower.generators.items()}
-        gens["w"] = comp.element(VarAutomorphism.identity(len(tower.variables)), QOmega.omega())
-        return CompositeGroup(tower, ext, comp, gens, elements, "k")
-
-    if ext.kind == "quadratic":
-        comp = CompositeField(tower, ext, 2, a, "k")
-        zetas = [QOmega.one(), -QOmega.one()]
-        elements = [comp.element(u, z) for u in tower.elements for z in zetas]
-        gens = {gname: comp.element(u, QOmega.one()) for gname, u in tower.generators.items()}
-        gens["t"] = comp.element(VarAutomorphism.identity(len(tower.variables)), -QOmega.one())
-        return CompositeGroup(tower, ext, comp, gens, elements, "k")
-
-    # kummer-cubic-with-conjugation, r^6 = a
-    q = a.nth_root(2)
-    croot = a.nth_root(3)
-    if croot is not None and q is None:
+    # the elements are the pairs (u, t) with t * m = shift[u] mod 6, where
+    # zeta^shift[u] = u(q)/q in the quadratic-intersection case, else 0
+    a, m = ext.radicand, ext.degree
+    q = a.nth_root(2) if m == 6 else None
+    if m == 6 and q is None and a.nth_root(3) is not None:
         raise UnsupportedCompositeError(
             "E meet F would be a cubic subfield; not supported"
         )
     if q is None:
-        comp = CompositeField(tower, ext, 6, a, "k")
-        zetas = [u for u in UNITS]
-        elements = [comp.element(u, z) for u in tower.elements for z in zetas]
-        gens = {gname: comp.element(u, QOmega.one()) for gname, u in tower.generators.items()}
-        idv = VarAutomorphism.identity(len(tower.variables))
-        gens["w"] = comp.element(idv, QOmega.omega())
-        gens["t"] = comp.element(idv, -QOmega.one())
-        return CompositeGroup(tower, ext, comp, gens, elements, "k")
-
-    # quadratic intersection: identify r^3 with the square root q of a in F
-    comp = CompositeField(tower, ext, 3, q, "quadratic")
-    elements = []
-    for u in tower.elements:
-        sign = _as_qomega(apply(u, q) / q)
-        for zeta in UNITS:
-            if zeta**3 == sign:
-                elements.append(comp.element(u, zeta))
-    gens = {}
+        intersection, reduction = "k", a
+        shift = dict.fromkeys(tower.elements, 0)
+    else:
+        # quadratic intersection: identify r^3 with the square root q of a in F
+        intersection, reduction, m = "quadratic", q, 3
+        shift = {u: _ZETA_EXPONENT[_as_qomega(apply(u, q) / q)] for u in tower.elements}
+    comp = CompositeField(tower, ext, m, reduction, intersection)
+    elements = [comp.element(u, t) for u in tower.elements
+                for t in _UNIT_EXPONENTS if t * m % 6 == shift[u]]
+    gens = {gname: comp.element(u, shift[u]) for gname, u in tower.generators.items()}
     idv = VarAutomorphism.identity(len(tower.variables))
-    for gname, u in tower.generators.items():
-        sign = _as_qomega(apply(u, q) / q)
-        gens[gname] = comp.element(u, QOmega.one() if sign.is_one() else -QOmega.one())
-    gens["w"] = comp.element(idv, QOmega.omega())
-    return CompositeGroup(tower, ext, comp, gens, elements, "quadratic",
+    if m % 3 == 0:
+        gens["w"] = comp.element(idv, 2)
+    if m % 2 == 0:
+        gens["t"] = comp.element(idv, 3)
+    return CompositeGroup(tower, ext, comp, gens, elements, intersection,
                           intersection_q=q)
 
 
@@ -1130,12 +1102,12 @@ def _degree_preserved(group, index):
 
 def _flips_only(uf: VarAutomorphism, index):
     """u(v) = -v for this variable and u fixes every other variable."""
-    if uf.perm[index] != index or uf.scal[index] != -QOmega.one():
+    if uf.perm[index] != index or uf.zexp[index] != 3:
         return False
-    for j, (p, s) in enumerate(zip(uf.perm, uf.scal)):
+    for j, (p, t) in enumerate(zip(uf.perm, uf.zexp)):
         if j == index:
             continue
-        if p != j or not s.is_one():
+        if p != j or t:
             return False
     return True
 

@@ -18,6 +18,7 @@ from .fieldtower import (
     ExtensionDescriptor,
     FieldElement,
     RadElement,
+    _monomial_norm_preimage,
     apply,
     composite_group,
     is_fixed,
@@ -425,8 +426,6 @@ def _solve_g_norm(spec, target):
     g = tower.element_named("g")
     if target.is_one():
         return tower.one()
-    from .fieldtower import _monomial_norm_preimage
-
     cand = _monomial_norm_preimage(target, g, 3)
     if cand is not None:
         return cand

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import curveconfig, hexagon
-from ._ratfunc import QOmega
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
@@ -23,6 +22,7 @@ from .fieldtower import (
     NOT_NORM,
     TowerError,
     UNKNOWN,
+    _ZETA_KEYS,
     apply,
     norm,
 )
@@ -32,6 +32,7 @@ from .points import (
     PointValidationError,
     component_permutations,
     composite_for,
+    construct_2point,
     general_position,
 )
 from .surface import (
@@ -42,6 +43,7 @@ from .surface import (
     is_isomorphic,
     k_fixing_subgroup,
     make_surface,
+    sb_class_equivalent,
     subfield,
 )
 
@@ -50,9 +52,9 @@ class LinkError(ValueError):
     pass
 
 
-_ONE = QOmega.one()
-#: by degree: the roots of unity acting on the radical of an independent field
-_ROOTS = {2: (_ONE, -_ONE), 3: (_ONE, QOmega.omega(), QOmega.omega() ** 2)}
+#: by degree: the roots of unity acting on the radical of an independent
+#: field, as exponents of zeta = -w^2 (1, -1 and 1, w, w^2)
+_ROOTS = {2: (0, 3), 3: (0, 2, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +65,13 @@ _ROOTS = {2: (_ONE, -_ONE), 3: (_ONE, QOmega.omega(), QOmega.omega() ** 2)}
 class PointHandle:
     """A 2-/3-point known at data level, with its component Galois action.
 
-    `fld` is the splitting field E of the point.  `comp_table` maps (u, zeta)
+    `fld` is the splitting field E of the point.  `comp_table` maps (u, t)
     to the permutation of the components, where u is an element of Gal(F/k)
-    and zeta the root of unity by which the element acts on the radical of E
-    (zeta = 1 when E lies in F).  One table serves every vertex the point is
+    and zeta^t the root of unity by which the element acts on the radical of
+    E (t = 0 when E lies in F).  One table serves every vertex the point is
     carried to: the components are defined over E, so an element of the
     vertex group Gal(F(E_1, ..., E_m)/k) permutes them through its image in
-    Gal(F(E)/k), and that image is fixed by the pair (u, zeta): its
+    Gal(F(E)/k), and that image is fixed by the pair (u, t): its
     restriction to F and its action on the radical of E.
     """
 
@@ -96,7 +98,7 @@ class DataSurface:
     name: str
     tower: object
     radicals: tuple                  # independent radical extensions over k
-    action: dict                     # (u, zetas on the radicals) -> hexagon perm
+    action: dict                     # (u, zeta exponents on the radicals) -> hexagon perm
     gtype: str                       # structure of the image group on Sigma
     K: ExtensionDescriptor
     L: ExtensionDescriptor | None
@@ -117,7 +119,7 @@ class DataSurface:
         sb = frozenset(h.key + (h.status,) for h in self.sb_pair)
         conic = (self.conic.key, self.conic.status) if self.conic else None
         rads = tuple(r.key() for r in self.radicals)
-        kernel = frozenset((u.key(), tuple(z.key() for z in zs))
+        kernel = frozenset((u.key(), tuple(_ZETA_KEYS[t] for t in zs))
                            for u, zs in self.kernel())
         return (self.tower.field_key(), rads, kernel, self.gtype,
                 self.K.field_id(), sb, self.L.field_id() if self.L else None,
@@ -186,7 +188,7 @@ def declared_point_handle(spec: SurfaceSpec, p: ClosedPointSpec) -> PointHandle:
         raise LinkError("links exist at 2- and 3-points only")
     _, perms = component_permutations(spec, p)
     gp = general_position(spec, p)
-    table = {(u.uf, u.zeta) if isinstance(u, CompositeElement) else (u, _ONE): perm
+    table = {(u.uf, u.zexp) if isinstance(u, CompositeElement) else (u, 0): perm
              for u, perm in perms.items()}
     if composite_for(spec.tower, p.ext).intersection == "contained":
         fld = subfield(spec.tower, p.ext.fixing_subgroup_in_F(), p.ext.name)
@@ -292,12 +294,12 @@ def link(source, p, name=None):
     if idx != d:
         raise LinkError(f"a {d}-link needs index {d}; surface has index {idx}")
 
-    # zeta of the point's table: zs[slot] when E is the source's radical
-    # `slot`, else z, the new coordinate (always 1 when E is contained)
+    # zeta exponent of the point's table: zs[slot] when E is the source's
+    # radical `slot`, else z, the new coordinate (always 0 when E is contained)
     slot = _field_slot(handle.fld, src)
     contained = slot is not None
     if contained:
-        zetas = (_ONE,)
+        zetas = (0,)
     elif handle.fld.kind == "subfield":
         raise LinkError("independent splitting fields must be radical extensions")
     elif handle.fld.degree not in _ROOTS:
@@ -310,10 +312,10 @@ def link(source, p, name=None):
     def comp(u, zs, z):
         return table[(u, zs[slot] if isinstance(slot, int) else z)]
 
-    gens = [((u, zs), hp, comp(u, zs, _ONE)) for (u, zs), hp in src.action.items()]
+    gens = [((u, zs), hp, comp(u, zs, 0)) for (u, zs), hp in src.action.items()]
     # independence from every current radical was decided in _field_slot
     idn = src.tower.element_named("1")
-    ones = (_ONE,) * len(src.radicals)
+    ones = (0,) * len(src.radicals)
     gens += [((idn, ones + (z,)), hexagon.IDENTITY, comp(idn, ones, z))
              for z in zetas[1:]]
     induced = curveconfig.induced_sigma_prime_action(d, gens)
@@ -403,10 +405,6 @@ def link(source, p, name=None):
     return rec
 
 
-def _trivial(zs):
-    return all(z.is_one() for z in zs)
-
-
 def _field_slot(fld: ExtensionDescriptor, src: DataSurface):
     """Where the splitting field E sits over the source's splitting field.
 
@@ -415,7 +413,7 @@ def _field_slot(fld: ExtensionDescriptor, src: DataSurface):
     """
     fixing = fld.fixing_subgroup_in_F()
     if fixing is not None:
-        if all(u in fixing and _trivial(zs) for u, zs in src.kernel()):
+        if all(u in fixing and not any(zs) for u, zs in src.kernel()):
             return "F"
         return None
     for i, rad in enumerate(src.radicals):
@@ -427,9 +425,9 @@ def _field_slot(fld: ExtensionDescriptor, src: DataSurface):
 def _pure_factor_trivial(action, i):
     """Whether the i-th radical factor acts trivially on the new hexagon."""
     return all(
-        perm == hexagon.IDENTITY or zs[i].is_one()
+        perm == hexagon.IDENTITY or not zs[i]
         for (u, zs), perm in action.items()
-        if u.is_identity() and _trivial(zs[:i] + zs[i + 1:])
+        if u.is_identity() and not any(zs[:i] + zs[i + 1:])
     )
 
 
@@ -447,13 +445,13 @@ def _drop_killed_radicals(action, radicals):
 
 
 def _reduce_inverse_table(inv_comp, slot):
-    """The inverse point's table: (u, zeta on its field's radical `slot`).
+    """The inverse point's table: (u, zeta exponent on its field's radical `slot`).
 
-    With no slot the inverse point splits inside F and zeta is 1.
+    With no slot the inverse point splits inside F and the exponent is 0.
     """
     out = {}
     for (u, zs), perm in inv_comp.items():
-        key = (u, _ONE if slot is None else zs[slot])
+        key = (u, 0 if slot is None else zs[slot])
         if out.setdefault(key, perm) != perm:
             raise LinkError("inverse-point transport data is inconsistent")
     return out
@@ -474,13 +472,13 @@ def _stabilizer_field(src, radicals, inv_comp, contracted):
         return subfield(src.tower, sub, "E(ind)"), None
     # pure radical shape: fixers = everything with trivial i-th zeta
     for i, rad in enumerate(radicals):
-        if fixers == {k for k in inv_comp if k[1][i].is_one()}:
+        if fixers == {k for k in inv_comp if not k[1][i]}:
             return replace(rad, name="E(ind)"), i
     raise LinkError("inverse-point splitting field has no supported descriptor")
 
 
 def _describe_kernel(src, kernel):
-    names = {("".join(src.tower.words[u]) or "1") + ("" if _trivial(zs) else "*rad")
+    names = {("".join(src.tower.words[u]) or "1") + ("*rad" if any(zs) else "")
              for u, zs in kernel}
     return "<" + ", ".join(sorted(names)) + ">"
 
@@ -599,8 +597,6 @@ def is_birationally_rigid(source, declared_points=()):
             witness = None
             if src.spec is not None:
                 try:
-                    from .points import construct_2point
-
                     witness = [
                         q for q in construct_2point(src.spec)
                         if q.ext.fixing is not None
@@ -669,8 +665,6 @@ def _class_pair_equivalent(a: DataSurface, b: DataSurface, side):
             results.append(x.same_class(y))
     if True in results:
         return True
-    from .surface import sb_class_equivalent
-
     g = a.tower.element_named("g")
     u = a.tower.element_named(gen_word)
     reg = a.spec.registry if a.spec else None

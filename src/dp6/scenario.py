@@ -18,6 +18,7 @@ from .fieldtower import (
     GaloisTower,
     VarAutomorphism,
     apply,
+    norm_class,
 )
 from .points import ClosedPointSpec, composite_for
 from .surface import make_surface
@@ -323,8 +324,6 @@ def load_scenario(path_or_dict):
         gen = tower.element_named(
             _word(_required(fact, "generator", "fact"), "fact generator"))
         if "certificate" in fact:
-            from .fieldtower import norm_class
-
             cert = parse_element(fact["certificate"], tower)
             norm_class(elem, gen, cert=cert, registry=registry)
         else:

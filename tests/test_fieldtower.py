@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dp6 import hexagon
 from dp6._ratfunc import CPoly, QOmega, UNITS, poly_nth_root, qomega_nth_roots
 from dp6.fieldtower import (
     CertificateError,
@@ -14,6 +15,7 @@ from dp6.fieldtower import (
     TowerError,
     UnsupportedCompositeError,
     VarAutomorphism,
+    _ZETA_POWERS,
     apply,
     composite_group,
     hilbert90_witness,
@@ -88,9 +90,9 @@ def test_apply_composition_on_monomials(s3_tower, data):
 
 
 def _substituted(u, p):
-    """u(p) by plain substitution x_i -> scal[i] * x_perm[i], no shortcuts."""
+    """u(p) by plain substitution x_i -> zeta^zexp[i] * x_perm[i], no shortcuts."""
     ring = p.ring
-    images = [CPoly.variable(ring, u.perm[i]).mul_scalar(u.scal[i])
+    images = [CPoly.variable(ring, u.perm[i]).mul_scalar(_ZETA_POWERS[u.zexp[i]])
               for i in range(ring.ngens)]
     out = CPoly.zero(ring)
     for mon, c in p.terms().items():
@@ -268,9 +270,9 @@ def test_composite_quadratic_intersection(z6_tower):
     assert cg.intersection == "quadratic"
     assert cg.order == 6 * 6 // 2
     # generator list per the composite remark: (g,id), (id,w), (h,t)
-    assert cg.generators["g"].zeta.is_one()
+    assert cg.generators["g"].zexp == 0
     assert cg.generators["w"].uf.is_identity()
-    assert not cg.generators["h"].zeta.is_one()  # h moves the square root
+    assert cg.generators["h"].zexp == 3  # h moves the square root
 
 
 def test_composite_rejects_cubic_intersection(z6_tower):
@@ -317,23 +319,117 @@ def test_d6_composite_generator_pairs(d6_tower):
     cg = composite_group(d6_tower, E)
     assert cg.intersection == "quadratic"
     assert cg.order == 12 * 6 // 2
-    assert cg.generators["g"].zeta.is_one()
-    assert not cg.generators["h"].zeta.is_one()
-    assert not cg.generators["f"].zeta.is_one()
+    assert cg.generators["g"].zexp == 0
+    assert cg.generators["h"].zexp == 3
+    assert cg.generators["f"].zexp == 3
     assert cg.generators["w"].uf.is_identity()
 
 
-@pytest.mark.parametrize("kind,radicand,intersection,rdeg", [
-    ("quadratic", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 2),
-    ("kummer-cubic", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 3),
-    ("kummer-cubic-with-conjugation", lambda x1, x2, x3, y: x1 + x2 + x3, "k", 6),
-    ("kummer-cubic-with-conjugation", lambda x1, x2, x3, y: (x1 * x2 * x3 * y) ** 2,
-     "quadratic", 3),
+_RADICAL_CASES = {
+    "quadratic": ("quadratic", lambda x1, x2, x3, y: x1 + x2 + x3),
+    "kummer-cubic": ("kummer-cubic", lambda x1, x2, x3, y: x1 + x2 + x3),
+    "degree-6": ("kummer-cubic-with-conjugation", lambda x1, x2, x3, y: x1 + x2 + x3),
+    "quadratic-intersection": ("kummer-cubic-with-conjugation",
+                               lambda x1, x2, x3, y: (x1 * x2 * x3 * y) ** 2),
+    # the h- and f-odd radicand of test_d6_composite_generator_pairs, squared
+    "d6-odd-square": ("kummer-cubic-with-conjugation",
+                      lambda x1, x2, x3, y: (y * (x1 - x2) * (x2 - x3) * (x1 - x3)) ** 2),
+}
+
+
+def _radical_composite(tower, case):
+    kind, radicand = _RADICAL_CASES[case]
+    E = ExtensionDescriptor(kind, tower, radicand=radicand(*vars_of(tower, "x1", "x2", "x3", "y")))
+    return composite_group(tower, E)
+
+
+_COMPOSITE_CASES = [(t, c) for t in ("z6_tower", "d6_tower")
+                    for c in ("quadratic", "kummer-cubic", "degree-6", "quadratic-intersection")]
+_COMPOSITE_CASES.append(("d6_tower", "d6-odd-square"))
+
+
+@pytest.mark.parametrize("tower_name,case", _COMPOSITE_CASES)
+def test_composite_group_invariants(request, tower_name, case):
+    tower = request.getfixturevalue(tower_name)
+    cg = _radical_composite(tower, case)
+    comp = cg.comp
+    # (a) each element sends r to a root of r^m = reduction, compatibly with its F-part
+    r = comp.r()
+    for u in cg.elements:
+        assert apply(u, r) ** comp.rdeg == comp.embed(apply(u.uf, comp.reduction))
+    # (b) the generators generate exactly the element list
+    idn = cg.elements[0]
+    assert idn.is_identity()
+    closed = hexagon.closure(idn, cg.generators, type(idn).__mul__, 100)
+    assert set(closed) == set(cg.elements)
+    assert len(set(cg.elements)) == len(cg.elements) == cg.order
+
+
+#: keys of the six roots of unity in Q(w), printed as (rational part, w part)
+_ZK = {"1": ("1", "0"), "w": ("0", "1"), "w2": ("-1", "-1"),
+       "-1": ("-1", "0"), "-w": ("0", "-1"), "-w2": ("1", "1")}
+
+
+def _pinned(rows):
+    return [(word, _ZK[z]) for word, zs in rows for z in zs.split()]
+
+
+_PINNED_ELEMENTS = {
+    "degree-6": _pinned([(word, "1 w w2 -1 -w -w2")
+                         for word in ("1", "g", "h", "gh", "ggh", "hggh")]),
+    "quadratic-intersection": _pinned([
+        ("1", "1 w w2"), ("g", "1 w w2"), ("h", "-1 -w -w2"), ("gh", "-1 -w -w2"),
+        ("ggh", "-1 -w -w2"), ("hggh", "1 w w2"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ELEMENTS))
+def test_composite_element_order_pinned(z6_tower, case):
+    cg = _radical_composite(z6_tower, case)
+    got = [("".join(z6_tower.words[u.uf]) or "1", u.key()[1]) for u in cg.elements]
+    assert got == _PINNED_ELEMENTS[case]
+
+
+def test_group_element_keys_pinned(z6_tower):
+    ones = (("1", "0"),) * 3
+    h = z6_tower.element_named("h")
+    assert h.key() == ((0, 1, 2, 3), ones + (("-1", "0"),))
+    idn_key = ((0, 1, 2, 3), ones + (("1", "0"),))
+    deg6 = _radical_composite(z6_tower, "degree-6")
+    zeta = deg6.comp.element(z6_tower.element_named("1"), 1)  # r -> -w^2 * r
+    assert zeta in deg6.elements and zeta.key() == (idn_key, ("1", "1"))
+    quad = _radical_composite(z6_tower, "quadratic-intersection")
+    assert quad.generators["h"].key() == (h.key(), ("-1", "0"))
+
+
+@pytest.mark.parametrize("case", ["degree-6", "quadratic-intersection"])
+def test_group_element_eq_matches_key(d6_tower, case):
+    elements = _radical_composite(d6_tower, case).elements
+    # rebuilt copies, so equality is not object identity
+    copies = [e * elements[0] for e in elements]
+    for u in elements:
+        for v in copies:
+            assert (u == v) == (u.key() == v.key())
+            if u == v:
+                assert hash(u) == hash(v)
+    tower_elements = d6_tower.elements
+    for u in tower_elements:
+        for v in (w * d6_tower.element_named("1") for w in tower_elements):
+            assert (u == v) == (u.key() == v.key())
+            if u == v:
+                assert hash(u) == hash(v)
+
+
+@pytest.mark.parametrize("case,intersection,rdeg", [
+    ("quadratic", "k", 2),
+    ("kummer-cubic", "k", 3),
+    ("degree-6", "k", 6),
+    ("quadratic-intersection", "quadratic", 3),
 ], ids=["quadratic", "kummer-cubic", "degree-6", "quadratic-intersection"])
-def test_rad_inverse_multi_digit(z6_tower, kind, radicand, intersection, rdeg):
+def test_rad_inverse_multi_digit(z6_tower, case, intersection, rdeg):
     xs = vars_of(z6_tower, "x1", "x2", "x3", "y")
-    E = ExtensionDescriptor(kind, z6_tower, radicand=radicand(*xs))
-    cg = composite_group(z6_tower, E)
+    cg = _radical_composite(z6_tower, case)
     comp = cg.comp
     assert (cg.intersection, comp.rdeg) == (intersection, rdeg)
     # more than one nonzero digit, so the conjugate-product branch runs
@@ -471,7 +567,7 @@ def test_d6_composite_u_is_h(d6_tower):
                             radicand=q * q)
     cg = composite_group(d6_tower, E)
     assert cg.intersection == "quadratic" and cg.order == 36
-    assert cg.generators["g"].zeta.is_one()
-    assert cg.generators["h"].zeta.is_one()
-    assert not cg.generators["f"].zeta.is_one()
+    assert cg.generators["g"].zexp == 0
+    assert cg.generators["h"].zexp == 0
+    assert cg.generators["f"].zexp == 3
     assert cg.generators["w"].uf.is_identity()
