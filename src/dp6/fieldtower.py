@@ -358,12 +358,16 @@ class GaloisTower:
         self.embedding = dict(embedding) if embedding else {
             n: DEFAULT_EMBEDDING[n] for n in self.generators
         }
-        self._check_presentation()
+        # the entry of _PRESENTATIONS the generators satisfy; verify_cocycle
+        # checks a surface's cocycle on the same relations
+        self.presentation = self._check_presentation()
         idn = VarAutomorphism.identity(len(self.variables))
         self.words = hexagon.closure(idn, self.generators, VarAutomorphism.__mul__, 12)
         self.elements = list(self.words)
         self.embed_map = self._extend_embedding()
         self.gtype = self._derive_gtype()
+        self._field_key = (self.variables,
+                           tuple(sorted(u.key() for u in self.elements)))
         self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
 
     # -- group structure ---------------------------------------------------
@@ -387,6 +391,7 @@ class GaloisTower:
             ur = _word_product(gens, rhs)
             if ul != ur:
                 raise TowerError(f"presentation relation {lhs} = {rhs} fails")
+        return pres
 
     def _extend_embedding(self):
         out = {}
@@ -477,7 +482,7 @@ class GaloisTower:
 
     def field_key(self):
         """Presentation-independent identity of (F, Gal(F/k)) as a field pair."""
-        return (self.variables, tuple(sorted(u.key() for u in self.elements)))
+        return self._field_key
 
     def __repr__(self):
         return f"GaloisTower({self.name}: {self.gtype} on {self.variables})"

@@ -269,40 +269,67 @@ def cocycle_assignments(spec: SurfaceSpec):
 
 
 def verify_cocycle(spec: SurfaceSpec):
-    """Check alpha_{sv} = alpha_s * s(alpha_v) for every generator s and every
-    element v, filling in the missing values of the cocycle table on the way.
+    """Check that the generator values of the cocycle table extend to a
+    cocycle, on the relators of the tower's presentation, and fill in or
+    compare the value of every group element.
 
-    This decides alpha_{uv} = alpha_u * u(alpha_v) for every pair u, v.  The
-    set U of the u for which it holds for all v is closed under products: for
-    u, u' in U,
+    Let F be the free group on the generators, acting through F -> G.  The
+    generator values extend to exactly one crossed homomorphism alpha on F,
+    by alpha(s*w) = alpha_s * s(alpha(w)).  The kernel N of F -> G acts
+    trivially, so on N alpha is a homomorphism, and K = {n in N : alpha(n)
+    = 1} is a subgroup.  K is normal in F: for n in K and w in F,
 
-        alpha_{uu'v} = alpha_u * u(alpha_{u'v})
-                     = alpha_u * u(alpha_{u'}) * (uu')(alpha_v)
-                     = alpha_{uu'} * (uu')(alpha_v),
+        alpha(w n w^-1) = alpha(w) * w(alpha(n)) * (wn)(alpha(w^-1))
+                        = alpha(w) * w(alpha(w^-1)) = alpha(w w^-1) = 1,
 
-    using (uu')(x) = u(u'(x)) and u(A * B) = u(A) * u(B), which holds because
-    the torus action is monomial.  The group is finite, so once U holds the
-    generators it is the whole group.
+    using that the torus action is monomial, so u(A * B) = u(A) * u(B).
+    `GaloisTower._check_presentation` makes G a quotient of the presented
+    group, and both have 6, 6 or 12 elements (g of order 3, an involution
+    outside <g>, and for D6 the central h outside the centreless <g, f>), so
+    N is the normal closure of the relators: s^n for a generator s of order
+    n, and lhs * rhs^-1 for a relation lhs = rhs, whose value is
+    alpha(lhs) * alpha(rhs)^-1 because lhs and rhs act alike.  If every
+    relator lies in K, then K = N, alpha(wn) = alpha(w) for n in N, and
+    alpha is a cocycle on G.
 
-    The table starts with alpha_1 = identity and the generator values.  The
-    elements are walked in closure order, where every v other than 1 is s'v'
-    for a v' met before it, so alpha_v is in the table when it is read.  A
-    missing alpha_{sv} is set to the right-hand side; a present one is
-    compared with it, so a call on a built table compares every pair.
+    The value of a word is computed once per suffix, in a memo that lives
+    for this call; the closure words `tower.words` are suffix-closed, so
+    the relator words share their products.  A missing table entry alpha_v
+    is set to the value of the word of v; a present one, alpha_1 and the
+    generator values included, is compared with it, so a call on a built
+    table checks the whole table.
     """
     tower = spec.tower
     table = spec.cocycle
-    for v in tower.elements:
-        av = table[v]
-        for s in tower.generators.values():
-            rhs = table[s] * av.galois(s)
-            sv = s * v
-            if sv not in table:
-                table[sv] = rhs
-            elif table[sv] != rhs:
-                raise SurfaceConditionError(
-                    f"cocycle identity fails at ({tower.words[s]}, {tower.words[v]})"
-                )
+    values = {(): TwistedAutomorphism.identity(tower)}
+
+    def alpha(word):
+        a = values.get(word)
+        if a is None:
+            s = tower.generators[word[0]]
+            a = table[s] if len(word) == 1 else table[s] * alpha(word[1:]).galois(s)
+            values[word] = a
+        return a
+
+    pres = tower.presentation
+    for name, order in pres["gens"].items():
+        if not alpha((name,) * order).is_identity():
+            raise SurfaceConditionError(
+                f"cocycle identity fails at relator {name}^{order}"
+            )
+    for lhs, rhs in pres["relations"]:
+        if alpha(tuple(lhs)) != alpha(tuple(rhs)):
+            raise SurfaceConditionError(
+                f"cocycle identity fails at relation {lhs} = {rhs}"
+            )
+    for v, word in tower.words.items():
+        av = alpha(word)
+        if v not in table:
+            table[v] = av
+        elif table[v] != av:
+            raise SurfaceConditionError(
+                f"cocycle identity fails at element {''.join(word) or '1'}"
+            )
     return True
 
 

@@ -163,6 +163,18 @@ def test_apply_is_field_hom(z6_tower, s3_tower, d6_tower, data):
     assert apply(u, x * y) == apply(u, x) * apply(u, y)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_norm_is_multiplicative(z6_tower, s3_tower, d6_tower, data):
+    tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
+    u = data.draw(st.sampled_from(tower.elements))
+    # the same draws as test_apply_is_field_hom, for the same reason
+    x = data.draw(_elements(tower, _RATIONAL))
+    y = data.draw(st.one_of(_elements(tower, _RATIONAL),
+                            _term_quotients(tower, _RATIONAL)))
+    assert norm(u, x * y) == norm(u, x) * norm(u, y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_gcd_free_paths_match_cancel_pair(z6_tower, s3_tower, d6_tower, data):

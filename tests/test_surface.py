@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 
 import pytest
 
@@ -121,6 +122,87 @@ def test_verify_cocycle_rejects_broken_tables(gtype, z6_hex, s3_example,
         assert _failing_pairs(bad)
         with pytest.raises(SurfaceConditionError, match="cocycle identity"):
             verify_cocycle(bad)
+
+
+# For each relator of each presentation, the generator whose value is
+# multiplied on the left by a factor (see _break_factors) that breaks this
+# relator and keeps every relator checked before it.
+_RELATOR_BREAKS = {
+    "Z6": {"g^3": ("g", "first"), "h^2": ("h", "last"),
+           "gh = hg": ("h", "two")},
+    "S3": {"g^3": ("g", "first"), "f^2": ("f", "two"),
+           "fgf = gg": ("g", "two")},
+    "D6": {"g^3": ("g", "first"), "h^2": ("h", "last"), "f^2": ("f", "two"),
+           "gh = hg": ("h", "two"), "hf = fh": ("f", "central"),
+           "fgf = gg": ("f", "minus")},
+}
+
+
+def _generator_table(spec):
+    """A copy of spec whose cocycle table holds alpha_1 and the generator
+    values only, as make_surface hands it to verify_cocycle."""
+    tower = spec.tower
+    kept = {tower.element_named("1"), *tower.generators.values()}
+    out = copy.copy(spec)
+    out.cocycle = {u: a for u, a in spec.cocycle.items() if u in kept}
+    return out
+
+
+def _break_factors(tower):
+    one = tower.one()
+    return {
+        "first": TwistedAutomorphism.toric(tower.var(tower.variables[0]), one),
+        "last": TwistedAutomorphism.toric(tower.var(tower.variables[-1]), one),
+        "two": TwistedAutomorphism.toric(tower.const(QOmega(2)), one),
+        "minus": TwistedAutomorphism.toric(-one, -one),
+        "central": TwistedAutomorphism(one, one, hexagon.CENTRAL),
+    }
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+def test_verify_cocycle_names_each_failing_relator(gtype, z6_hex, s3_example,
+                                                   d6_index2):
+    spec = {"Z6": z6_hex, "S3": s3_example, "D6": d6_index2}[gtype]
+    tower = spec.tower
+    pres = tower.presentation
+    relators = [f"{n}^{k}" for n, k in pres["gens"].items()]
+    relators += [f"{lhs} = {rhs}" for lhs, rhs in pres["relations"]]
+    assert sorted(relators) == sorted(_RELATOR_BREAKS[gtype])
+    factors = _break_factors(tower)
+    for relator, (name, factor) in _RELATOR_BREAKS[gtype].items():
+        s = tower.generators[name]
+        change = {s: factors[factor] * spec.cocycle[s]}
+        built = _tampered(spec, change)
+        assert _failing_pairs(built)
+        fresh = _generator_table(spec)
+        fresh.cocycle.update(change)
+        for bad in (built, fresh):
+            with pytest.raises(SurfaceConditionError, match=(
+                    rf"cocycle identity fails at relat(or|ion) "
+                    rf"{re.escape(relator)}$")):
+                verify_cocycle(bad)
+
+
+@pytest.mark.parametrize("gtype,bound", [("Z6", 7), ("S3", 6), ("D6", 16)])
+def test_verify_cocycle_product_count(gtype, bound, z6_hex, s3_example,
+                                      d6_index2, monkeypatch):
+    """One twisted product per word suffix of length >= 2 met in the relators
+    and the closure words; the generator x element loop took 12, 12, 36."""
+    spec = {"Z6": z6_hex, "S3": s3_example, "D6": d6_index2}[gtype]
+    fresh = _generator_table(spec)
+    calls = []
+    mul = TwistedAutomorphism.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TwistedAutomorphism, "__mul__", counting)
+    for table in (spec, fresh):
+        calls.clear()
+        assert verify_cocycle(table)
+        assert len(calls) <= bound
+    assert fresh.cocycle == spec.cocycle
 
 
 def test_make_surface_rejections(z6_tower, s3_tower, d6_tower):
