@@ -599,8 +599,12 @@ def _qomega_cbrt(c: QOmega):
 def poly_nth_root(p: CPoly, n):
     """An n-th root of p in Q(w)[vars], or None.
 
-    Uses squarefree multiplicities (valid over any characteristic-0 field) and
-    an exact constant root in Q(w).
+    If p = c*q^n, then p's least and greatest degree in each variable are n
+    times q's, so the min degrees of p and the degrees of its core (p with
+    its monomial content stripped) are all divisible by n; a p that fails
+    either test is refused before any squarefree split.  Otherwise uses
+    squarefree multiplicities (valid over any characteristic-0 field) and an
+    exact constant root in Q(w).
     """
     if p.is_zero():
         return CPoly.zero(p.ring)
@@ -608,6 +612,8 @@ def poly_nth_root(p: CPoly, n):
     if any(e % n for e in mins):
         return None
     core = p.shift_down(mins)
+    if any(core.degree_in(i) % n for i in range(p.ring.ngens)):
+        return None
     if core.is_ground():
         root_cp = CPoly.one(p.ring)
     elif core.is_rational():

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import birgroup, curveconfig
-from .fieldtower import TowerError, UNKNOWN
+from .fieldtower import TowerError, UNKNOWN, UnsupportedCompositeError
 from .points import (
     PointCaseError,
     PointValidationError,
@@ -102,7 +102,7 @@ def run(path, strict=False, seed=0, depth=None, dump_dir=None, out=None):
             continue
         except (CommandError, LinkError, PointCaseError, PointValidationError,
                 SurfaceConditionError, birgroup.GraphError, TowerError,
-                ScenarioError, KeyError) as e:
+                ScenarioError, UnsupportedCompositeError, KeyError) as e:
             emit(f"error: {e}")
             code = max(code, 3)
             continue
@@ -122,16 +122,19 @@ def _guard_unknown(state, what, value):
     return value
 
 
+def _named(table, name, what):
+    """The entry of `table` named by the command argument `name`."""
+    if not isinstance(name, str) or name not in table:
+        raise CommandError(f"unknown {what} {name!r}")
+    return table[name]
+
+
 def _surface(scen, name):
-    if name not in scen.surfaces:
-        raise CommandError(f"unknown surface {name!r}")
-    return scen.surfaces[name]
+    return _named(scen.surfaces, name, "surface")
 
 
 def _point(scen, name):
-    if name not in scen.points:
-        raise CommandError(f"unknown point {name!r}")
-    return scen.points[name]
+    return _named(scen.points, name, "point")
 
 
 def _int_arg(value, what):
@@ -156,7 +159,9 @@ def _dispatch(scen, state, cmd, emit):
     if not cmd:
         raise CommandError("empty command")
     op, *args = cmd
-    fewest, most = _ARGS.get(op, (0, len(args)))
+    if not isinstance(op, str) or op not in _ARGS:
+        raise CommandError(f"unknown command {op!r}")
+    fewest, most = _ARGS[op]
     if op == "check-relation" and args[1:2] == ["hexagonal"]:
         fewest = most = 4
     if len(args) < fewest:
@@ -311,7 +316,7 @@ def _dispatch(scen, state, cmd, emit):
         cfg = curveconfig.config(n)
         action = None
         if len(args) > 1:
-            tower = scen.towers[args[1]]
+            tower = _named(scen.towers, args[1], "tower")
             if n == 3:
                 action = curveconfig.hexagon_action(tower)
         text = cfg.dump(action)
@@ -343,8 +348,6 @@ def _dispatch(scen, state, cmd, emit):
                 emit(f"point-degree: 2")
                 emit(f"lambda1: {p.lam1}")
                 emit(f"field: {p.ext.name}")
-        return
-    raise CommandError(f"unknown command {op!r}")
 
 
 def _walk(scen, graph, word_text):

@@ -113,18 +113,32 @@ def d6_elements():
     return _D6
 
 
-def torus_act(p, a, b):
-    """The torus action of the symmetry p on the pair (a, b)."""
-    return tuple(_torus_monomial(a, b, e, f) for e, f in d6_elements()[p])
+def torus_act(p, a, b, monomials=None):
+    """The torus action of the symmetry p on the pair (a, b).
+
+    Row (e, f) of p's matrix gives the monomial a**e * b**f.  `monomials`
+    memoises these by row; a dict passed to several calls on the same pair
+    (a, b) builds each of the six possible rows +-(1, 0), +-(0, 1),
+    +-(1, -1) at most once, and inverts a and b at most once each.
+    """
+    if monomials is None:
+        monomials = {}
+    return tuple(_torus_monomial(a, b, row, monomials) for row in d6_elements()[p])
 
 
-def _torus_monomial(a, b, e, f):
-    # a**e * b**f; no row of an invertible matrix is zero
-    if not f:
-        return a ** e
-    if not e:
-        return b ** f
-    return a ** e * b ** f
+def _torus_monomial(a, b, row, monomials):
+    # a**e * b**f; no row of an invertible matrix is zero, and a row with
+    # both entries nonzero is the product of the rows (e, 0) and (0, f)
+    m = monomials.get(row)
+    if m is None:
+        e, f = row
+        if e and f:
+            m = (_torus_monomial(a, b, (e, 0), monomials)
+                 * _torus_monomial(a, b, (0, f), monomials))
+        else:
+            m = a ** e if e else b ** f
+        monomials[row] = m
+    return m
 
 
 def perm_name(p):

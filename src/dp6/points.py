@@ -69,31 +69,39 @@ def composite_for(tower, ext) -> CompositeGroup:
 # the twisted action on the torus chart
 # ---------------------------------------------------------------------------
 
-def twisted_apply(spec: SurfaceSpec, u, coords):
+def twisted_apply(spec: SurfaceSpec, u, coords, monomials=None):
     """alpha_u o u applied to a torus point (l1, l2).
 
     u is a tower automorphism or a composite element; the cocycle is inflated
-    through restriction to F.
+    through restriction to F.  The symmetry of alpha_u acts by the monomials
+    l1^e * l2^f of its matrix rows (e, f), and u commutes with them:
+    u(l1)^e * u(l2)^f = u(l1^e * l2^f), because a field automorphism is a
+    ring homomorphism and so also sends inverses to inverses.  So the
+    monomials are taken of the original coordinates and then moved by u.
+    `monomials` memoises them by row (see hexagon.torus_act): one dict
+    passed for every u over the same coords builds each monomial once.
     """
     uf = u.uf if isinstance(u, CompositeElement) else u
     al = spec.alpha(uf)
-    c1, c2 = apply(u, coords[0]), apply(u, coords[1])
+    m1, m2 = hexagon.torus_act(al.perm, coords[0], coords[1], monomials)
+    i1, i2 = apply(u, m1), apply(u, m2)
     t1, t2 = al.t1, al.t2
-    if isinstance(c1, RadElement):
-        t1, t2 = c1.comp.embed(t1), c1.comp.embed(t2)
-    i1, i2 = hexagon.torus_act(al.perm, c1, c2)
+    if isinstance(i1, RadElement):
+        t1, t2 = i1.comp.embed(t1), i1.comp.embed(t2)
     return (t1 * i1, t2 * i2)
 
 
 def _twisted_images(spec: SurfaceSpec, coords, group):
     """alpha_u o u applied to coords, for every u in group.
 
-    Raises if a coordinate leaves the torus chart (some lambda_i = 0).
+    The torus monomials of coords are shared by the whole group.  Raises if
+    a coordinate leaves the torus chart (some lambda_i = 0).
     """
     for c in coords:
         if c.is_zero():
             raise PointValidationError("coordinate leaves the torus chart")
-    return {u: twisted_apply(spec, u, coords) for u in group}
+    monomials = {}
+    return {u: twisted_apply(spec, u, coords, monomials) for u in group}
 
 
 def _number_components(images):

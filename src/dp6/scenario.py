@@ -16,6 +16,7 @@ from .fieldtower import (
     ExtensionDescriptor,
     FactRegistry,
     GaloisTower,
+    UnsupportedCompositeError,
     VarAutomorphism,
     apply,
     norm_class,
@@ -192,6 +193,19 @@ def _required(node, key, what):
     return node[key]
 
 
+def _element(node, key, where, tower, comp=None):
+    """The required field node[key] of the entry `where`, parsed.
+
+    A division by zero in the expression is an error in that field.
+    """
+    text = _required(node, key, where)
+    try:
+        return parse_element(text, tower, comp)
+    except ZeroDivisionError:
+        raise ScenarioError(
+            f"{where}: {key}: division by zero in {text!r}") from None
+
+
 def _entries(raw, key):
     """The (name, node) pairs of a scenario section, sorted by name."""
     nodes = section(raw.get(key), dict, key)
@@ -249,7 +263,7 @@ def _build_extension(name, node, towers):
         fixing = tower.subgroup([_word(w, f"{where}: fixing entry")
                                  for w in words])
         return ExtensionDescriptor("subfield", tower, fixing=fixing, name=name)
-    radicand = parse_element(_required(node, "radicand", where), tower)
+    radicand = _element(node, "radicand", where, tower)
     return ExtensionDescriptor(kind, tower, radicand=radicand, name=name)
 
 
@@ -269,17 +283,23 @@ def _build_point(name, node, scenario):
                                    node.get("general_position", False)))
     ext = _named(scenario.extensions, _required(node, "extension", where),
                  f"{where}: extension")
-    cg = composite_for(spec.tower, ext)
+    try:
+        cg = composite_for(spec.tower, ext)
+    except UnsupportedCompositeError as e:
+        raise ScenarioError(f"{where}: extension {ext.name}: {e}") from None
     comp = cg.comp
-    lam1 = parse_element(_required(node, "lambda1", where), spec.tower, comp)
+    lam1 = _element(node, "lambda1", where, spec.tower, comp)
     if "lambda2" in node:
-        lam2 = parse_element(node["lambda2"], spec.tower, comp)
+        lam2 = _element(node, "lambda2", where, spec.tower, comp)
     else:
         rule = node.get("lambda2_rule", "g-orbit")
         gel = cg.generators["g"]
         if rule == "g-orbit":
             lam2 = lam1 * apply(gel, lam1)
         elif rule == "f-form":
+            if lam1.is_zero():
+                raise ScenarioError(
+                    f"{where}: lambda2_rule: f-form divides by lambda1 = 0")
             f = cg.generators["f"]
             xi = spec.xi if comp is None else comp.embed(spec.xi)
             lam2 = apply(f, lam1 ** -1) * xi ** -1
@@ -320,11 +340,11 @@ def load_scenario(path_or_dict):
     for fact in section(raw.get("facts"), list, "facts"):
         section(fact, dict, "a fact")
         tower = _named(towers, _required(fact, "tower", "fact"), "fact tower")
-        elem = parse_element(_required(fact, "element", "fact"), tower)
+        elem = _element(fact, "element", "fact", tower)
         gen = tower.element_named(
             _word(_required(fact, "generator", "fact"), "fact generator"))
         if "certificate" in fact:
-            cert = parse_element(fact["certificate"], tower)
+            cert = _element(fact, "certificate", "fact", tower)
             norm_class(elem, gen, cert=cert, registry=registry)
         else:
             registry.assume(elem, gen, _required(fact, "verdict", "fact"),
@@ -332,8 +352,8 @@ def load_scenario(path_or_dict):
     for name, node in _entries(raw, "surfaces"):
         where = f"surface {name}"
         tower = _named(towers, _required(node, "tower", where), f"{where}: tower")
-        xi = parse_element(_required(node, "xi", where), tower)
-        rho = parse_element(node["rho"], tower) if node.get("rho") is not None \
+        xi = _element(node, "xi", where, tower)
+        rho = _element(node, "rho", where, tower) if node.get("rho") is not None \
             else None
         scen.surfaces[name] = make_surface(
             _required(node, "gtype", where), tower, xi, rho, registry, name=name

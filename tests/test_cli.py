@@ -220,9 +220,15 @@ def test_degree4_point_has_no_links(tmp_path):
     (["classify", "SZ", "junk"], "classify takes at most 1 argument(s), got 2"),
     (["check-relation", "SZ", "hexagonal", "p", "q", "p"],
      "check-relation takes at most 4 argument(s), got 5"),
+    ([["classify"], "SZ"], "unknown command ['classify']"),
+    ([{"op": "classify"}, "SZ"], "unknown command {'op': 'classify'}"),
+    (["classify", ["SZ"]], "unknown surface ['SZ']"),
+    (["validate", "SZ", {"p": 1}], "unknown point {'p': 1}"),
+    (["dump-config", 3, ["FZ"]], "unknown tower ['FZ']"),
 ], ids=["explore-word", "explore-negative", "dump-config-9", "empty",
         "validate-bare", "construct-point-7", "psi-number", "classify-extra",
-        "hexagonal-extra"])
+        "hexagonal-extra", "list-command", "dict-command", "list-surface",
+        "dict-point", "list-tower"])
 def test_malformed_command_is_semantic_error(tmp_path, command, message):
     code, text = _hex_scenario(tmp_path, "malformed", {},
                                [command, ["classify", "SZ"]])
@@ -339,6 +345,17 @@ _SZ = ("surfaces", "SZ")
     (_drop(_P + ("extension",)), False, "point p: missing field 'extension'"),
     (_drop(_P + ("lambda1",)), False, "point p: missing field 'lambda1'"),
     (_drop(_P + ("lambda1",)), True, "point p: missing field 'lambda1'"),
+    (_set(_SZ + ("xi",), "1/0"), False,
+     "surface SZ: xi: division by zero in '1/0'"),
+    (_set(_SZ + ("rho",), "x1/(x2 - x2)"), False,
+     "surface SZ: rho: division by zero in 'x1/(x2 - x2)'"),
+    (_set(_P + ("lambda1",), "x1/0"), False,
+     "point p: lambda1: division by zero in 'x1/0'"),
+    (_set(_P + ("lambda2",), "0^-1"), False,
+     "point p: lambda2: division by zero in '0^-1'"),
+    (_set(("facts",), [{"tower": "FZ", "element": "1/0", "generator": "g",
+                        "verdict": "IsNorm"}]), False,
+     "fact: element: division by zero in '1/0'"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
         "fact-generator", "name", "extension-tower", "surface-tower",
@@ -347,7 +364,9 @@ _SZ = ("surfaces", "SZ")
         "no-variables", "no-generators", "no-extension-tower", "no-kind",
         "no-fixing", "no-radicand", "no-verdict", "no-fact-tower",
         "no-surface-tower", "no-xi", "no-gtype", "no-point-surface",
-        "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict"])
+        "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict",
+        "xi-by-zero", "rho-by-zero", "lambda1-by-zero", "lambda2-by-zero",
+        "fact-by-zero"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"
@@ -355,3 +374,36 @@ def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     code, text = run(str(path), strict=strict)
     assert code == 2
     assert text == f"load-error: {message}\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    # -1 = (-1)^3: the root test finds the cube root, so E0 has no composite
+    (_set(("extensions", "E0", "radicand"), "-1"),
+     "point p0: extension E0: radicand is a cube in k"),
+    (lambda scen: _set(("points", "p0", "lambda2_rule"), "f-form")(
+        _set(("points", "p0", "lambda1"), "0")(scen)),
+     "point p0: lambda2_rule: f-form divides by lambda1 = 0"),
+], ids=["radicand-cube", "f-form-zero"])
+def test_example_main_point_is_load_error(tmp_path, edit, message):
+    scen = edit(json.loads(open(bundled_path("example-main")).read()))
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(scen))
+    code, text = run(str(path))
+    assert code == 2
+    assert text == f"load-error: {message}\n"
+
+
+def test_unsupported_composite_in_a_command(tmp_path, monkeypatch):
+    import dp6.cli
+    from dp6.fieldtower import UnsupportedCompositeError
+
+    def unsupported(*_, **__):
+        raise UnsupportedCompositeError("radicand is a cube in k")
+
+    monkeypatch.setattr(dp6.cli, "link", unsupported)
+    code, text = _hex_scenario(tmp_path, "composite", {},
+                               [["link", "SZ", "p"], ["classify", "SZ"]])
+    assert code == 3
+    got = _sections(text)
+    assert got["== link SZ p"] == "error: radicand is a cube in k"
+    assert "index: 2" in got["== classify SZ"]

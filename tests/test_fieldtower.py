@@ -433,6 +433,47 @@ def test_group_element_eq_matches_key(d6_tower, case):
                 assert hash(u) == hash(v)
 
 
+def _assert_eq_matches_key(values):
+    for a in values:
+        for b in values:
+            assert (a == b) == (a.key() == b.key())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_field_element_eq_matches_key(z6_tower, s3_tower, d6_tower, data):
+    """Equal values reached by different routes have one key, and unequal
+    values different keys: equality compares canonical forms literally."""
+    tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
+    u = data.draw(st.sampled_from(tower.elements))
+    # rational coefficients, as in test_apply_is_field_hom
+    x = data.draw(_elements(tower, _RATIONAL))
+    y = data.draw(st.one_of(_elements(tower, _RATIONAL),
+                            _term_quotients(tower, _RATIONAL)))
+    routes = [x, x * y / y, (x + y) - y, (x.inv() * y).inv() * y,
+              (x.inv() * y / y).inv(), apply(u.inverse(), apply(u, x))]
+    assert all(r == x for r in routes)
+    _assert_eq_matches_key(routes + [y, x + 1, x * 2, apply(u, x)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["quadratic", "kummer-cubic", "quadratic-intersection"]),
+       st.data())
+def test_rad_element_eq_matches_key(z6_tower, case, data):
+    cg = _radical_composite(z6_tower, case)
+    comp = cg.comp
+    u = data.draw(st.sampled_from(cg.elements))
+    digits = st.one_of(st.just(z6_tower.zero()),
+                       _term_quotients(z6_tower, _RATIONAL))
+    x, y = (RadElement(comp, [data.draw(digits) for _ in range(comp.rdeg)])
+            for _ in range(2))
+    routes = [x, (x + y) - y, apply(u.inverse(), apply(u, x))]
+    if not y.is_zero():
+        routes.append(x * y / y)
+    assert all(r == x for r in routes)
+    _assert_eq_matches_key(routes + [y, x + 1, x * comp.r(), apply(u, x)])
+
+
 @pytest.mark.parametrize("case,intersection,rdeg", [
     ("quadratic", "k", 2),
     ("kummer-cubic", "k", 3),

@@ -2,11 +2,12 @@
 
 import pytest
 
-from dp6 import points
+from dp6 import hexagon, points
 from dp6._ratfunc import QOmega
 from dp6.fieldtower import (
     ExtensionDescriptor,
     GaloisTower,
+    RadElement,
     VarAutomorphism,
     apply,
     norm,
@@ -249,9 +250,9 @@ def _count_twisted_apply(monkeypatch):
     calls = []
     apply_once = points.twisted_apply
 
-    def counted(spec, u, coords):
+    def counted(spec, u, coords, *monomials):
         calls.append(u)
-        return apply_once(spec, u, coords)
+        return apply_once(spec, u, coords, *monomials)
 
     monkeypatch.setattr(points, "twisted_apply", counted)
     return calls
@@ -266,6 +267,73 @@ def test_example_main_runs_one_pass_per_point(monkeypatch):
     # four Kummer-cubic points over the 18-element composite group, and the
     # F-split point pF over the 6-element group of F
     assert len(calls) == 4 * 18 + 6
+
+
+def test_example_main_inverts_each_coordinate_once_per_pass(monkeypatch):
+    from dp6.cli import bundled_path, run
+
+    passes, inside = [], []
+    images_of, rad_inv = points._twisted_images, RadElement.inv
+
+    def counted_images(spec, coords, group):
+        passes.append(0)
+        inside.append(True)
+        try:
+            return images_of(spec, coords, group)
+        finally:
+            inside.pop()
+
+    def counted_inv(x):
+        if inside:
+            passes[-1] += 1
+        return rad_inv(x)
+
+    monkeypatch.setattr(points, "_twisted_images", counted_images)
+    monkeypatch.setattr(RadElement, "inv", counted_inv)
+    code, _ = run(bundled_path("example-main"))
+    assert code == 0
+    # the F-split point pF has no radical coordinates; each Kummer-cubic
+    # point inverts lambda1 and lambda2 once for its whole pass
+    assert sorted(passes) == [0, 2, 2, 2, 2]
+
+
+def _bundled_points():
+    """(scenario name, surface, point) for each bundled 2- or 3-point."""
+    from dp6.cli import bundled_path
+    from dp6.scenario import load_scenario
+
+    out = []
+    for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
+        scen = load_scenario(bundled_path(name))
+        for pname, p in scen.points.items():
+            if p.degree != 4:
+                surface = scen.raw["points"][pname]["surface"]
+                out.append((name, scen.surfaces[surface], p))
+    return out
+
+
+def test_pass_images_match_torus_formula():
+    """Each pass image is alpha_u o u computed by the torus action on
+    (u(l1), u(l2)), as the matrix rows of alpha_u's symmetry say."""
+    seen = set()
+    for name, spec, p in _bundled_points():
+        images = points._twisted_pass(spec, p)[0]
+        for u, img in images.items():
+            al = spec.alpha(u.uf if hasattr(u, "uf") else u)
+            c1, c2 = apply(u, p.lam1), apply(u, p.lam2)
+            want = [c1 ** e * c2 ** f for e, f in hexagon.d6_elements()[al.perm]]
+            if isinstance(c1, RadElement):
+                want = [c1.comp.embed(al.t1) * want[0], c1.comp.embed(al.t2) * want[1]]
+            else:
+                want = [al.t1 * want[0], al.t2 * want[1]]
+            assert img == tuple(want), (name, p.name, u)
+            assert [x.key() for x in img] == [x.key() for x in want]
+            seen.add((name, al.perm))
+    # every bundled scenario with points (z6-index6 has none), and all
+    # twelve symmetries, so every one of the six rows
+    assert {name for name, _ in seen} == {"example-main", "z6-index2-hex",
+                                          "d6-swap"}
+    assert len({perm for _, perm in seen}) == 12
 
 
 def test_point_pass_keyed_by_content(monkeypatch, z6_tower):

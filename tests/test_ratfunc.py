@@ -96,6 +96,48 @@ def test_poly_nth_root_roundtrip(n, data):
     assert root ** n == power
 
 
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), _SMALL_POLYS, st.integers(-3, 3).filter(bool),
+       st.integers(0, 2), st.integers(1, 2))
+def test_poly_nth_root_of_scaled_power(n, terms, d, var, k):
+    """c*q^n with c = d^n has a root; one more factor (1 + x_var^k) with
+    k < n makes var's degree in the core prime to n, and the degree test
+    refuses it before any squarefree split."""
+    q = CPoly.from_terms(R, {m: QOmega(c) for m, c in terms.items()})
+    p = q ** n * CPoly.const(R, QOmega(d) ** n)
+    root = poly_nth_root(p, n)
+    assert root is not None and root ** n == p
+    k = min(k, n - 1)
+    bump = CPoly.one(R) + CPoly.from_terms(R, {tuple(
+        k if i == var else 0 for i in range(3)): QOmega.one()})
+    assert poly_nth_root(p * bump, n) is None
+
+
+def test_poly_nth_root_degree_test_comes_first(monkeypatch):
+    """A core whose degree in some variable is prime to n never reaches the
+    squarefree split, over Q or over Q(w)."""
+    x, y = _x(0), _x(1)
+    w = CPoly.const(R, QOmega.omega())
+    rational = (x + y) ** 2 * (x + CPoly.one(R))   # x-degree 3
+    mixed = (x + w * y) ** 2 * (y + w)             # y-degree 3
+    assert poly_nth_root(rational, 2) is None
+    assert poly_nth_root(mixed, 2) is None
+
+    def refused(*_):
+        raise AssertionError("squarefree split reached")
+
+    monkeypatch.setattr(type(rational.pa), "sqf_list", refused)
+    monkeypatch.setattr(CPoly, "to_algebraic", refused)
+    assert poly_nth_root(rational, 2) is None
+    assert poly_nth_root(mixed, 2) is None
+    assert poly_nth_root(x * x * y ** 3, 3) is None  # min degrees, as before
+
+
 def test_poly_nth_root_negative_cases():
     x, y = _x(0), _x(1)
     assert poly_nth_root(x * y, 2) is None
