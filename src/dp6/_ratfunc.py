@@ -14,6 +14,8 @@ from functools import lru_cache
 
 from sympy import I, Rational, sqrt
 from sympy.polys.domains import QQ
+from sympy.polys.euclidtools import dmp_ff_prs_gcd
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import ring as _sympy_ring
 
 OMEGA_EXPR = Rational(-1, 2) + sqrt(3) * I / 2
@@ -192,6 +194,11 @@ class CPoly:
         return cls(ring_, ring_.gens[index])
 
     @classmethod
+    def monomial(cls, ring_, exps):
+        """The monomial with exponent vector exps, coefficient 1."""
+        return cls(ring_, ring_.from_dict({tuple(exps): QQ.one}))
+
+    @classmethod
     def from_terms(cls, ring_, terms):
         da, db = {}, {}
         for mon, c in terms.items():
@@ -265,6 +272,22 @@ class CPoly:
 
     def mul_scalar(self, c: QOmega):
         return self * CPoly.const(self.ring, c)
+
+    def exquo_rational(self, q: CPoly):
+        """self / q when the rational polynomial q divides self, else None.
+
+        One division by a single polynomial: its remainder is zero exactly
+        when q divides, so no gcd is taken.
+        """
+        qa, ra = self.pa.div(q.pa)
+        if ra:
+            return None
+        qb = None
+        if self.pb is not None:
+            qb, rb = self.pb.div(q.pa)
+            if rb:
+                return None
+        return CPoly(self.ring, qa, qb)
 
     def __pow__(self, k):
         return power(self, k, CPoly.one(self.ring))
@@ -390,7 +413,7 @@ def cancel_pair(num: CPoly, den: CPoly):
         cn = _scalar_core(num)
         cd = _scalar_core(den)
         if cn is not None and cd is not None:
-            g = cn[1].gcd(cd[1])
+            g = _rational_gcd(cn[1], cd[1])
             if not g.is_ground:
                 num = _with_scalar(ring_, cn[0], cn[1].quo(g))
                 den = _with_scalar(ring_, cd[0], cd[1].quo(g))
@@ -456,6 +479,20 @@ def _scalar_core(p: CPoly):
         if tb[mon] != q * ca:
             return None
     return (QOmega(1, q), p.pa)
+
+
+def _rational_gcd(f, g):
+    """gcd of two QQ-ring polynomials.
+
+    The sparse ring's gcd is the heuristic gcd alone, which gives up on some
+    inputs with `HeuristicGCDFailed`; those take the subresultant PRS gcd.
+    """
+    try:
+        return f.gcd(g)
+    except HeuristicGCDFailed:
+        ring_ = f.ring
+        h = dmp_ff_prs_gcd(f.to_dense(), g.to_dense(), ring_.ngens - 1, ring_.domain)[0]
+        return ring_.from_dense(h)
 
 
 def _with_scalar(ring_, c: QOmega, q):

@@ -765,24 +765,81 @@ class RadElement:
     def __neg__(self):
         return RadElement(self.comp, [-a for a in self.digits])
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        m = self.comp.rdeg
-        red = self.comp.reduction
-        out = [self.comp.tower.zero() for _ in range(m)]
-        for i, a in enumerate(self.digits):
-            if a.is_zero():
+    def _over_common_den(self):
+        """(nums, exps, factors): digit i is nums[i] / (x^exps * prod(factors)).
+
+        The denominator is the lcm of the digits' monomial contents times
+        each distinct non-monomial rest; nums[i] is None for a zero digit.
+        """
+        ring = self.comp.tower.ring
+        shifts = [d.den.min_degrees() for d in self.digits]
+        rests = [d.den.shift_down(s) if any(s) else d.den
+                 for d, s in zip(self.digits, shifts)]
+        exps = tuple(max(e) for e in zip(*shifts))
+        factors = []
+        for q in rests:
+            if not q.is_ground() and q not in factors:
+                factors.append(q)
+        nums = []
+        for d, s, q in zip(self.digits, shifts, rests):
+            if d.is_zero():
+                nums.append(None)
                 continue
-            for j, b in enumerate(o.digits):
-                if b.is_zero():
+            a = d.num
+            if s != exps:
+                a = a * CPoly.monomial(ring, [e - f for e, f in zip(exps, s)])
+            for f in factors:
+                if f != q:
+                    a = a * f
+            nums.append(a)
+        return nums, exps, factors
+
+    def __mul__(self, other):
+        """Digit polynomials over one denominator, one cancel per digit.
+
+        Each side is sum A_i r^i / D (`_over_common_den`); digit k of the
+        product is C_k / (D_self * D_other * den(red)), C_k the sum of A_i B_j
+        with i + j = k, times num(red) where i + j wraps past m (r^m = red)
+        and den(red) where it does not.  The known rational factors of that
+        denominator are divided out of C_k where they divide it before
+        `cancel_pair` takes the gcd of what is left, so a product that cancels
+        back to small digits, such as (x*y) * y^-1, needs no large gcd.
+        """
+        o = self._coerce(other)
+        comp = self.comp
+        m = comp.rdeg
+        ring = comp.tower.ring
+        red = comp.reduction
+        a_nums, a_exps, a_factors = self._over_common_den()
+        b_nums, b_exps, b_factors = o._over_common_den()
+        low = [CPoly.zero(ring)] * m
+        high = [CPoly.zero(ring)] * m
+        for i, a in enumerate(a_nums):
+            if a is None:
+                continue
+            for j, b in enumerate(b_nums):
+                if b is None:
                     continue
-                k = i + j
-                term = a * b
-                if k >= m:
-                    k -= m
-                    term = term * red
-                out[k] = out[k] + term
-        return RadElement(self.comp, out)
+                if i + j < m:
+                    low[i + j] = low[i + j] + a * b
+                else:
+                    high[i + j - m] = high[i + j - m] + a * b
+        factors = a_factors + b_factors
+        if not red.den.is_ground():
+            factors.append(red.den)
+        mono = CPoly.monomial(ring, [e + f for e, f in zip(a_exps, b_exps)])
+        out = []
+        for lo, hi in zip(low, high):
+            c = lo * red.den + hi * red.num
+            den = mono
+            for f in factors:
+                q = c.exquo_rational(f) if f.is_rational() else None
+                if q is None:
+                    den = den * f
+                else:
+                    c = q
+            out.append(FieldElement(comp.tower, c, den))
+        return RadElement(comp, out)
 
     __rmul__ = __mul__
 

@@ -490,6 +490,40 @@ def test_rad_inverse_multi_digit(z6_tower, case, intersection, rdeg):
     assert x * x.inv() == comp.one()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["quadratic", "kummer-cubic", "quadratic-intersection"]),
+       st.data())
+def test_rad_product_matches_digitwise_sum(z6_tower, case, data):
+    """The product over one denominator per side equals the sum of the digit
+    products, r^m reduced to red, in FieldElement arithmetic."""
+    comp = _radical_composite(z6_tower, case).comp
+    m = comp.rdeg
+    # rational coefficients: sums of mixed fractions in the reference take
+    # the slow Q(w) gcd
+    digits = st.one_of(st.just(z6_tower.zero()),
+                       _term_quotients(z6_tower, _RATIONAL),
+                       _elements(z6_tower, _RATIONAL))
+    x, y = (RadElement(comp, [data.draw(digits) for _ in range(m)])
+            for _ in range(2))
+    want = [z6_tower.zero()] * m
+    for i, a in enumerate(x.digits):
+        for j, b in enumerate(y.digits):
+            t = a * b
+            if i + j >= m:
+                t = t * comp.reduction
+            want[(i + j) % m] = want[(i + j) % m] + t
+    assert (x * y).digits == tuple(want)
+
+
+def test_rad_product_cancels_large_digits(z6_tower):
+    """x * x^-1 on the degree-6 composite: x^-1 has digits of up to 172 terms
+    over one denominator, which divides the digit sums exactly."""
+    x1, x2, x3, _ = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    comp = _radical_composite(z6_tower, "degree-6").comp
+    x = RadElement(comp, [x1, x2 + 1, x3 + 2, x1 + 3, x2 + 4, x3 + 5])
+    assert x * x.inv() == comp.one()
+
+
 def test_power_is_repeated_product(z6_tower):
     x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
     w = z6_tower.omega()

@@ -59,6 +59,16 @@ def test_cancel_single_term_skips_gcd():
     assert n == c(0, -1) * (x + y) and d == x
 
 
+def test_cancel_where_the_heuristic_gcd_gives_up():
+    """sympy's sparse heuristic gcd raises HeuristicGCDFailed on this coprime
+    pair; cancel_pair falls back to the PRS gcd and keeps the pair."""
+    S = rational_ring(("t1", "t2", "t3", "s"))
+    t1, t2, t3, s = S.gens
+    num = CPoly(S, QQ(4, 9) * t3**10 * s**6 * (t3 + 1)**2)
+    den = CPoly(S, t1**8 * t2**8 * (t1 + QQ(1, 3)) * (t2 + QQ(1, 3)))
+    assert cancel_pair(num, den) == (num, den)
+
+
 def test_cancel_with_omega_scalar():
     x, y = _x(0), _x(1)
     w = CPoly.const(R, QOmega.omega())
