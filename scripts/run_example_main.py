@@ -43,7 +43,7 @@ def point_at(spec, z):
     mu = s * (t1 + z) * (t2 + z) * (t3 + z)
     ext = ExtensionDescriptor("kummer-cubic", tower, radicand=mu, name=f"E{z}")
     cg = composite_for(tower, ext)
-    lam = (cg.comp.r() / cg.comp.embed(t3 + z)).inv()
+    lam = (cg.comp.r() / (t3 + z)).inv()
     lam2 = lam * apply(cg.generators["g"], lam)
     return ClosedPointSpec(3, ext, lam, lam2, name=f"p{z}")
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from sympy import I, Rational, sqrt
 from sympy.polys.domains import QQ
 from sympy.polys.euclidtools import dmp_ff_prs_gcd
 from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import ring as _sympy_ring
 
-OMEGA_EXPR = Rational(-1, 2) + sqrt(3) * I / 2
 _QQ_TYPE = QQ.dtype
 
 
@@ -158,8 +156,13 @@ def rational_ring(names):
 
 @lru_cache(maxsize=None)
 def algebraic_ring(names):
-    """Companion ring over QQ(w), used only for mixed-coefficient gcds."""
-    dom = QQ.algebraic_field(OMEGA_EXPR)
+    """Companion ring over QQ(w), used only for mixed-coefficient gcds.
+
+    The expression for w is built here, not at import: evaluating it loads
+    sympy's tensor and combinatorics modules, which nothing else needs.
+    """
+    from sympy import I, Rational, sqrt
+    dom = QQ.algebraic_field(Rational(-1, 2) + sqrt(3) * I / 2)
     R = _sympy_ring(" ".join(names), dom)[0]
     return R
 
@@ -271,7 +274,13 @@ class CPoly:
         return CPoly(self.ring, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
 
     def mul_scalar(self, c: QOmega):
-        return self * CPoly.const(self.ring, c)
+        """c * self, one ground multiplication per part and no product."""
+        a, b, pa, pb = c.a, c.b, self.pa, self.pb
+        if pb is None:
+            return _with_scalar(self.ring, c, pa)
+        # (pa + w pb)(a + b w) = (a pa - b pb) + w (b pa + (a - b) pb)
+        return CPoly(self.ring, pa.mul_ground(a) - pb.mul_ground(b),
+                     pa.mul_ground(b) + pb.mul_ground(a - b))
 
     def exquo_rational(self, q: CPoly):
         """self / q when the rational polynomial q divides self, else None.

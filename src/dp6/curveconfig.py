@@ -11,7 +11,7 @@ bounded lattice search `minus_one_classes` is the tests' reference for them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,6 +120,15 @@ class CurveConfig:
 
     n: int
     labels: dict  # label -> CurveClass
+    # the adjacency relation: ordered label pairs (a, b) with intersection >= 1
+    edges: frozenset = field(init=False, repr=False)
+    by_vec: dict = field(init=False, repr=False)  # _vec coordinates -> label
+
+    def __post_init__(self):
+        self.edges = frozenset(
+            (a, b) for a, b in itertools.permutations(self.labels, 2)
+            if intersection(self.labels[a], self.labels[b]) >= 1)
+        self.by_vec = {tuple(_vec(c)): name for name, c in self.labels.items()}
 
     @classmethod
     def build(cls, n):
@@ -140,7 +149,7 @@ class CurveConfig:
         return self.labels[label]
 
     def adjacent(self, a, b):
-        return intersection(self.labels[a], self.labels[b]) >= 1
+        return (a, b) in self.edges
 
     def neighbor_counts(self):
         names = sorted(self.labels)
@@ -181,10 +190,10 @@ def hexagon_action(tower):
 
 
 def _check_action(config, action):
+    """Each label permutation must map the adjacency relation onto itself."""
     for gen_name, perm in action.items():
-        for a, b in itertools.combinations(sorted(config.labels), 2):
-            if config.adjacent(a, b) != config.adjacent(perm[a], perm[b]):
-                raise ValueError(f"action of {gen_name} does not preserve adjacency")
+        if {(perm[a], perm[b]) for a, b in config.edges} != config.edges:
+            raise ValueError(f"action of {gen_name} does not preserve adjacency")
 
 
 def invariant_picard_rank(action_perms):
@@ -342,10 +351,9 @@ def _propagate(config, hex_perm, comp_perm):
     error, not a guess.
     """
     mat = _lattice_map(config, hex_perm, comp_perm)
-    by_vec = {tuple(_vec(c)): name for name, c in config.labels.items()}
+    by_vec = config.by_vec
     perm = {}
-    for name, c in config.labels.items():
-        v = _vec(c)
+    for v, name in by_vec.items():
         image = tuple(sum(a * b for a, b in zip(row, v)) for row in mat)
         if image not in by_vec:
             raise ValueError(

@@ -511,8 +511,16 @@ def apply(u, x):
         if isinstance(x, RadElement):
             if x.comp is not u.comp:
                 raise DomainMismatchError("element of a different composite field")
-            digits = [apply(u.uf, d) * d.tower.const(_ZETA_POWERS[i * u.zexp % 6])
-                      for i, d in enumerate(x.digits)]
+            # digit i picks up zeta^(i*zexp): a unit times a canonical
+            # numerator over the same monic denominator is canonical
+            digits = []
+            for i, d in enumerate(x.digits):
+                y = apply(u.uf, d)
+                t = i * u.zexp % 6
+                if t:
+                    y = FieldElement(y.tower, y.num.mul_scalar(_ZETA_POWERS[t]), y.den,
+                                     _canonical=True)
+                digits.append(y)
             return RadElement(x.comp, digits)
         if isinstance(x, FieldElement):
             return apply(u.uf, x)
@@ -627,8 +635,11 @@ class ExtensionDescriptor:
         Radicand comparisons use Kummer theory: k(a^(1/n)) = k(b^(1/n)) iff
         a/b^j is an n-th power in k for some j coprime to n.  Root detection in
         the ambient rational-function field is exact, so radical-vs-radical
-        comparisons always decide.  A subfield of F equals a radical exactly
-        when the radical's root lies in F with the same fixing group.
+        comparisons always decide.  The degree and the order at 0 in each
+        variable are homomorphisms v: F* -> Z, and v(c^n) = n*v(c), so a j
+        with v(a) - j*v(b) not divisible by n is refused before a/b^j is
+        formed.  A subfield of F equals a radical exactly when the radical's
+        root lies in F with the same fixing group.
         """
         if self.tower is not other.tower:
             if self.tower.field_key() != other.tower.field_key():
@@ -648,7 +659,9 @@ class ExtensionDescriptor:
             # same underlying field presented through another tower object
             other_rad = FieldElement(self.tower, other_rad.num, other_rad.den,
                                      _canonical=True)
+        va, vb = _valuations(self.radicand), _valuations(other_rad)
         return any(_gcd(j, n) == 1
+                   and all((x - j * y) % n == 0 for x, y in zip(va, vb))
                    and _root_in_base(self.tower, self.radicand / other_rad**j, n)
                    for j in range(1, n))
 
@@ -664,6 +677,13 @@ class ExtensionDescriptor:
             return ("sub", self.tower.field_key(),
                     tuple(sorted(u.key() for u in self.fixing)))
         return ("rad", self.kind, self.tower.field_key(), self.radicand.key())
+
+
+def _valuations(x: FieldElement):
+    """The degree and the order at 0 of x in each variable."""
+    num, den = x.num, x.den
+    return ([num.degree_in(i) - den.degree_in(i) for i in range(num.ring.ngens)]
+            + [a - b for a, b in zip(num.min_degrees(), den.min_degrees())])
 
 
 def _gcd(a, b):
@@ -804,9 +824,16 @@ class RadElement:
         denominator are divided out of C_k where they divide it before
         `cancel_pair` takes the gcd of what is left, so a product that cancels
         back to small digits, such as (x*y) * y^-1, needs no large gcd.
+        An element of F multiplies each digit.
         """
-        o = self._coerce(other)
         comp = self.comp
+        if isinstance(other, int):
+            other = comp.tower.const(QOmega(other))
+        if isinstance(other, FieldElement):
+            if other.tower is not comp.tower:
+                raise DomainMismatchError("element of a different tower")
+            return RadElement(comp, [d if d.is_zero() else d * other for d in self.digits])
+        o = self._coerce(other)
         m = comp.rdeg
         ring = comp.tower.ring
         red = comp.reduction
@@ -869,10 +896,12 @@ class RadElement:
         return conj * (self * conj).digits[0].inv()
 
     def __truediv__(self, other):
+        if isinstance(other, FieldElement):
+            return self * other.inv()
         return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
+        return self.inv() * other
 
     def __pow__(self, k):
         if k < 0:

@@ -17,7 +17,6 @@ from .fieldtower import (
     CompositeGroup,
     ExtensionDescriptor,
     FieldElement,
-    RadElement,
     _monomial_norm_preimage,
     apply,
     composite_group,
@@ -84,11 +83,7 @@ def twisted_apply(spec: SurfaceSpec, u, coords, monomials=None):
     uf = u.uf if isinstance(u, CompositeElement) else u
     al = spec.alpha(uf)
     m1, m2 = hexagon.torus_act(al.perm, coords[0], coords[1], monomials)
-    i1, i2 = apply(u, m1), apply(u, m2)
-    t1, t2 = al.t1, al.t2
-    if isinstance(i1, RadElement):
-        t1, t2 = i1.comp.embed(t1), i1.comp.embed(t2)
-    return (t1 * i1, t2 * i2)
+    return (al.t1 * apply(u, m1), al.t2 * apply(u, m2))
 
 
 def _twisted_images(spec: SurfaceSpec, coords, group):
@@ -185,6 +180,10 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         raise PointCaseError(f"unsupported degree {p.degree}")
     if spec.gtype == "S3" and p.degree == 2:
         raise PointCaseError(_EXCLUSIONS[("S3", 2)])
+    if p.ext.tower is not spec.tower:
+        raise PointCaseError(
+            f"point {p.name} splits over tower {p.ext.tower.name}, but surface "
+            f"{spec.name} is over tower {spec.tower.name}")
 
     cg = composite_for(spec.tower, p.ext)
     contained = cg.intersection == "contained"

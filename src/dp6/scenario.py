@@ -283,6 +283,10 @@ def _build_point(name, node, scenario):
                                    node.get("general_position", False)))
     ext = _named(scenario.extensions, _required(node, "extension", where),
                  f"{where}: extension")
+    if ext.tower is not spec.tower:
+        raise ScenarioError(
+            f"{where}: extension {ext.name} is over tower {ext.tower.name}, but "
+            f"surface {spec.name} is over tower {spec.tower.name}")
     try:
         cg = composite_for(spec.tower, ext)
     except UnsupportedCompositeError as e:
@@ -300,9 +304,10 @@ def _build_point(name, node, scenario):
             if lam1.is_zero():
                 raise ScenarioError(
                     f"{where}: lambda2_rule: f-form divides by lambda1 = 0")
-            f = cg.generators["f"]
-            xi = spec.xi if comp is None else comp.embed(spec.xi)
-            lam2 = apply(f, lam1 ** -1) * xi ** -1
+            if "f" not in cg.generators:
+                raise ScenarioError(
+                    f"{where}: lambda2_rule: f-form needs an f generator")
+            lam2 = apply(cg.generators["f"], lam1 ** -1) * spec.xi.inv()
         else:
             raise ScenarioError(f"unknown lambda2 rule {rule!r}")
     return ClosedPointSpec(degree, ext, lam1, lam2, name=name)

@@ -44,7 +44,7 @@ def example_points(s3_tower, s3_example):
                                 name=f"E{z}")
         cg = composite_for(s3_tower, E)
         comp = cg.comp
-        lam = (comp.r() / comp.embed(t3 + z)).inv()
+        lam = (comp.r() / (t3 + z)).inv()
         lam2 = lam * apply(cg.generators["g"], lam)
         pts.append(ClosedPointSpec(3, E, lam, lam2, name=f"p{z}"))
     return pts

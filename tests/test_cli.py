@@ -356,6 +356,9 @@ _SZ = ("surfaces", "SZ")
     (_set(("facts",), [{"tower": "FZ", "element": "1/0", "generator": "g",
                         "verdict": "IsNorm"}]), False,
      "fact: element: division by zero in '1/0'"),
+    # a Z6 tower has the generators g and h only
+    (_set(_P + ("lambda2_rule",), "f-form"), False,
+     "point p: lambda2_rule: f-form needs an f generator"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
         "fact-generator", "name", "extension-tower", "surface-tower",
@@ -366,7 +369,7 @@ _SZ = ("surfaces", "SZ")
         "no-surface-tower", "no-xi", "no-gtype", "no-point-surface",
         "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict",
         "xi-by-zero", "rho-by-zero", "lambda1-by-zero", "lambda2-by-zero",
-        "fact-by-zero"])
+        "fact-by-zero", "f-form-without-f"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"
@@ -391,6 +394,41 @@ def test_example_main_point_is_load_error(tmp_path, edit, message):
     code, text = run(str(path))
     assert code == 2
     assert text == f"load-error: {message}\n"
+
+
+def _copied_tower_scenario(tmp_path, edit):
+    """z6-index2-hex with a copy FZ2 of its tower and a surface SZ2 on it."""
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["towers"]["FZ2"] = scen["towers"]["FZ"]
+    scen["surfaces"]["SZ2"] = dict(scen["surfaces"]["SZ"], tower="FZ2")
+    edit(scen)
+    path = tmp_path / "copied.json"
+    path.write_text(json.dumps(scen))
+    return run(str(path))
+
+
+def test_point_over_another_tower_is_semantic_error(tmp_path):
+    """A command pairing SZ2 with a point split over FZ's fields names both
+    and the towers; the other commands still run."""
+    commands = [["validate", "SZ2", "p"], ["link", "SZ2", "p"],
+                ["explore", "SZ2"], ["validate", "SZ", "p"]]
+    code, text = _copied_tower_scenario(
+        tmp_path, lambda scen: scen.update(commands=commands))
+    assert code == 3
+    got = _sections(text)
+    want = "error: point p splits over tower FZ, but surface SZ2 is over tower FZ2"
+    for cmd in ("validate SZ2 p", "link SZ2 p", "explore SZ2"):
+        assert got["== " + cmd] == want
+    assert "valid: true" in got["== validate SZ p"]
+
+
+def test_point_on_a_surface_over_another_tower_is_load_error(tmp_path):
+    def edit(scen):
+        scen["points"]["p"]["surface"] = "SZ2"
+    code, text = _copied_tower_scenario(tmp_path, edit)
+    assert code == 2
+    assert text == ("load-error: point p: extension K is over tower FZ, but "
+                    "surface SZ2 is over tower FZ2\n")
 
 
 def test_unsupported_composite_in_a_command(tmp_path, monkeypatch):

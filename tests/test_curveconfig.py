@@ -14,6 +14,7 @@ from dp6.curveconfig import (
     NEW_HEX,
     SIGMA_PRIME,
     CurveConfig,
+    _check_action,
     config,
     hexagon_action,
     induced_sigma_prime_action,
@@ -85,6 +86,32 @@ def test_hexagon_action_and_ranks(s3_tower, z6_tower):
     assert invariant_picard_rank([actz["g"]]) == 2
     assert invariant_picard_rank([actz["g"], actz["h"]]) == 1
     assert invariant_picard_rank([act["g"], act["f"]]) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_edges_are_the_intersection_relation(n):
+    cfg = config(n)
+    labels = cfg.labels
+    assert cfg.edges == {(a, b) for a in labels for b in labels
+                         if intersection(labels[a], labels[b]) >= 1}
+    assert all(cfg.by_vec[(c.d,) + tuple(-m for m in c.m)] == name
+               for name, c in labels.items())
+
+
+@pytest.mark.parametrize("n,a,b", [(3, "E1", "E2"), (5, "E4", "C"),
+                                   (6, "E1", "C1")])
+def test_check_action_refuses_a_transposition(n, a, b):
+    """Swapping two labels with different neighbours breaks adjacency; the
+    identity and the hexagon rotation keep it."""
+    cfg = config(n)
+    ident = {lab: lab for lab in cfg.labels}
+    swap = dict(ident, **{a: b, b: a})
+    with pytest.raises(ValueError, match="action of swap does not preserve"):
+        _check_action(cfg, {"id": ident, "swap": swap})
+    _check_action(cfg, {"id": ident})
+    if n == 3:
+        rot = {hexagon.LABELS[i]: hexagon.LABELS[hexagon.ROT3[i]] for i in range(6)}
+        _check_action(cfg, {"rot": rot})
 
 
 def test_inconsistent_action_is_an_error():

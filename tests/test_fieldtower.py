@@ -1,5 +1,8 @@
 """Tower arithmetic, Galois actions, composites, and the norm-class oracle."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from dp6.fieldtower import (
     UnsupportedCompositeError,
     VarAutomorphism,
     _ZETA_POWERS,
+    _root_in_base,
     apply,
     composite_group,
     hilbert90_witness,
@@ -317,6 +321,67 @@ def test_same_field_subfield_against_radical(z6_tower):
         "subfield", z6_tower, fixing=z6_tower.subgroup(["g"]), name="K'").field_id()
 
 
+def _kummer_verdict(E, F):
+    """same_field's answer from Kummer theory alone: a/b^j is an n-th power
+    in k for some j prime to n, tested for every such j."""
+    n = E.degree
+    return any(math.gcd(j, n) == 1
+               and _root_in_base(E.tower, E.radicand / F.radicand**j, n)
+               for j in range(1, n))
+
+
+def test_same_field_valuation_test_is_exact(z6_tower):
+    """The valuation test in same_field refuses only exponents j that the
+    n-th root test refuses too: seeded radicand pairs, and planted equal
+    fields a*c^n and a^j*c^n against a, get the Kummer-theory verdict."""
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    s1, s3 = x1 + x2 + x3, x1 * x2 * x3
+    # elements of k = F^<g,h>, with and without monomial parts
+    base = [s1, x1 * x2 + x2 * x3 + x3 * x1, s3, y * y, s1 + 1, s3 + 2,
+            s1 * s1 + y * y, z6_tower.const(QOmega(2)), z6_tower.const(QOmega(-3))]
+    rng = random.Random(12)
+
+    def draw(factors, exponents):
+        out = z6_tower.one()
+        for _ in range(factors):
+            out = out * rng.choice(base) ** rng.choice(exponents)
+        return out
+
+    verdicts = []
+    for kind in ("quadratic", "kummer-cubic", "kummer-cubic-with-conjugation"):
+        for _ in range(10):
+            a, b = draw(2, (-1, 1)), draw(2, (-1, 1))
+            n = ExtensionDescriptor(kind, z6_tower, radicand=a).degree
+            c = draw(1, (-1, 1))
+            j = rng.choice([j for j in range(1, n) if math.gcd(j, n) == 1])
+            for k, (p, q) in enumerate([(a, b), (a * c**n, a), (a**j * c**n, a)]):
+                E = ExtensionDescriptor(kind, z6_tower, radicand=p)
+                F = ExtensionDescriptor(kind, z6_tower, radicand=q)
+                want = _kummer_verdict(E, F)
+                assert E.same_field(F) is want, (kind, k, p, q)
+                verdicts.append((k, want))
+    assert all(want for k, want in verdicts if k)
+    assert any(not want for _, want in verdicts)
+
+
+def test_same_field_refuses_by_valuation_first(z6_tower, monkeypatch):
+    """Radicands whose quotient has an odd degree, or an odd order at 0, in
+    x1 are refused with no n-th root test."""
+    from dp6 import fieldtower
+
+    def no_root_test(*_):
+        raise AssertionError("the valuation test should have refused")
+
+    monkeypatch.setattr(fieldtower, "_root_in_base", no_root_test)
+    x1, x2, x3, _ = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    s1 = x1 + x2 + x3
+    pairs = [(s1 + 1, s1 * s1 + 1),     # degrees 1 and 2, orders 0
+             (x1 * x2 * x3, s1)]        # degrees 1, orders 1 and 0
+    for a, b in pairs:
+        E, F = (ExtensionDescriptor("quadratic", z6_tower, radicand=c) for c in (a, b))
+        assert E.same_field(F) is False and F.same_field(E) is False
+
+
 def test_d6_composite_generator_pairs(d6_tower):
     # degree-6 E with E cap F = F^<g,h>: generators (g,id),(id,w),(h,id),(f,t)
     x1, x2, x3, y = vars_of(d6_tower, "x1", "x2", "x3", "y")
@@ -375,6 +440,49 @@ def test_composite_group_invariants(request, tower_name, case):
     closed = hexagon.closure(idn, cg.generators, type(idn).__mul__, 100)
     assert set(closed) == set(cg.elements)
     assert len(set(cg.elements)) == len(cg.elements) == cg.order
+
+
+@pytest.mark.parametrize("tower_name,case", _COMPOSITE_CASES)
+def test_composite_apply_scales_digits(request, tower_name, case):
+    """apply(u, x) scales digit i of u.uf(x) by zeta^(i*zexp): the same keys
+    as the product with the constant zeta^(i*zexp), for every element u."""
+    tower = request.getfixturevalue(tower_name)
+    cg = _radical_composite(tower, case)
+    comp = cg.comp
+    x1, x2, x3, y = vars_of(tower, "x1", "x2", "x3", "y")
+    w = tower.omega()
+    # numerators with a zero w-part, a zero rational part, and both parts
+    digits = [x1 + 1, w * x2, (x3 + w) / (x1 + x2), y / x1, x2 * x3 - 2,
+              (w + 1) * x3 + y][:comp.rdeg]
+    xs = [RadElement(comp, digits),
+          RadElement(comp, [digits[0], tower.zero()] + digits[2:])]
+    for u in cg.elements:
+        for x in xs:
+            want = [apply(u.uf, d) * tower.const(_ZETA_POWERS[i * u.zexp % 6])
+                    for i, d in enumerate(x.digits)]
+            assert apply(u, x).key() == RadElement(comp, want).key(), u
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["quadratic", "kummer-cubic", "quadratic-intersection"]),
+       st.data())
+def test_field_times_rad_matches_embedded_product(z6_tower, case, data):
+    """c * x for c in F multiplies x digit by digit: the same keys as the
+    product with embed(c), on both sides and in quotients."""
+    comp = _radical_composite(z6_tower, case).comp
+    terms = st.one_of(st.just(z6_tower.zero()), _term_quotients(z6_tower, _RATIONAL))
+    x = RadElement(comp, [data.draw(st.one_of(terms, _elements(z6_tower, _RATIONAL)))
+                          for _ in range(comp.rdeg)])
+    c = data.draw(st.one_of(_factors(z6_tower), _elements(z6_tower, _RATIONAL)))
+    e = comp.embed(c)
+    assert (c * x).key() == (e * x).key()
+    assert (x * c).key() == (x * e).key()
+    if not c.is_zero():
+        assert (x / c).key() == (x / e).key()
+    # term-quotient digits keep the conjugate-product inverse of y small
+    y = RadElement(comp, [data.draw(terms) for _ in range(comp.rdeg)])
+    if not y.is_zero():
+        assert (c / y).key() == (e / y).key()
 
 
 #: keys of the six roots of unity in Q(w), printed as (rational part, w part)

@@ -1,5 +1,9 @@
 """Canonical forms and power detection in the polynomial layer."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
@@ -87,6 +91,18 @@ def test_cancel_genuinely_algebraic():
     n, d = cancel_pair(num, den)
     assert d.degree_in(0) == 1
     assert n * den == num * d
+
+
+def test_import_does_not_build_the_algebraic_domain():
+    """The Q(w) domain of the mixed gcds is built on first use: evaluating
+    its expression at import would load sympy's tensor modules."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, dp6, dp6.cli; print('sympy.tensor.tensor' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "False\n"
 
 
 @settings(max_examples=80, deadline=None)
