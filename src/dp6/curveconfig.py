@@ -280,7 +280,6 @@ class InducedAction:
     d: int
     config: CurveConfig
     full_action: dict         # generator key -> label permutation (all classes)
-    sigma_prime_action: dict  # generator key -> permutation of Sigma' labels
     new_hexagon_action: dict  # generator key -> hexagon.LABELS permutation tuple
     kernel_pairs: frozenset   # (hex_perm, comp_perm) pairs acting trivially on Sigma'
     group_pairs: frozenset    # all (hex_perm, comp_perm) pairs of the closure
@@ -302,13 +301,24 @@ def propagate_pair(d, hex_perm, comp_perm):
     return full, tuple(perm)
 
 
+def fixes_sigma_prime(d, full):
+    """Whether a full label permutation fixes every label of Sigma'.
+
+    The action pairs doing so form the kernel H of the action on the new
+    hexagon.
+    """
+    return all(full[a] == a for a in SIGMA_PRIME[d])
+
+
 def induced_sigma_prime_action(d, generators):
-    """Extend hexagon+component actions to the full configuration; restrict.
+    """Extend hexagon+component actions to the full configuration.
 
     `generators`: list of (key, hexagon_perm_tuple, component_perm) where
     component_perm is a tuple over d point components (indices 0..d-1).
-    Returns the restricted action on Sigma' and the set of action pairs that
-    restrict to the identity there (the kernel H, as action pairs).
+    Returns the generators' actions and the set of action pairs of the
+    generated group that fix Sigma' pointwise (the kernel H, as action
+    pairs).  `sarkisov.link` reads H off its own pass over the group; this
+    closure of the generators is the lattice-route reference for it.
     """
     if d not in (2, 3):
         raise ValueError("links exist at points of degree 2 or 3 only")
@@ -323,23 +333,14 @@ def induced_sigma_prime_action(d, generators):
     for key, ghp, gcp in gen_list:
         full[key], new_hex[key] = propagate_pair(d, ghp, gcp)
 
-    sigma_labels = SIGMA_PRIME[d]
-    sigma = {k: {a: p[a] for a in sigma_labels} for k, p in full.items()}
-
-    ident = {a: a for a in sigma_labels}
-    kernel = set()
-    for hp, cp in pairs:
-        p, _ = propagate_pair(d, hp, cp)
-        if {a: p[a] for a in sigma_labels} == ident:
-            kernel.add((hp, cp))
-
+    kernel = frozenset(pair for pair in pairs
+                       if fixes_sigma_prime(d, propagate_pair(d, *pair)[0]))
     return InducedAction(
         d=d,
         config=config(3 + d),
         full_action=full,
-        sigma_prime_action=sigma,
         new_hexagon_action=new_hex,
-        kernel_pairs=frozenset(kernel),
+        kernel_pairs=kernel,
         group_pairs=frozenset(pairs),
     )
 

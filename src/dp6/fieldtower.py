@@ -360,28 +360,26 @@ class GaloisTower:
         }
         # the entry of _PRESENTATIONS the generators satisfy; verify_cocycle
         # checks a surface's cocycle on the same relations
-        self.presentation = self._check_presentation()
+        self.gtype = self._check_presentation()
+        self.presentation = _PRESENTATIONS[self.gtype]
         idn = VarAutomorphism.identity(len(self.variables))
         self.words = hexagon.closure(idn, self.generators, VarAutomorphism.__mul__, 12)
         self.elements = list(self.words)
         self.embed_map = self._extend_embedding()
-        self.gtype = self._derive_gtype()
         self._field_key = (self.variables,
                            tuple(sorted(u.key() for u in self.elements)))
         self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
 
     # -- group structure ---------------------------------------------------
     def _check_presentation(self):
+        """The group type whose presentation the generators satisfy."""
         gens = self.generators
         names = set(gens)
-        if names == {"g", "h"}:
-            pres = _PRESENTATIONS["Z6"]
-        elif names == {"g", "f"}:
-            pres = _PRESENTATIONS["S3"]
-        elif names == {"g", "h", "f"}:
-            pres = _PRESENTATIONS["D6"]
-        else:
+        gtype = next((t for t, pres in _PRESENTATIONS.items()
+                      if set(pres["gens"]) == names), None)
+        if gtype is None:
             raise TowerError(f"unsupported generator set {sorted(names)}")
+        pres = _PRESENTATIONS[gtype]
         for gname, order in pres["gens"].items():
             u = gens[gname]
             if u.is_identity() or u.order() != order:
@@ -391,7 +389,7 @@ class GaloisTower:
             ur = _word_product(gens, rhs)
             if ul != ur:
                 raise TowerError(f"presentation relation {lhs} = {rhs} fails")
-        return pres
+        return gtype
 
     def _extend_embedding(self):
         out = {}
@@ -403,14 +401,6 @@ class GaloisTower:
         if len(set(out.values())) != len(out):
             raise TowerError("embedding into D6 is not injective")
         return out
-
-    def _derive_gtype(self):
-        names = set(self.generators)
-        if names == {"g", "h"}:
-            return "Z6"
-        if names == {"g", "f"}:
-            return "S3"
-        return "D6"
 
     def element_named(self, word):
         """Group element for a word like "g", "gh", "gf", "s"."""
@@ -435,13 +425,14 @@ class GaloisTower:
     def var_index(self, name):
         return self.variables.index(name)
 
+    # x/1 and c/1 are already canonical: coprime, with a monic denominator
     def var(self, name):
-        return FieldElement(
-            self, CPoly.variable(self.ring, self.var_index(name)), CPoly.one(self.ring)
-        )
+        return FieldElement(self, CPoly.variable(self.ring, self.var_index(name)),
+                            CPoly.one(self.ring), _canonical=True)
 
     def const(self, c: QOmega):
-        return FieldElement(self, CPoly.const(self.ring, c), CPoly.one(self.ring))
+        return FieldElement(self, CPoly.const(self.ring, c), CPoly.one(self.ring),
+                            _canonical=True)
 
     def one(self):
         return self.const(QOmega.one())

@@ -36,26 +36,6 @@ def invert(p):
 
 REFLECT_S = compose(CENTRAL, REFLECT_F)  # s = h*f: fixes E1 and F1
 
-_ADJ = None
-
-
-def adjacency():
-    """Set of adjacent (intersecting) label index pairs on the hexagon."""
-    global _ADJ
-    if _ADJ is None:
-        pairs = set()
-        m = len(CYCLE)
-        for i in range(m):
-            a, b = INDEX[CYCLE[i]], INDEX[CYCLE[(i + 1) % m]]
-            pairs.add(frozenset((a, b)))
-        _ADJ = frozenset(pairs)
-    return _ADJ
-
-
-def preserves_adjacency(p):
-    adj = adjacency()
-    return all(frozenset((p[a], p[b])) in adj for a, b in (tuple(x) for x in adj))
-
 
 def _mat_mul(m1, m2):
     return (

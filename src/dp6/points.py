@@ -195,23 +195,22 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
             f"splitting field degree {p.ext.degree} cannot split a "
             f"{p.degree}-point"
         )
+    coords = p.coords()
     if contained:
-        if not (isinstance(p.lam1, FieldElement) and isinstance(p.lam2, FieldElement)):
+        if not all(isinstance(c, FieldElement) for c in coords):
             raise PointValidationError("coordinates must lie in F")
         group = list(spec.tower.elements)
         fixes = lambda u: u in fixing  # noqa: E731
     else:
-        comp = cg.comp
-        lam1 = comp.embed(p.lam1) if isinstance(p.lam1, FieldElement) else p.lam1
-        lam2 = comp.embed(p.lam2) if isinstance(p.lam2, FieldElement) else p.lam2
-        p.lam1, p.lam2 = lam1, lam2
+        # the point is left as given: coordinates in F are embedded here only
+        coords = tuple(cg.comp.embed(c) if isinstance(c, FieldElement) else c
+                       for c in coords)
         group = cg.elements
         fixes = cg.fixes_E
 
     key = p.key()
     if key in spec.point_passes:
         return spec.point_passes[key]
-    coords = p.coords()
     images = _twisted_images(spec, coords, group)
     # every element acting trivially on E must fix the first component
     for u in group:

@@ -10,7 +10,7 @@ as full surfaces only when the fixed field is again a supported tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import curveconfig, hexagon
 from .fieldtower import (
@@ -108,22 +108,28 @@ class DataSurface:
     l_trivial: str
     assumed: tuple = ()
     spec: SurfaceSpec | None = None
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sb = frozenset(h.key + (h.status,) for h in self.sb_pair)
+        conic = (self.conic.key, self.conic.status) if self.conic else None
+        rads = tuple(r.key() for r in self.radicals)
+        kernel = frozenset((u.key(), tuple(_ZETA_KEYS[t] for t in zs))
+                           for u, zs in self.kernel())
+        self._key = (self.tower.field_key(), rads, kernel, self.gtype,
+                     self.K.field_id(), sb,
+                     self.L.field_id() if self.L else None, conic)
 
     def vertex_key(self):
         """Canonical key: F' (tower + radicals + kernel), K', classes, L', conic.
 
         The hexagon action enters only through its kernel (which pins the
         splitting field) and through K: the embedding is unique up to
-        conjugacy once the Severi-Brauer data is known.
+        conjugacy once the Severi-Brauer data is known.  The key is derived
+        once, when the surface is built; only `spec` and `name` are set
+        later, and the key reads neither.
         """
-        sb = frozenset(h.key + (h.status,) for h in self.sb_pair)
-        conic = (self.conic.key, self.conic.status) if self.conic else None
-        rads = tuple(r.key() for r in self.radicals)
-        kernel = frozenset((u.key(), tuple(_ZETA_KEYS[t] for t in zs))
-                           for u, zs in self.kernel())
-        return (self.tower.field_key(), rads, kernel, self.gtype,
-                self.K.field_id(), sb, self.L.field_id() if self.L else None,
-                conic)
+        return self._key
 
     def surface_index(self):
         return index_from_flags(self.gtype, self.k_trivial, self.l_trivial)
@@ -312,18 +318,13 @@ def link(source, p, name=None):
     def comp(u, zs, z):
         return table[(u, zs[slot] if isinstance(slot, int) else z)]
 
-    gens = [((u, zs), hp, comp(u, zs, 0)) for (u, zs), hp in src.action.items()]
-    # independence from every current radical was decided in _field_slot
-    idn = src.tower.element_named("1")
-    ones = (0,) * len(src.radicals)
-    gens += [((idn, ones + (z,)), hexagon.IDENTITY, comp(idn, ones, z))
-             for z in zetas[1:]]
-    induced = curveconfig.induced_sigma_prime_action(d, gens)
-
-    # per-element propagation: new hexagon action and kernel membership
+    # one pass over the new group (the source's elements, times the new
+    # coordinate when E is independent of every current radical, as decided
+    # in _field_slot): new hexagon action, inverse-point components and the
+    # kernel H of the action on Sigma'
     new_action = {}
     inv_comp = {}
-    kernel = []
+    kernel, kernel_pairs = [], set()
     contracted = ("C", "L45") if d == 2 else ("C1", "C2", "C3")
     for (u, zs), hp in src.action.items():
         for z in zetas:
@@ -333,8 +334,9 @@ def link(source, p, name=None):
             new_action[new_key] = newhex
             images = [fullmap[c] for c in contracted]
             inv_comp[new_key] = tuple(contracted.index(i) for i in images)
-            if (hp, cp) in induced.kernel_pairs:
+            if curveconfig.fixes_sigma_prime(d, fullmap):
                 kernel.append(new_key)
+                kernel_pairs.add((hp, cp))
 
     radicals_full = src.radicals if contained else src.radicals + (handle.fld,)
     inv_field, inv_slot = _stabilizer_field(src, radicals_full, inv_comp,
@@ -397,7 +399,7 @@ def link(source, p, name=None):
         target=target,
         point=handle,
         inverse_point=inv_handle,
-        kernel_pairs=induced.kernel_pairs,
+        kernel_pairs=frozenset(kernel_pairs),
         h_description=_describe_kernel(src, kernel),
         edge_id=edge_id,
     )

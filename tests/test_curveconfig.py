@@ -243,8 +243,9 @@ def test_actions_preserve_relations_and_adjacency():
         for a, b in itertools.combinations(sorted(cfg.labels), 2):
             assert cfg.adjacent(a, b) == cfg.adjacent(perm[a], perm[b])
     # the relabeled hexagon action also preserves adjacency
-    for key, perm in act.new_hexagon_action.items():
-        assert hexagon.preserves_adjacency(perm)
+    _check_action(config(3), {
+        key: {hexagon.LABELS[i]: hexagon.LABELS[perm[i]] for i in range(6)}
+        for key, perm in act.new_hexagon_action.items()})
 
 
 def test_dump_format(s3_tower):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dp6 import hexagon
+from dp6 import fieldtower, hexagon
 from dp6._ratfunc import CPoly, QOmega, UNITS, poly_nth_root, qomega_nth_roots
 from dp6.fieldtower import (
     CertificateError,
@@ -721,6 +721,42 @@ def test_assumed_fact_upgrades_unknown(z6_tower):
     assert upgraded.verdict == "NotNorm" and upgraded.assumed
     strict = norm_class(subtle, h, registry=reg, strict=True)
     assert strict.verdict == "Unknown"
+
+
+@pytest.mark.parametrize("names,gtype", [
+    (("g", "h"), "Z6"), (("g", "f"), "S3"), (("g", "h", "f"), "D6")])
+def test_generator_set_gives_group_type(d6_tower, names, gtype):
+    gens = {n: d6_tower.generators[n] for n in names}
+    tower = GaloisTower(d6_tower.variables, gens)
+    assert tower.gtype == gtype
+    assert set(tower.presentation["gens"]) == set(names)
+
+
+def test_unsupported_generator_set(d6_tower):
+    gens = {n: d6_tower.generators[n] for n in ("h", "f")}
+    with pytest.raises(TowerError, match=r"unsupported generator set \['f', 'h'\]"):
+        GaloisTower(d6_tower.variables, gens)
+
+
+def test_var_and_const_are_canonical(monkeypatch, z6_tower):
+    """x/1 and c/1 are built as they are: the same keys as through
+    cancel_pair, and no call to it."""
+    ring = z6_tower.ring
+    consts = [QOmega(0), QOmega(1), QOmega(-1), QOmega.omega()]
+    want = [FieldElement(z6_tower, CPoly.const(ring, c), CPoly.one(ring)).key()
+            for c in consts]
+    want += [FieldElement(z6_tower, CPoly.variable(ring, i), CPoly.one(ring)).key()
+             for i in range(len(z6_tower.variables))]
+
+    def refuse(num, den):
+        raise AssertionError("cancel_pair called")
+
+    monkeypatch.setattr(fieldtower, "cancel_pair", refuse)
+    got = [z6_tower.const(c).key() for c in consts]
+    got += [z6_tower.var(v).key() for v in z6_tower.variables]
+    assert got == want
+    for x in (z6_tower.zero(), z6_tower.one(), z6_tower.omega()):
+        assert x.key() in want
 
 
 # ---------------------------------------------------------------------------

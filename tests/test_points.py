@@ -364,6 +364,33 @@ def test_point_pass_keyed_by_content(monkeypatch, z6_tower):
         assert len(calls) == n  # a failing point is not kept
 
 
+@pytest.mark.parametrize("lambda1,valid", [(None, True), ("t1", False)],
+                         ids=["p0", "p0-with-lambda1-t1"])
+def test_validation_leaves_the_point_as_given(lambda1, valid):
+    """The pass embeds coordinates in F into FE for itself only: the point
+    keeps its coordinates, their types and its key, valid or not."""
+    import json
+
+    from dp6.cli import bundled_path
+    from dp6.scenario import load_scenario
+
+    with open(bundled_path("example-main"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if lambda1 is not None:
+        raw["points"]["p0"]["lambda1"] = lambda1
+    scen = load_scenario(raw)
+    spec, p = scen.surfaces["S"], scen.points["p0"]
+    key, types = p.key(), (type(p.lam1), type(p.lam2))
+    if valid:
+        assert validate_point(spec, p)
+    else:
+        assert types == (type(spec.tower.one()),) * 2
+        with pytest.raises(PointValidationError):
+            validate_point(spec, p)
+    assert p.key() == key
+    assert (type(p.lam1), type(p.lam2)) == types
+
+
 def _s3_tower():
     one = QOmega.one()
     g = VarAutomorphism([1, 2, 0, 3], [one] * 4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dp6 import curveconfig, hexagon, sarkisov
 from dp6.fieldtower import ExtensionDescriptor, apply
 from dp6.points import ClosedPointSpec, composite_for, construct_2point
 from dp6.sarkisov import (
@@ -184,3 +185,90 @@ def test_fields_probe_empty_and_full(s3_example, example_points, example_links):
     assert fields_d_probe(s3_example, example_links, []) == []
     viol = fields_d_probe(s3_example, example_links, example_points)
     assert viol == []
+
+
+# ---------------------------------------------------------------------------
+# the kernel H read off the element pass, against the lattice route
+# ---------------------------------------------------------------------------
+
+def _action_pairs(src, handle):
+    """The link's group with its (hexagon, component) action pairs.
+
+    Returns the elements, keyed as in the target's action before radicals
+    are dropped, and generators of the group as `link` once passed them to
+    `induced_sigma_prime_action`: the source's elements, and the new
+    coordinate's roots of unity when E is independent.
+    """
+    slot = sarkisov._field_slot(handle.fld, src)
+    zetas = (0,) if slot is not None else sarkisov._ROOTS[handle.fld.degree]
+
+    def comp(u, zs, z):
+        return handle.comp_table[(u, zs[slot] if isinstance(slot, int) else z)]
+
+    elements = {(u, zs if slot is not None else zs + (z,)): (hp, comp(u, zs, z))
+                for (u, zs), hp in src.action.items() for z in zetas}
+    gens = [((u, zs), hp, comp(u, zs, 0)) for (u, zs), hp in src.action.items()]
+    idn = src.tower.element_named("1")
+    ones = (0,) * len(src.radicals)
+    gens += [((idn, ones + (z,)), hexagon.IDENTITY, comp(idn, ones, z))
+             for z in zetas[1:]]
+    return elements, gens
+
+
+def _record_links(monkeypatch):
+    """Every LinkRecord `link` returns, through each module that binds it."""
+    from dp6 import birgroup, cli
+
+    recs = []
+
+    def recorded(*args, **kwargs):
+        rec = link(*args, **kwargs)
+        recs.append(rec)
+        return rec
+
+    for module in (sarkisov, birgroup, cli):
+        monkeypatch.setattr(module, "link", recorded)
+    return recs
+
+
+def test_link_kernel_matches_the_generated_group(monkeypatch, z6_hex):
+    """H from link's one pass equals the closure route of
+    `induced_sigma_prime_action`, on every link of the bundled scenarios and
+    of the hexagonal relation; both equal the pairs of the generated group
+    acting trivially on the new hexagon."""
+    from dp6.birgroup import hexagonal_relation
+    from dp6.cli import bundled_path, run
+
+    recs = _record_links(monkeypatch)
+    for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
+        run(bundled_path(name))
+    tower = z6_hex.tower
+    x1, x2, x3 = (tower.var(v) for v in ("x1", "x2", "x3"))
+    K = ExtensionDescriptor("subfield", tower, fixing=tower.subgroup(["g"]),
+                            name="K")
+    p = ClosedPointSpec(2, K, tower.one(), tower.one(), name="p")
+    lam = x1 * x2 / (x3 * x3)
+    q = ClosedPointSpec(2, K, lam, lam * apply(tower.element_named("g"), lam),
+                        name="q")
+    recs += hexagonal_relation(z6_hex, p, q)
+
+    degrees, independent = set(), 0
+    for rec in recs:
+        elements, gens = _action_pairs(rec.source, rec.point)
+        induced = curveconfig.induced_sigma_prime_action(rec.d, gens)
+        new_hex = {pair: curveconfig.propagate_pair(rec.d, *pair)[1]
+                   for pair in induced.group_pairs}
+        # the pass over the elements meets every pair of the generated group
+        assert set(elements.values()) == induced.group_pairs, rec.name
+        assert rec.kernel_pairs == induced.kernel_pairs, rec.name
+        assert rec.kernel_pairs == {pair for pair, perm in new_hex.items()
+                                    if perm == hexagon.IDENTITY}, rec.name
+        assert set(rec.target.action.values()) == set(new_hex.values()), rec.name
+        in_h = [key for key, pair in elements.items()
+                if pair in induced.kernel_pairs]
+        assert rec.h_description == sarkisov._describe_kernel(rec.source, in_h)
+        degrees.add(rec.d)
+        independent += len(gens) > len(rec.source.action)
+    # both degrees, and 18 links that adjoin the point's radical
+    assert degrees == {2, 3} and independent == 18
+    assert len(recs) == 42
