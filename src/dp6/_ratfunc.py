@@ -11,6 +11,7 @@ genuinely mixed polynomials.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from sympy.polys.domains import QQ
 from sympy.polys.euclidtools import dmp_ff_prs_gcd
@@ -329,17 +330,10 @@ class CPoly:
         return d
 
     def min_degrees(self):
-        n = self.ring.ngens
-        mins = None
-        for p in (self.pa, self.pb):
-            if p is None or not p:
-                continue
-            for mon in p.monoms():
-                if mins is None:
-                    mins = list(mon)
-                else:
-                    mins = [min(a, b) for a, b in zip(mins, mon)]
-        return tuple(mins) if mins is not None else (0,) * n
+        monoms = list(self.pa.itermonoms())
+        if self.pb is not None:
+            monoms.extend(self.pb.itermonoms())
+        return tuple(map(min, zip(*monoms))) if monoms else (0,) * self.ring.ngens
 
     def shift_down(self, shifts):
         """Divide by the monomial with the given exponent vector (must divide)."""
@@ -410,24 +404,45 @@ class CPoly:
 
 
 def cancel_pair(num: CPoly, den: CPoly):
-    """Reduce num/den to canonical form: coprime, monic denominator (lex LC 1)."""
+    """Reduce num/den to canonical form: coprime, monic denominator (lex LC 1).
+
+    The decisions, in order:
+
+    1. content strip: divide both sides by their common monomial content;
+    2. single term: a single term divides the other side only through
+       monomial content, which is gone now, so the gcd is 1;
+    3. term multiple: num = c*x^a*h and den = x^b*h (`_term_quotient`),
+       so the pair is c*x^a / x^b;
+    4. rational gcd, when each side is a Q(w) scalar times a rational
+       polynomial;
+    5. Q(w) gcd otherwise.
+
+    `monic_pair` then scales the denominator to lex-leading coefficient 1.
+
+    The term-multiple rule is exact.  There a and b are the min degrees of
+    num and den, so h has no monomial content, and after step 1 no variable
+    divides both x^a and x^b.  So gcd(c*x^a*h, x^b*h) = h*gcd(x^a, x^b) = h,
+    and num/h, den/h is the coprime pair c*x^a, x^b.  The canonical form is
+    unique, so the pair equals the one the gcd route gives.
+    """
     ring_ = num.ring
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     num, den = strip_monomial_content(num, den)
-
-    # a single term divides the other side only through monomial content,
-    # which is gone now: the gcd is 1
-    if not num.is_term() and not den.is_term():
-        cn = _scalar_core(num)
-        cd = _scalar_core(den)
-        if cn is not None and cd is not None:
-            g = _rational_gcd(cn[1], cd[1])
-            if not g.is_ground:
-                num = _with_scalar(ring_, cn[0], cn[1].quo(g))
-                den = _with_scalar(ring_, cd[0], cd[1].quo(g))
-        else:
-            num, den = _algebraic_cancel(num, den)
+    if num.is_term() or den.is_term():
+        return monic_pair(num, den)
+    quotient = _term_quotient(num, den)
+    if quotient is not None:
+        return monic_pair(*quotient)
+    cn = _scalar_core(num)
+    cd = _scalar_core(den)
+    if cn is not None and cd is not None:
+        g = _rational_gcd(cn[1], cd[1])
+        if not g.is_ground:
+            num = _with_scalar(ring_, cn[0], cn[1].quo(g))
+            den = _with_scalar(ring_, cd[0], cd[1].quo(g))
+    else:
+        num, den = _algebraic_cancel(num, den)
     return monic_pair(num, den)
 
 
@@ -466,6 +481,30 @@ def monic_pair(num: CPoly, den: CPoly):
         num = num.mul_scalar(inv)
         den = den.mul_scalar(inv)
     return num, den
+
+
+def _term_quotient(num: CPoly, den: CPoly):
+    """The pair (c*x^a, x^b) when num = c*x^a*h and den = x^b*h, else None.
+
+    a and b are the min degrees of num and den, and c in Q(w) is the ratio of
+    their lex-leading coefficients: a monomial factor keeps the lex order of
+    terms.  The test is O(terms): each part of num (the 1 and the w part) has
+    as many terms as that part of c*den, and its term at m is the term of
+    c*den at m - a + b.
+    """
+    a, b = num.min_degrees(), den.min_degrees()
+    shift = tuple(map(sub, b, a))
+    c = num.leading()[1] * den.leading()[1].inv()
+    scaled = den.mul_scalar(c)
+    for p, q in ((num.pa, scaled.pa), (num.pb, scaled.pb)):
+        p, q = p or {}, q or {}
+        if len(p) != len(q):
+            return None
+        for mon, v in p.items():
+            if q.get(tuple(map(add, mon, shift))) != v:
+                return None
+    ring_ = num.ring
+    return CPoly.from_terms(ring_, {a: c}), CPoly.monomial(ring_, b)
 
 
 def _scalar_core(p: CPoly):

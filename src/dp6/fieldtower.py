@@ -368,6 +368,10 @@ class GaloisTower:
         self.embed_map = self._extend_embedding()
         self._field_key = (self.variables,
                            tuple(sorted(u.key() for u in self.elements)))
+        self._key = (
+            self.variables,
+            tuple(sorted((n, u.key()) for n, u in self.generators.items())),
+            tuple(sorted((n, self.embed_map[u]) for n, u in self.generators.items())))
         self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
 
     # -- group structure ---------------------------------------------------
@@ -467,9 +471,9 @@ class GaloisTower:
         return is_fixed(x, self.generators.values())
 
     def key(self):
-        emb = tuple(sorted((n, self.embed_map[self.element_named(n)]) for n in self.generators))
-        gens = tuple(sorted((n, u.key()) for n, u in self.generators.items()))
-        return (self.variables, gens, emb)
+        """Identity of the tower with its presentation: variables, generators
+        and their images in D6."""
+        return self._key
 
     def field_key(self):
         """Presentation-independent identity of (F, Gal(F/k)) as a field pair."""

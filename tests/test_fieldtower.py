@@ -738,6 +738,18 @@ def test_unsupported_generator_set(d6_tower):
         GaloisTower(d6_tower.variables, gens)
 
 
+@pytest.mark.parametrize("tower_name", ["z6_tower", "s3_tower", "d6_tower"])
+def test_tower_key_is_derived_once(request, tower_name):
+    """The key built with the tower equals the formula on its generators:
+    variables, sorted generator keys, and each generator's image in D6."""
+    tower = request.getfixturevalue(tower_name)
+    emb = tuple(sorted((n, tower.embed_map[tower.element_named(n)])
+                       for n in tower.generators))
+    gens = tuple(sorted((n, u.key()) for n, u in tower.generators.items()))
+    assert tower.key() == (tower.variables, gens, emb)
+    assert tower.key() is tower.key()
+
+
 def test_var_and_const_are_canonical(monkeypatch, z6_tower):
     """x/1 and c/1 are built as they are: the same keys as through
     cancel_pair, and no call to it."""

@@ -5,17 +5,22 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from sympy.polys.domains import QQ
 
+from dp6 import _ratfunc
 from dp6._ratfunc import (
     CPoly,
     QOmega,
     cancel_pair,
+    monic_pair,
     poly_nth_root,
     power,
     rational_ring,
+    strip_monomial_content,
 )
+from dp6.fieldtower import apply
+from dp6.surface import make_surface
 
 R = rational_ring(("x", "y", "z"))
 
@@ -91,6 +96,125 @@ def test_cancel_genuinely_algebraic():
     n, d = cancel_pair(num, den)
     assert d.degree_in(0) == 1
     assert n * den == num * d
+
+
+def _gcd_route(num, den):
+    """cancel_pair of a rational pair by the rational gcd alone."""
+    num, den = strip_monomial_content(num, den)
+    g = _ratfunc._rational_gcd(num.pa, den.pa)
+    return monic_pair(CPoly(num.ring, num.pa.quo(g)), CPoly(num.ring, den.pa.quo(g)))
+
+
+def _key(pair):
+    return pair[0].key(), pair[1].key()
+
+
+_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@seed(14)
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(_EXPS, st.fractions(-9, 9, max_denominator=5).filter(bool),
+                       min_size=1, max_size=4),
+       st.fractions(-9, 9, max_denominator=5).filter(bool), _EXPS, _EXPS)
+def test_term_multiple_matches_gcd_route(g_terms, q, a, b):
+    """(q*x^a*g) / (x^b*g) for g without monomial content is the pair the
+    gcd route gives, and the term-multiple rule decides it.  a and b are
+    drawn apart, so the shift a - b has mixed signs."""
+    g = CPoly.from_terms(R, {m: QOmega(QQ(c.numerator, c.denominator))
+                             for m, c in g_terms.items()})
+    g = g.shift_down(g.min_degrees())
+    num = CPoly.from_terms(R, {a: QOmega(QQ(q.numerator, q.denominator))}) * g
+    den = CPoly.monomial(R, b) * g
+    assert _key(cancel_pair(num, den)) == _key(_gcd_route(num, den))
+    if len(g.pa) > 1:
+        assert _ratfunc._term_quotient(*strip_monomial_content(num, den)) is not None
+
+
+def _count_gcds(monkeypatch):
+    calls = []
+    gcd = _ratfunc._rational_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(_ratfunc, "_rational_gcd", counted)
+    return calls
+
+
+def test_same_support_without_one_ratio_takes_the_gcd(monkeypatch):
+    """Equal supports with different coefficient ratios are no term
+    multiple: x^2 + 3xy + 2y^2 = (x + y)(x + 2y) over
+    x^2 + 4xy + 3y^2 = (x + y)(x + 3y) reaches the rational gcd."""
+    x, y = _x(0), _x(1)
+    two, three = CPoly.const(R, QOmega(2)), CPoly.const(R, QOmega(3))
+    num, den = (x + y) * (x + two * y), (x + y) * (x + three * y)
+    assert _ratfunc._term_quotient(num, den) is None
+    calls = _count_gcds(monkeypatch)
+    n, d = cancel_pair(num, den)
+    assert len(calls) == 1
+    assert n == x + two * y and d == x + three * y
+
+
+def _near_misses():
+    x, y, z = _x(0), _x(1), _x(2)
+    w = CPoly.const(R, QOmega.omega())
+    two = CPoly.const(R, QOmega(2))
+    return {
+        "one-ratio": (x + two * y, x + y),
+        "subset": (x + y, x + y + z),
+        "superset": (x * y + y * y + y * z, x + y),
+        "w-part": (x + y + w * x, x + y),
+        "shifted-apart": (x * x + y, x + y * y),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_near_misses()))
+def test_term_quotient_refuses_near_misses(case):
+    """Pairs that agree with a term multiple in all but one condition."""
+    num, den = strip_monomial_content(*_near_misses()[case])
+    assert _ratfunc._term_quotient(num, den) is None
+    n, d = cancel_pair(num, den)
+    assert n * den == num * d
+
+
+def test_cocycle_poly_surface_takes_no_gcd(monkeypatch, z6_tower):
+    """A valid Z6 surface with xi = c/h(c), c a g-orbit sum: every relator
+    of the cocycle check ends in a term multiple, so no gcd is taken."""
+    x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
+    g, h = z6_tower.element_named("g"), z6_tower.element_named("h")
+    base = x1 * y * 2 + x2 * 3
+    c = base + apply(g, base) + apply(g * g, base)
+    xi = c / apply(h, c)
+    calls = _count_gcds(monkeypatch)
+    make_surface("Z6", z6_tower, xi, x1 / x2)
+    assert calls == []
+
+
+# the two sides of the slow mixed pair of ROADMAP item 1, as pa + w*pb
+_S = rational_ring(("x1", "x2", "x3", "y"))
+_s1, _s2, _s3, _sy = _S.gens
+_MIXED_NUM = CPoly(_S, QQ(10, 7) * _s1 * _s2**2 * _sy**2 - _s2**2 * _sy**3,
+                   QQ(2, 7) * _s1 * _s2**2 * _sy**2 - _s2**2 * _sy**3)
+_MIXED_DEN = CPoly(_S, _s1**4 * _s3**4 - QQ(10, 7) * _s1**3 * _s3**3,
+                   -QQ(2, 7) * _s1**3 * _s3**3)
+
+
+@pytest.mark.parametrize("f", [_MIXED_NUM, _MIXED_DEN, _MIXED_NUM * _MIXED_DEN],
+                         ids=["num", "den", "product"])
+def test_mixed_term_multiple_skips_the_algebraic_gcd(monkeypatch, f):
+    """f*t1 / (f*t2) with mixed Q(w) coefficients cancels to t1/t2 without
+    the Q(w) gcd."""
+    t1 = CPoly.from_terms(_S, {(0, 1, 0, 2): QOmega(3, 1)})
+    t2 = CPoly.from_terms(_S, {(2, 0, 1, 0): QOmega(-2, 5)})
+    want = cancel_pair(t1, t2)
+
+    def refuse(num, den):
+        raise AssertionError("Q(w) gcd reached")
+
+    monkeypatch.setattr(_ratfunc, "_algebraic_cancel", refuse)
+    assert _key(cancel_pair(f * t1, f * t2)) == _key(want)
 
 
 def test_import_does_not_build_the_algebraic_domain():
