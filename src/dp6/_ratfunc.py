@@ -6,6 +6,10 @@ polynomials over QQ (the "1" part and the "w" part); almost all data in
 practice has a zero w-part, which keeps gcd and multiplication in the fast
 rational path.  The algebraic-field ring is only consulted for gcds of
 genuinely mixed polynomials.
+
+`cancel_pair` makes a fraction canonical by its gcd; `term_pair` builds the
+canonical pair of a term quotient c*x^e straight from c and the exponent
+vector e, with no product and no gcd.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ class QOmega:
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not b1 and not b2:
+            return QOmega(a1 * a2)
         # (a1 + b1 w)(a2 + b2 w), w^2 = -1 - w
         return QOmega(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
 
@@ -96,6 +102,8 @@ class QOmega:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def inv(self):
+        if not self.b and self.a:
+            return QOmega(QQ.one / self.a)
         n = self.norm()
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(w)")
@@ -200,7 +208,7 @@ class CPoly:
     @classmethod
     def monomial(cls, ring_, exps):
         """The monomial with exponent vector exps, coefficient 1."""
-        return cls(ring_, ring_.from_dict({tuple(exps): QQ.one}))
+        return cls(ring_, ring_.dtype({tuple(exps): QQ.one}))
 
     @classmethod
     def from_terms(cls, ring_, terms):
@@ -218,7 +226,7 @@ class CPoly:
     def terms(self):
         out = {}
         for mon, c in self.pa.terms():
-            out[mon] = QOmega(c, 0)
+            out[mon] = QOmega(c)
         if self.pb is not None:
             for mon, c in self.pb.terms():
                 prev = out.get(mon, _ZERO)
@@ -340,9 +348,8 @@ class CPoly:
         def move(p):
             if p is None:
                 return None
-            return self.ring.from_dict(
-                {tuple(e - s for e, s in zip(mon, shifts)): c for mon, c in p.terms()}
-            )
+            return self.ring.dtype(
+                {tuple(map(sub, mon, shifts)): c for mon, c in p.items()})
         return CPoly(self.ring, move(self.pa) or self.ring.zero, move(self.pb))
 
     def leading(self):
@@ -483,6 +490,22 @@ def monic_pair(num: CPoly, den: CPoly):
     return num, den
 
 
+def term_pair(ring_, c: QOmega, e):
+    """The canonical pair c*x^(e+) / x^(e-) of the term quotient c*x^e.
+
+    c is nonzero and e an integer vector; e+ and e- are its positive and
+    negative parts, e = e+ - e-.  Their supports are disjoint, so the pair is
+    coprime, and its denominator is monic.  The pair is built directly from
+    zero-free dicts: no product, no gcd, no coefficient conversion.
+    """
+    pos = tuple(v if v > 0 else 0 for v in e)
+    neg = tuple(-v if v < 0 else 0 for v in e)
+    new = ring_.dtype
+    num = CPoly(ring_, new({pos: c.a}) if c.a else ring_.zero,
+                new({pos: c.b}) if c.b else None)
+    return num, CPoly(ring_, new({neg: QQ.one}))
+
+
 def _term_quotient(num: CPoly, den: CPoly):
     """The pair (c*x^a, x^b) when num = c*x^a*h and den = x^b*h, else None.
 
@@ -490,7 +513,9 @@ def _term_quotient(num: CPoly, den: CPoly):
     their lex-leading coefficients: a monomial factor keeps the lex order of
     terms.  The test is O(terms): each part of num (the 1 and the w part) has
     as many terms as that part of c*den, and its term at m is the term of
-    c*den at m - a + b.
+    c*den at m - a + b.  It runs after `strip_monomial_content`, so no
+    variable divides both x^a and x^b and the pair is `term_pair` of c and
+    a - b.
     """
     a, b = num.min_degrees(), den.min_degrees()
     shift = tuple(map(sub, b, a))
@@ -503,8 +528,7 @@ def _term_quotient(num: CPoly, den: CPoly):
         for mon, v in p.items():
             if q.get(tuple(map(add, mon, shift))) != v:
                 return None
-    ring_ = num.ring
-    return CPoly.from_terms(ring_, {a: c}), CPoly.monomial(ring_, b)
+    return term_pair(num.ring, c, tuple(map(sub, a, b)))
 
 
 def _scalar_core(p: CPoly):

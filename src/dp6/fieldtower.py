@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, sub
+
+from sympy.polys.domains import QQ
 
 from . import hexagon
 from ._ratfunc import (
@@ -29,6 +32,7 @@ from ._ratfunc import (
     qomega_nth_roots,
     rational_ring,
     strip_monomial_content,
+    term_pair,
 )
 
 
@@ -88,16 +92,49 @@ class FieldElement:
     def is_monomial_quotient(self):
         return self.num.is_monomial() and self.den.is_monomial()
 
-    def _is_term_quotient(self):
-        return self.num.is_term() and self.den.is_term()
+    def _term(self):
+        """(c, e) when self is the term quotient c*x^e with e in Z^n, else None.
 
-    def _product(self, o, num, den):
-        """num/den, the product or quotient of self and o, made canonical.
-
-        With a term quotient on either side the common monomial content is
-        the whole gcd (see `monic_pair`).
+        Canonical, it is c*x^(e+) / x^(e-): the denominator is monic, so its
+        one term has coefficient 1.
         """
-        if self._is_term_quotient() or o._is_term_quotient():
+        num, den = self.num, self.den
+        if not (num.is_term() and den.is_term()):
+            return None
+        pa, pb = num.pa, num.pb
+        (a,) = pa or pb
+        c = QOmega(pa[a] if pa else QQ.zero, QQ.zero if pb is None else pb[a])
+        (b,) = den.pa
+        return c, tuple(map(sub, a, b))
+
+    def _product(self, o, divide=False):
+        """self * o, or self / o when `divide`, made canonical.
+
+        The cases, in order:
+
+        1. term x term: self = c1*x^e1 and o = c2*x^e2 give the term quotient
+           c1*c2 * x^(e1+e2), or c1/c2 * x^(e1-e2), with no polynomial
+           product;
+        2. one term side: the common monomial content is the whole gcd (see
+           `monic_pair`);
+        3. general: `cancel_pair`.
+
+        The term rule is exact.  `term_pair` writes c*x^e as c*x^(e+) over
+        x^(e-).  The supports of e+ and e- are disjoint, so the pair is
+        coprime, and x^(e-) is monic.  The canonical form is unique, so the
+        pair equals the one the gcd route gives.
+        """
+        s, t = self._term(), o._term()
+        if s is not None and t is not None:
+            (c1, e1), (c2, e2) = s, t
+            if divide:
+                return self.tower.monomial(tuple(map(sub, e1, e2)), c1 * c2.inv())
+            return self.tower.monomial(tuple(map(add, e1, e2)), c1 * c2)
+        if divide:
+            num, den = self.num * o.den, self.den * o.num
+        else:
+            num, den = self.num * o.num, self.den * o.den
+        if s is not None or t is not None:
             num, den = monic_pair(*strip_monomial_content(num, den))
             return FieldElement(self.tower, num, den, _canonical=True)
         return FieldElement(self.tower, num, den)
@@ -127,7 +164,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._product(o, self.num * o.num, self.den * o.den)
+        return self._product(o)
 
     __rmul__ = __mul__
 
@@ -137,7 +174,7 @@ class FieldElement:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError
-        return self._product(o, self.num * o.den, self.den * o.num)
+        return self._product(o, divide=True)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -314,10 +351,10 @@ def _apply_varaut_poly(u: VarAutomorphism, p: CPoly) -> CPoly:
             if j != 0:  # and w-part c (j = 1) or -c (j = 2)
                 b = c if j == 1 else -c
                 db[key] = db[key] + b if key in db else b
-    ring_ = p.ring
+    new = p.ring.dtype
     da = {m: c for m, c in da.items() if c}
     db = {m: c for m, c in db.items() if c}
-    return CPoly(ring_, ring_.from_dict(da), ring_.from_dict(db) if db else None)
+    return CPoly(p.ring, new(da), new(db) if db else None)
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +485,11 @@ class GaloisTower:
         return self.const(QOmega.omega())
 
     def monomial(self, exponents, coeff=None):
-        """Laurent monomial; exponents may be negative."""
-        num = {}
-        den = {}
-        for i, e in enumerate(exponents):
-            if e > 0:
-                num[i] = e
-            elif e < 0:
-                den[i] = -e
-        n = len(self.variables)
-        num_mon = tuple(num.get(i, 0) for i in range(n))
-        den_mon = tuple(den.get(i, 0) for i in range(n))
+        """The Laurent monomial coeff * x^exponents; exponents may be negative."""
         c = coeff if coeff is not None else QOmega.one()
-        return FieldElement(
-            self,
-            CPoly.from_terms(self.ring, {num_mon: c}),
-            CPoly.from_terms(self.ring, {den_mon: QOmega.one()}),
-        )
+        if c.is_zero():
+            return self.zero()
+        return FieldElement(self, *term_pair(self.ring, c, exponents), _canonical=True)
 
     def in_base_field(self, x):
         """True iff x is fixed by the whole group (x in k)."""
@@ -524,6 +549,16 @@ def apply(u, x):
         if isinstance(x, FieldElement):
             if len(u.perm) != len(x.tower.variables):
                 raise DomainMismatchError("automorphism arity mismatch")
+            t = x._term()
+            if t is not None:
+                # u(c*x^e) = c * zeta^s * x^(perm e) with s = sum zexp_i*e_i,
+                # for negative e_i too
+                c, e = t
+                img, s = [0] * len(e), 0
+                for i, v in enumerate(e):
+                    img[u.perm[i]] = v
+                    s += u.zexp[i] * v
+                return x.tower.monomial(img, c * _ZETA_POWERS[s % 6] if s % 6 else c)
             # a ring automorphism keeps a coprime pair coprime: no gcd needed
             num, den = monic_pair(_apply_varaut_poly(u, x.num), _apply_varaut_poly(u, x.den))
             return FieldElement(x.tower, num, den, _canonical=True)
@@ -1225,8 +1260,7 @@ def _monomial_norm_preimage(x: FieldElement, u, n):
     tower = x.tower
     uf = u.uf if isinstance(u, CompositeElement) else u
     nvars = len(tower.variables)
-    (num_mon, _), (den_mon, _) = _only_term(x.num), _only_term(x.den)
-    e = [a - b for a, b in zip(num_mon, den_mon)]
+    _, e = x._term()
     orbits = _perm_orbits(uf.perm, nvars)
     totals = []
     for orb in orbits:
@@ -1266,14 +1300,6 @@ def _monomial_norm_preimage(x: FieldElement, u, n):
     return None
 
 
-def _only_term(p: CPoly):
-    terms = p.terms()
-    if len(terms) != 1:
-        raise TowerError("not a monomial")
-    ((mon, c),) = terms.items()
-    return mon, c
-
-
 def _perm_orbits(perm, n):
     seen = set()
     orbits = []
@@ -1308,8 +1334,7 @@ def hilbert90_witness(lam: FieldElement, u):
     tower = lam.tower
     uf = u.uf if isinstance(u, CompositeElement) else u
     nvars = len(tower.variables)
-    (num_mon, _), (den_mon, _) = _only_term(lam.num), _only_term(lam.den)
-    e = [a - b for a, b in zip(num_mon, den_mon)]
+    _, e = lam._term()
     orbits = _perm_orbits(uf.perm, nvars)
     d = [0] * nvars
     for orb in orbits:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from dp6 import fieldtower, hexagon
 from dp6._ratfunc import CPoly, QOmega, UNITS, poly_nth_root, qomega_nth_roots
@@ -211,6 +211,75 @@ def test_gcd_free_paths_match_cancel_pair(z6_tower, s3_tower, d6_tower, data):
     assert (m / x).key() == cancelled(m.num * x.den, m.den * x.num)
     if not m.is_zero():
         assert (x / m).key() == cancelled(x.num * m.den, x.den * m.num)
+
+
+#: a nonzero rational q, q*w, or (1 + w)*q
+_TERM_COEFFS = st.tuples(
+    st.fractions(-9, 9, max_denominator=5).filter(bool),
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+).map(lambda qab: QOmega(qab[1][0] * qab[0], qab[1][1] * qab[0]))
+_TERM_EXPS = st.tuples(*[st.integers(-4, 4)] * 4)
+
+
+@st.composite
+def _term_by_cancel_pair(draw, tower, e):
+    """c*x^e built through cancel_pair: both sides carry a drawn monomial
+    content and the denominator a drawn coefficient."""
+    ring = tower.ring
+    c, d = draw(_TERM_COEFFS), draw(_TERM_COEFFS)
+    s = draw(st.tuples(*[st.integers(0, 2)] * 4))
+    num = {tuple(max(v, 0) + t for v, t in zip(e, s)): c * d}
+    den = {tuple(max(-v, 0) + t for v, t in zip(e, s)): d}
+    return FieldElement(tower, CPoly.from_terms(ring, num), CPoly.from_terms(ring, den))
+
+
+@seed(15)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_term_quotient_arithmetic_matches_cancel_pair(z6_tower, s3_tower, d6_tower, data):
+    """Products, quotients and images of term quotients c*x^e, read off
+    their exponent vectors, and their inverses and powers equal the general
+    route."""
+    tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
+    e = data.draw(_TERM_EXPS)
+    x = data.draw(_term_by_cancel_pair(tower, e))
+    # y has the opposite exponents half the time, so that x*y is a constant
+    f = data.draw(st.one_of(_TERM_EXPS, st.just(tuple(-v for v in e))))
+    y = data.draw(_term_by_cancel_pair(tower, f))
+
+    def cancelled(num, den):
+        return FieldElement(tower, num, den).key()
+
+    assert (x * y).key() == cancelled(x.num * y.num, x.den * y.den)
+    assert (x / y).key() == cancelled(x.num * y.den, x.den * y.num)
+    assert x.inv().key() == cancelled(x.den, x.num)
+    assert x * x.inv() == tower.one() and x / x == tower.one()
+    k = data.draw(st.integers(-3, 3))
+    num, den = (x.num, x.den) if k >= 0 else (x.den, x.num)
+    assert (x**k).key() == cancelled(num**abs(k), den**abs(k))
+    u = data.draw(st.one_of(
+        st.sampled_from(tower.elements),
+        st.builds(VarAutomorphism, st.permutations(range(4)),
+                  st.lists(st.sampled_from(UNITS), min_size=4, max_size=4)),
+    ))
+    assert apply(u, x).key() == cancelled(_substituted(u, x.num), _substituted(u, x.den))
+
+
+def test_term_products_form_no_polynomial_product(monkeypatch, z6_tower, d6_tower):
+    """Term quotient times and over a term quotient is read off exponent
+    vectors: no CPoly product is formed."""
+    w = QOmega.omega()
+    cases = [(z6_tower.monomial((2, -1, 0, 3), QOmega(3)),
+              z6_tower.monomial((-2, 1, 4, 0), QOmega(1, 1))),
+             (d6_tower.monomial((0, 0, -3, 1), w),
+              d6_tower.monomial((1, 0, -3, 1), QOmega(-2)))]
+    want = [((x * y).key(), (x / y).key()) for x, y in cases]
+
+    def refuse(self, other):
+        raise AssertionError("CPoly product formed")
+
+    monkeypatch.setattr(CPoly, "__mul__", refuse)
+    assert [((x * y).key(), (x / y).key()) for x, y in cases] == want
 
 
 def test_non_unit_scalar_refused():

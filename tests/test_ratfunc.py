@@ -18,6 +18,7 @@ from dp6._ratfunc import (
     power,
     rational_ring,
     strip_monomial_content,
+    term_pair,
 )
 from dp6.fieldtower import apply
 from dp6.surface import make_surface
@@ -307,6 +308,45 @@ def test_qomega_field_axioms(a1, b1, a2, b2):
     assert (u + v) * u == u * u + v * u
     if not v.is_zero():
         assert (u * v) * v.inv() == u
+
+
+_Q = st.fractions(-9, 9, max_denominator=7).map(lambda f: QQ(f.numerator, f.denominator))
+
+
+@seed(15)
+@settings(max_examples=150, deadline=None)
+@given(_Q, _Q, _Q, st.one_of(st.just(QQ.zero), _Q))
+def test_qomega_rational_case_matches_general_formula(a1, a2, b1, b2):
+    """The b = 0 products and inverses equal (a1 + b1 w)(a2 + b2 w) with
+    w^2 = -1 - w and the conjugate over the norm, in value and in type;
+    the draws cover rational times rational, rational times mixed and
+    mixed times mixed."""
+    def same(got, a, b):
+        assert (got.a, got.b) == (a, b)
+        assert type(got.a) is type(got.b) is QQ.dtype
+
+    for u, v in [(QOmega(a1), QOmega(a2)), (QOmega(a1), QOmega(b1, b2)),
+                 (QOmega(b1, b2), QOmega(a2)), (QOmega(a1, b1), QOmega(a2, b2))]:
+        same(u * v, u.a * v.a - u.b * v.b, u.a * v.b + u.b * v.a - u.b * v.b)
+        if not u.is_zero():
+            n = u.a * u.a - u.a * u.b + u.b * u.b
+            same(u.inv(), (u.a - u.b) / n, -u.b / n)
+
+
+_TERM_E = st.tuples(*[st.integers(-4, 4)] * 3)
+
+
+@seed(15)
+@settings(max_examples=100, deadline=None)
+@given(_TERM_E, _Q.filter(bool), st.one_of(st.just(QQ.zero), _Q),
+       _Q.filter(bool), st.tuples(*[st.integers(0, 2)] * 3))
+def test_term_pair_matches_cancel_pair(e, a, b, d, s):
+    """term_pair(c, e) is the pair cancel_pair makes of c*d*x^(e+ + s) over
+    d*x^(e- + s)."""
+    c = QOmega(a, b)
+    num = CPoly.from_terms(R, {tuple(max(v, 0) + t for v, t in zip(e, s)): c * QOmega(d)})
+    den = CPoly.from_terms(R, {tuple(max(-v, 0) + t for v, t in zip(e, s)): QOmega(d)})
+    assert _key(term_pair(R, c, e)) == _key(cancel_pair(num, den))
 
 
 @pytest.mark.parametrize("k", range(9))
