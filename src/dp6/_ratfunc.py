@@ -4,12 +4,15 @@ The coefficient field is Q adjoined a primitive cube root of unity w, with
 w^2 = -1 - w.  Polynomials over it are stored as a pair of sympy sparse
 polynomials over QQ (the "1" part and the "w" part); almost all data in
 practice has a zero w-part, which keeps gcd and multiplication in the fast
-rational path.  The algebraic-field ring is only consulted for gcds of
-genuinely mixed polynomials.
+rational path.  The algebraic-field ring is only consulted for gcds and
+squarefree splits of genuinely mixed polynomials.
 
 `cancel_pair` makes a fraction canonical by its gcd; `term_pair` builds the
 canonical pair of a term quotient c*x^e straight from c and the exponent
-vector e, with no product and no gcd.
+vector e, with no product and no gcd, and `pair_term` reads c and e back.
+
+This is the only module that knows how a polynomial is stored and the only
+one that imports sympy; each sympy algorithm sits behind one function here.
 """
 
 from __future__ import annotations
@@ -140,6 +143,28 @@ _OMEGA = QOmega(0, 1)
 UNITS = tuple(
     QOmega(s, 0) * _OMEGA**j for s in (1, -1) for j in range(3)
 )
+
+#: zeta = -w^2 = 1 + w generates the six roots of unity of Q(w)
+ZETA_POWERS = tuple((-_OMEGA ** 2) ** t for t in range(6))
+ZETA_EXPONENT = {z: t for t, z in enumerate(ZETA_POWERS)}
+#: the key printed for zeta^t
+ZETA_KEYS = tuple(z.key() for z in ZETA_POWERS)
+#: the exponents of UNITS, in UNITS order
+UNIT_EXPONENTS = tuple(ZETA_EXPONENT[z] for z in UNITS)
+
+
+def monomial_image(perm, zexp, e):
+    """(e', t): x^e maps to zeta^t * x^e' under x_i -> zeta^zexp[i] * x_perm[i].
+
+    e' is e permuted, e'[perm[i]] = e[i], and t = sum of zexp[i] * e[i] mod 6,
+    for negative e[i] too.
+    """
+    img = [0] * len(e)
+    t = 0
+    for i, v in enumerate(e):
+        img[perm[i]] = v
+        t += zexp[i] * v
+    return tuple(img), t % 6
 
 
 def unit_from_str(text):
@@ -404,6 +429,33 @@ class CPoly:
                 terms[mon] = QOmega(lst[1], lst[0])
         return cls.from_terms(ring_, terms)
 
+    def substitute(self, perm, zexp):
+        """The image under x_i -> zeta^zexp[i] * x_perm[i], term by term.
+
+        A term c*x^e of pa goes to c * zeta^t * x^e' and a term c*w*x^e of pb
+        to c * zeta^t * w * x^e', with (e', t) from `monomial_image`.  As
+        zeta^t = (-1)^t * w^(2t), no Q(w) multiplication is needed.
+        """
+        da, db = {}, {}
+        for part, shift in ((self.pa, 0), (self.pb, 1)):
+            if not part:
+                continue
+            for mon, c in part.items():
+                key, t = monomial_image(perm, zexp, mon)
+                if t & 1:
+                    c = -c
+                j = (2 * t + shift) % 3
+                if j != 1:  # c*w^j has 1-part c (j = 0) or -c (w^2 = -1 - w)
+                    a = c if j == 0 else -c
+                    da[key] = da[key] + a if key in da else a
+                if j != 0:  # and w-part c (j = 1) or -c (j = 2)
+                    b = c if j == 1 else -c
+                    db[key] = db[key] + b if key in db else b
+        new = self.ring.dtype
+        da = {m: c for m, c in da.items() if c}
+        db = {m: c for m, c in db.items() if c}
+        return CPoly(self.ring, new(da), new(db) if db else None)
+
     def __repr__(self):
         if self.pb is None:
             return str(self.pa)
@@ -504,6 +556,21 @@ def term_pair(ring_, c: QOmega, e):
     num = CPoly(ring_, new({pos: c.a}) if c.a else ring_.zero,
                 new({pos: c.b}) if c.b else None)
     return num, CPoly(ring_, new({neg: QQ.one}))
+
+
+def pair_term(num: CPoly, den: CPoly):
+    """(c, e) when the canonical pair num/den is the term quotient c*x^e, else None.
+
+    The inverse of `term_pair`: the monic denominator's one term has
+    coefficient 1, so c is the numerator's coefficient.
+    """
+    if not (num.is_term() and den.is_term()):
+        return None
+    pa, pb = num.pa, num.pb
+    (a,) = pa or pb
+    c = QOmega(pa[a] if pa else QQ.zero, QQ.zero if pb is None else pb[a])
+    (b,) = den.pa
+    return c, tuple(map(sub, a, b))
 
 
 def _term_quotient(num: CPoly, den: CPoly):
@@ -686,11 +753,7 @@ def _qomega_cbrt(c: QOmega):
             return QOmega(r, r)
         return None
     # b != 0: y = t x with b t^3 + (3a - 3b) t^2 - 3a t + b = 0
-    from sympy import Poly, Symbol
-    t = Symbol("t")
-    poly = Poly([b, 3 * a - 3 * b, -3 * a, b], t, domain="QQ")
-    for root, _ in poly.ground_roots().items():
-        tq = QQ.convert(root)
+    for tq in _rational_roots([b, 3 * a - 3 * b, -3 * a, b]):
         den = 3 * tq * (QQ.one - tq)
         if not den:
             continue
@@ -703,6 +766,14 @@ def _qomega_cbrt(c: QOmega):
             return cand
     # x = 0 branch: (yw)^3 = y^3 -> b must be 0; handled above
     return None
+
+
+def _rational_roots(coeffs):
+    """The rational roots of the polynomial with QQ coefficients `coeffs`,
+    highest degree first (sympy's `ground_roots`)."""
+    from sympy import Poly, Symbol
+    poly = Poly(coeffs, Symbol("t"), domain="QQ")
+    return [QQ.convert(root) for root in poly.ground_roots()]
 
 
 def poly_nth_root(p: CPoly, n):
@@ -723,25 +794,11 @@ def poly_nth_root(p: CPoly, n):
     core = p.shift_down(mins)
     if any(core.degree_in(i) % n for i in range(p.ring.ngens)):
         return None
-    if core.is_ground():
-        root_cp = CPoly.one(p.ring)
-    elif core.is_rational():
-        _, factors = core.pa.sqf_list()
-        root = p.ring.one
-        for f, m in factors:
-            if m % n:
-                return None
-            root *= f ** (m // n)
-        root_cp = CPoly(p.ring, root)
-    else:
-        ap = core.to_algebraic()
-        _, factors = ap.sqf_list()
-        root = ap.ring.one
-        for f, m in factors:
-            if m % n:
-                return None
-            root *= f ** (m // n)
-        root_cp = CPoly.from_algebraic(p.ring, root)
+    root_cp = CPoly.one(p.ring)
+    for f, m in _squarefree_factors(core):
+        if m % n:
+            return None
+        root_cp = root_cp * f ** (m // n)
     c_rel = _ground_ratio(core, root_cp**n)
     if c_rel is None:
         return None
@@ -752,6 +809,17 @@ def poly_nth_root(p: CPoly, n):
     if any(mins):
         cand = cand * CPoly.from_terms(p.ring, {tuple(e // n for e in mins): _ONE})
     return cand if cand**n == p else None
+
+
+def _squarefree_factors(p: CPoly):
+    """[(f, m)]: p is a constant times the product of the f^m, the f squarefree
+    and pairwise coprime (sympy's `sqf_list`, over Q or Q(w))."""
+    if p.is_ground():
+        return []
+    if p.is_rational():
+        return [(CPoly(p.ring, f), m) for f, m in p.pa.sqf_list()[1]]
+    return [(CPoly.from_algebraic(p.ring, f), m)
+            for f, m in p.to_algebraic().sqf_list()[1]]
 
 
 def _ground_ratio(p: CPoly, q: CPoly):

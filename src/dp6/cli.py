@@ -62,7 +62,7 @@ def resolve_scenario(arg):
     raise FileNotFoundError(f"no scenario file or bundled scenario {arg!r}")
 
 
-def run(path, strict=False, seed=0, depth=None, dump_dir=None, out=None):
+def run(path, strict=False, seed=0, depth=None, dump_dir=None):
     """Execute a scenario; returns (exit_code, report_text)."""
     buf = io.StringIO()
 
@@ -87,8 +87,7 @@ def run(path, strict=False, seed=0, depth=None, dump_dir=None, out=None):
     emit(f"strict: {'on' if strict else 'off'}")
     if strict and dropped:
         emit(f"assumed-facts-dropped: {dropped}")
-    state = {"graphs": {}, "links": {}, "seed": seed, "depth": depth,
-             "dump_dir": dump_dir, "strict": strict}
+    state = {"graphs": {}, "depth": depth, "dump_dir": dump_dir, "strict": strict}
     code = 0
     for cmd in scen.commands:
         emit()
@@ -106,14 +105,14 @@ def run(path, strict=False, seed=0, depth=None, dump_dir=None, out=None):
             emit(f"error: {e}")
             code = max(code, 3)
             continue
-        used = scen.registry.used_assumed[used_before:]
-        for fact in used:
-            emit(f"assumed-fact-used: {fact.detail[0] if fact.detail else ''} "
-                 f"({fact.verdict})")
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return code, text
+        for fact in scen.registry.used_assumed[used_before:]:
+            emit(_assumed_line("assumed-fact-used", fact))
+    return code, buf.getvalue()
+
+
+def _assumed_line(label, fact):
+    """The report line naming an assumed fact: its note and its verdict."""
+    return f"{label}: {fact.detail[0] if fact.detail else ''} ({fact.verdict})"
 
 
 def _guard_unknown(state, what, value):
@@ -197,8 +196,7 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"Am_L: {data.am_L}")
         emit(f"automorphisms: {automorphism_description(spec)}")
         for fact in data.assumed_facts:
-            emit(f"assumed-fact: {fact.detail[0] if fact.detail else ''} "
-                 f"({fact.verdict})")
+            emit(_assumed_line("assumed-fact", fact))
         return
     if op == "iso":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
@@ -214,7 +212,6 @@ def _dispatch(scen, state, cmd, emit):
         spec = _surface(scen, args[0])
         p = _point(scen, args[1])
         rec = link(spec, p, name=f"chi[{args[1]}]")
-        state["links"][(args[0], args[1])] = rec
         emit(f"link: {rec.name}")
         emit(f"degree: {rec.d}")
         emit(f"kernel-H: {rec.h_description}")
@@ -233,8 +230,7 @@ def _dispatch(scen, state, cmd, emit):
         if res.reason:
             emit(f"reason: {res.reason}")
         for fact in res.assumed:
-            emit(f"assumed-fact: {fact.detail[0] if fact.detail else ''} "
-                 f"({fact.verdict})")
+            emit(_assumed_line("assumed-fact", fact))
         return
     if op == "birational":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
@@ -267,15 +263,8 @@ def _dispatch(scen, state, cmd, emit):
             emit(f"graph-dump: {fname}")
         return
     if op == "psi":
-        spec = _surface(scen, args[0])
-        word_text = args[1]
-        graph = state["graphs"].get(args[0])
-        if graph is None:
-            pts = [p for p in scen.points.values()]
-            graph = birgroup.explore_graph(
-                spec, pts, depth=state["depth"] or 2)
-            state["graphs"][args[0]] = graph
-        tour = _walk(scen, graph, word_text)
+        graph = _graph(scen, state, args[0])
+        tour = _walk(scen, graph, args[1])
         word = birgroup.word_to_generators(graph, tour)
         emit(f"word: {word}")
         image = birgroup.psi_image(graph, word)
@@ -284,8 +273,8 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"z-factors: {len(image.z_factors())}")
         return
     if op == "check-relation":
-        spec = _surface(scen, args[0])
         if args[1] == "hexagonal":
+            spec = _surface(scen, args[0])
             p, q = _point(scen, args[2]), _point(scen, args[3])
             graph, recs = birgroup.hexagonal_graph(spec, p, q)
             word = birgroup.word_to_generators(graph, recs)
@@ -296,11 +285,7 @@ def _dispatch(scen, state, cmd, emit):
             emit(f"holds: {str(bool(ok)).lower()}")
             emit(f"psi-identity: {str(image.is_identity()).lower()}")
             return
-        graph = state["graphs"].get(args[0])
-        if graph is None:
-            graph = birgroup.explore_graph(
-                spec, list(scen.points.values()), depth=state["depth"] or 2)
-            state["graphs"][args[0]] = graph
+        graph = _graph(scen, state, args[0])
         tour = _walk(scen, graph, args[1])
         word = birgroup.word_to_generators(graph, tour)
         ok = birgroup.check_relation(graph, word)
@@ -348,6 +333,18 @@ def _dispatch(scen, state, cmd, emit):
                 emit(f"point-degree: 2")
                 emit(f"lambda1: {p.lam1}")
                 emit(f"field: {p.ext.name}")
+
+
+def _graph(scen, state, name):
+    """The graph `explore` built for surface `name`, else one built now at
+    the --depth option (default 2)."""
+    spec = _surface(scen, name)  # checks the name before it is a key
+    graph = state["graphs"].get(name)
+    if graph is None:
+        graph = birgroup.explore_graph(spec, list(scen.points.values()),
+                                       depth=state["depth"] or 2)
+        state["graphs"][name] = graph
+    return graph
 
 
 def _walk(scen, graph, word_text):

@@ -18,15 +18,19 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from sympy.polys.domains import QQ
-
 from . import hexagon
 from ._ratfunc import (
+    UNIT_EXPONENTS,
+    UNITS,
+    ZETA_EXPONENT,
+    ZETA_KEYS,
+    ZETA_POWERS,
     CPoly,
     QOmega,
-    UNITS,
     cancel_pair,
     monic_pair,
+    monomial_image,
+    pair_term,
     poly_nth_root,
     power,
     qomega_nth_roots,
@@ -98,14 +102,7 @@ class FieldElement:
         Canonical, it is c*x^(e+) / x^(e-): the denominator is monic, so its
         one term has coefficient 1.
         """
-        num, den = self.num, self.den
-        if not (num.is_term() and den.is_term()):
-            return None
-        pa, pb = num.pa, num.pb
-        (a,) = pa or pb
-        c = QOmega(pa[a] if pa else QQ.zero, QQ.zero if pb is None else pb[a])
-        (b,) = den.pa
-        return c, tuple(map(sub, a, b))
+        return pair_term(self.num, self.den)
 
     def _product(self, o, divide=False):
         """self * o, or self / o when `divide`, made canonical.
@@ -230,15 +227,6 @@ class FieldElement:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-#: zeta = -w^2 = 1 + w generates the six roots of unity of Q(w)
-_ZETA_POWERS = tuple((-QOmega.omega() ** 2) ** t for t in range(6))
-_ZETA_EXPONENT = {z: t for t, z in enumerate(_ZETA_POWERS)}
-#: the key printed for zeta^t
-_ZETA_KEYS = tuple(z.key() for z in _ZETA_POWERS)
-#: the exponents of UNITS, in UNITS order
-_UNIT_EXPONENTS = tuple(_ZETA_EXPONENT[z] for z in UNITS)
-
-
 class VarAutomorphism:
     """x_i -> zeta^zexp[i] * x_{perm[i]}, with zeta = -w^2.
 
@@ -256,7 +244,7 @@ class VarAutomorphism:
             raise ValueError("perm/scal length mismatch")
         zexp = []
         for s in scal:
-            t = _ZETA_EXPONENT.get(s)
+            t = ZETA_EXPONENT.get(s)
             if t is None:
                 raise TowerError(f"scalar {s!r} is not a root of unity of Q(w)")
             zexp.append(t)
@@ -295,14 +283,6 @@ class VarAutomorphism:
             zexp[self.perm[i]] = -self.zexp[i] % 6
         return VarAutomorphism._from_zexp(perm, zexp)
 
-    def order(self):
-        u = self
-        for k in range(1, 13):
-            if u.is_identity():
-                return k
-            u = u * self
-        raise TowerError("automorphism order exceeds 12")
-
     def __eq__(self, other):
         return (
             isinstance(other, VarAutomorphism)
@@ -314,47 +294,10 @@ class VarAutomorphism:
         return hash((self.perm, self.zexp))
 
     def key(self):
-        return (self.perm, tuple(_ZETA_KEYS[t] for t in self.zexp))
+        return (self.perm, tuple(ZETA_KEYS[t] for t in self.zexp))
 
     def __repr__(self):
-        return f"VarAut(perm={self.perm}, scal={[str(_ZETA_POWERS[t]) for t in self.zexp]})"
-
-
-def _apply_varaut_poly(u: VarAutomorphism, p: CPoly) -> CPoly:
-    """u(p), computed on the QQ parts of p = pa + w*pb.
-
-    u maps a term c*m of pa to c * zeta^t * m', and a term c*w*m of pb to
-    c * zeta^t * w * m', where m' is m with permuted exponents e_i and t is
-    the sum of zexp[i] * e_i.  As zeta^t = (-1)^t * w^(2t), only t mod 6
-    counts, and no Q(w) multiplication is needed.
-    """
-    n = len(u.perm)
-    perm, zexp = u.perm, u.zexp
-    da, db = {}, {}
-    for part, shift in ((p.pa, 0), (p.pb, 1)):
-        if not part:
-            continue
-        for mon, c in part.items():
-            new = [0] * n
-            t = 0
-            for i, e in enumerate(mon):
-                if e:
-                    new[perm[i]] += e
-                    t += zexp[i] * e
-            if t & 1:
-                c = -c
-            key = tuple(new)
-            j = (2 * t + shift) % 3
-            if j != 1:  # c*w^j has 1-part c (j = 0) or -c (w^2 = -1 - w)
-                a = c if j == 0 else -c
-                da[key] = da[key] + a if key in da else a
-            if j != 0:  # and w-part c (j = 1) or -c (j = 2)
-                b = c if j == 1 else -c
-                db[key] = db[key] + b if key in db else b
-    new = p.ring.dtype
-    da = {m: c for m, c in da.items() if c}
-    db = {m: c for m, c in db.items() if c}
-    return CPoly(p.ring, new(da), new(db) if db else None)
+        return f"VarAut(perm={self.perm}, scal={[str(ZETA_POWERS[t]) for t in self.zexp]})"
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +366,10 @@ class GaloisTower:
         pres = _PRESENTATIONS[gtype]
         for gname, order in pres["gens"].items():
             u = gens[gname]
-            if u.is_identity() or u.order() != order:
+            if u.is_identity() or element_order(u) != order:
                 raise TowerError(f"generator {gname} must have order {order}")
         for lhs, rhs in pres["relations"]:
-            ul = _word_product(gens, lhs)
-            ur = _word_product(gens, rhs)
-            if ul != ur:
+            if self.element_named(lhs) != self.element_named(rhs):
                 raise TowerError(f"presentation relation {lhs} = {rhs} fails")
         return gtype
 
@@ -508,14 +449,6 @@ class GaloisTower:
         return f"GaloisTower({self.name}: {self.gtype} on {self.variables})"
 
 
-def _word_product(gens, word):
-    u = None
-    for ch in word:
-        v = gens[ch]
-        u = v if u is None else u * v
-    return u
-
-
 # ---------------------------------------------------------------------------
 # apply / norm / fixedness
 # ---------------------------------------------------------------------------
@@ -538,7 +471,7 @@ def apply(u, x):
                 y = apply(u.uf, d)
                 t = i * u.zexp % 6
                 if t:
-                    y = FieldElement(y.tower, y.num.mul_scalar(_ZETA_POWERS[t]), y.den,
+                    y = FieldElement(y.tower, y.num.mul_scalar(ZETA_POWERS[t]), y.den,
                                      _canonical=True)
                 digits.append(y)
             return RadElement(x.comp, digits)
@@ -551,32 +484,30 @@ def apply(u, x):
                 raise DomainMismatchError("automorphism arity mismatch")
             t = x._term()
             if t is not None:
-                # u(c*x^e) = c * zeta^s * x^(perm e) with s = sum zexp_i*e_i,
-                # for negative e_i too
+                # u(c*x^e) = c * zeta^s * x^e', the rule `substitute` applies
+                # to each term of a polynomial
                 c, e = t
-                img, s = [0] * len(e), 0
-                for i, v in enumerate(e):
-                    img[u.perm[i]] = v
-                    s += u.zexp[i] * v
-                return x.tower.monomial(img, c * _ZETA_POWERS[s % 6] if s % 6 else c)
+                img, s = monomial_image(u.perm, u.zexp, e)
+                return x.tower.monomial(img, c * ZETA_POWERS[s] if s else c)
             # a ring automorphism keeps a coprime pair coprime: no gcd needed
-            num, den = monic_pair(_apply_varaut_poly(u, x.num), _apply_varaut_poly(u, x.den))
+            num, den = monic_pair(x.num.substitute(u.perm, u.zexp),
+                                  x.den.substitute(u.perm, u.zexp))
             return FieldElement(x.tower, num, den, _canonical=True)
         raise DomainMismatchError(f"cannot apply tower automorphism to {x!r}")
     raise DomainMismatchError(f"not an automorphism: {u!r}")
 
 
 def element_order(u):
-    if isinstance(u, CompositeElement):
-        n = 1
-        v = u
-        while not v.is_identity():
-            v = v * u
-            n += 1
-            if n > 36:
-                raise TowerError("order exceeds 36")
-        return n
-    return u.order()
+    """The order of a VarAutomorphism or CompositeElement.
+
+    A group of at most 12 elements has no element of larger order.
+    """
+    v, n = u, 1
+    while not v.is_identity():
+        if n == 12:
+            raise TowerError("automorphism order exceeds 12")
+        v, n = v * u, n + 1
+    return n
 
 
 def norm(u, x):
@@ -712,7 +643,7 @@ class ExtensionDescriptor:
 def _valuations(x: FieldElement):
     """The degree and the order at 0 of x in each variable."""
     num, den = x.num, x.den
-    return ([num.degree_in(i) - den.degree_in(i) for i in range(num.ring.ngens)]
+    return ([num.degree_in(i) - den.degree_in(i) for i in range(len(x.tower.variables))]
             + [a - b for a, b in zip(num.min_degrees(), den.min_degrees())])
 
 
@@ -751,9 +682,6 @@ class CompositeElement:
     def inverse(self):
         return CompositeElement(self.comp, self.uf.inverse(), -self.zexp % 6)
 
-    def order(self):
-        return element_order(self)
-
     def __eq__(self, other):
         return (
             isinstance(other, CompositeElement)
@@ -765,10 +693,10 @@ class CompositeElement:
         return hash((self.uf, self.zexp))
 
     def key(self):
-        return (self.uf.key(), _ZETA_KEYS[self.zexp])
+        return (self.uf.key(), ZETA_KEYS[self.zexp])
 
     def __repr__(self):
-        return f"CompositeElement({self.uf!r}, r->{_ZETA_POWERS[self.zexp]}*r)"
+        return f"CompositeElement({self.uf!r}, r->{ZETA_POWERS[self.zexp]}*r)"
 
 
 class RadElement:
@@ -1049,10 +977,10 @@ def composite_group(tower: GaloisTower, ext: ExtensionDescriptor) -> CompositeGr
     else:
         # quadratic intersection: identify r^3 with the square root q of a in F
         intersection, reduction, m = "quadratic", q, 3
-        shift = {u: _ZETA_EXPONENT[_as_qomega(apply(u, q) / q)] for u in tower.elements}
+        shift = {u: ZETA_EXPONENT[_as_qomega(apply(u, q) / q)] for u in tower.elements}
     comp = CompositeField(tower, ext, m, reduction, intersection)
     elements = [comp.element(u, t) for u in tower.elements
-                for t in _UNIT_EXPONENTS if t * m % 6 == shift[u]]
+                for t in UNIT_EXPONENTS if t * m % 6 == shift[u]]
     gens = {gname: comp.element(u, shift[u]) for gname, u in tower.generators.items()}
     idv = VarAutomorphism.identity(len(tower.variables))
     if m % 3 == 0:
@@ -1064,13 +992,10 @@ def composite_group(tower: GaloisTower, ext: ExtensionDescriptor) -> CompositeGr
 
 
 def _as_qomega(x: FieldElement) -> QOmega:
+    """The value of a nonzero constant x; its canonical denominator is 1."""
     if not x.is_constant():
         raise TowerError("expected a constant")
-    terms = x.num.terms()
-    zero = tuple([0] * x.tower.ring.ngens)
-    cn = terms.get(zero, QOmega.zero())
-    cd = x.den.terms().get(zero)
-    return cn * cd.inv()
+    return x.num.leading()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,6 +1005,7 @@ def _as_qomega(x: FieldElement) -> QOmega:
 IS_NORM = "IsNorm"
 NOT_NORM = "NotNorm"
 UNKNOWN = "Unknown"
+VERDICTS = (IS_NORM, NOT_NORM, UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -1092,6 +1018,10 @@ class ClassFact:
     provenance: str
     detail: tuple = ()
     witness: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.verdict not in VERDICTS:
+            raise TowerError(f"not a norm-class verdict: {self.verdict!r}")
 
     @property
     def assumed(self):
@@ -1235,14 +1165,13 @@ def _flips_only(uf: VarAutomorphism, index):
 
 def _residue_test(x: FieldElement, index):
     """False if x cannot be a Norm_u for the order-2 flip at `index`."""
-    d1 = min((m[index] for m in x.num.terms()), default=0)
-    d2 = min((m[index] for m in x.den.terms()), default=0)
+    d1, d2 = x.num.min_degrees()[index], x.den.min_degrees()[index]
     m = d1 - d2
     if m % 2 != 0:
         return False
-    shift_n = [0] * x.num.ring.ngens
+    shift_n = [0] * len(x.tower.variables)
     shift_n[index] = d1
-    shift_d = [0] * x.den.ring.ngens
+    shift_d = list(shift_n)
     shift_d[index] = d2
     num0 = x.num.shift_down(tuple(shift_n)).subs_zero(index)
     den0 = x.den.shift_down(tuple(shift_d)).subs_zero(index)
@@ -1345,7 +1274,7 @@ def hilbert90_witness(lam: FieldElement, u):
         for i in orb[1:]:  # _perm_orbits lists each orbit in cycle order
             acc += e[i]
             d[i] = acc
-    n_ord = uf.order()
+    n_ord = element_order(uf)
     # adjust constants by shifting whole orbits (changes the quotient by a unit);
     # start from the shift that clears negative exponents
     base_shifts = [max(0, -min(d[i] for i in orb)) for orb in orbits]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import curveconfig, hexagon
+from ._ratfunc import ZETA_KEYS
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
@@ -22,7 +23,6 @@ from .fieldtower import (
     NOT_NORM,
     TowerError,
     UNKNOWN,
-    _ZETA_KEYS,
     apply,
     norm,
 )
@@ -114,7 +114,7 @@ class DataSurface:
         sb = frozenset(h.key + (h.status,) for h in self.sb_pair)
         conic = (self.conic.key, self.conic.status) if self.conic else None
         rads = tuple(r.key() for r in self.radicals)
-        kernel = frozenset((u.key(), tuple(_ZETA_KEYS[t] for t in zs))
+        kernel = frozenset((u.key(), tuple(ZETA_KEYS[t] for t in zs))
                            for u, zs in self.kernel())
         self._key = (self.tower.field_key(), rads, kernel, self.gtype,
                      self.K.field_id(), sb,

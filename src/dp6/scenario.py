@@ -16,6 +16,8 @@ from .fieldtower import (
     ExtensionDescriptor,
     FactRegistry,
     GaloisTower,
+    IS_NORM,
+    NOT_NORM,
     UnsupportedCompositeError,
     VarAutomorphism,
     apply,
@@ -352,8 +354,12 @@ def load_scenario(path_or_dict):
             cert = _element(fact, "certificate", "fact", tower)
             norm_class(elem, gen, cert=cert, registry=registry)
         else:
-            registry.assume(elem, gen, _required(fact, "verdict", "fact"),
-                            note=fact.get("note", ""))
+            verdict = _required(fact, "verdict", "fact")
+            if verdict not in (IS_NORM, NOT_NORM):
+                raise ScenarioError(
+                    f"fact {fact['element']} under {fact['generator']}: verdict "
+                    f"must be {IS_NORM} or {NOT_NORM}, got {verdict!r}")
+            registry.assume(elem, gen, verdict, note=fact.get("note", ""))
     for name, node in _entries(raw, "surfaces"):
         where = f"surface {name}"
         tower = _named(towers, _required(node, "tower", where), f"{where}: tower")

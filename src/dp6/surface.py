@@ -20,6 +20,7 @@ from .fieldtower import (
     NOT_NORM,
     TowerError,
     UNKNOWN,
+    VERDICTS,
     apply,
     is_fixed,
     norm,
@@ -458,6 +459,8 @@ def index(spec: SurfaceSpec):
 def index_from_flags(gtype, k, l):
     """The index of a surface of type gtype whose classes over K and L have
     the triviality verdicts k and l."""
+    if k not in VERDICTS or l not in VERDICTS:
+        raise TowerError(f"not a norm-class verdict: {k!r} or {l!r}")
     if gtype == "S3":
         if k == IS_NORM:
             return 1

@@ -359,6 +359,10 @@ _SZ = ("surfaces", "SZ")
     # a Z6 tower has the generators g and h only
     (_set(_P + ("lambda2_rule",), "f-form"), False,
      "point p: lambda2_rule: f-form needs an f generator"),
+    *[(_set(("facts",), [{"tower": "FZ", "element": "x1/x2", "generator": "g",
+                          "verdict": verdict}]), False,
+       f"fact x1/x2 under g: verdict must be IsNorm or NotNorm, got {verdict!r}")
+      for verdict in ("bogus", None, 5, [], {}, "Unknown")],
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
         "fact-generator", "name", "extension-tower", "surface-tower",
@@ -369,7 +373,8 @@ _SZ = ("surfaces", "SZ")
         "no-surface-tower", "no-xi", "no-gtype", "no-point-surface",
         "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict",
         "xi-by-zero", "rho-by-zero", "lambda1-by-zero", "lambda2-by-zero",
-        "fact-by-zero", "f-form-without-f"])
+        "fact-by-zero", "f-form-without-f", "verdict-bogus", "verdict-null",
+        "verdict-int", "verdict-list", "verdict-object", "verdict-unknown"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"

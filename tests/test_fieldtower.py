@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dp6 import fieldtower, hexagon
-from dp6._ratfunc import CPoly, QOmega, UNITS, poly_nth_root, qomega_nth_roots
+from dp6._ratfunc import (
+    UNITS,
+    ZETA_POWERS,
+    CPoly,
+    QOmega,
+    poly_nth_root,
+    qomega_nth_roots,
+)
 from dp6.fieldtower import (
     CertificateError,
     ExtensionDescriptor,
@@ -18,7 +25,6 @@ from dp6.fieldtower import (
     TowerError,
     UnsupportedCompositeError,
     VarAutomorphism,
-    _ZETA_POWERS,
     _root_in_base,
     apply,
     composite_group,
@@ -96,7 +102,7 @@ def test_apply_composition_on_monomials(s3_tower, data):
 def _substituted(u, p):
     """u(p) by plain substitution x_i -> zeta^zexp[i] * x_perm[i], no shortcuts."""
     ring = p.ring
-    images = [CPoly.variable(ring, u.perm[i]).mul_scalar(_ZETA_POWERS[u.zexp[i]])
+    images = [CPoly.variable(ring, u.perm[i]).mul_scalar(ZETA_POWERS[u.zexp[i]])
               for i in range(ring.ngens)]
     out = CPoly.zero(ring)
     for mon, c in p.terms().items():
@@ -527,7 +533,7 @@ def test_composite_apply_scales_digits(request, tower_name, case):
           RadElement(comp, [digits[0], tower.zero()] + digits[2:])]
     for u in cg.elements:
         for x in xs:
-            want = [apply(u.uf, d) * tower.const(_ZETA_POWERS[i * u.zexp % 6])
+            want = [apply(u.uf, d) * tower.const(ZETA_POWERS[i * u.zexp % 6])
                     for i, d in enumerate(x.digits)]
             assert apply(u, x).key() == RadElement(comp, want).key(), u
 
@@ -790,6 +796,13 @@ def test_assumed_fact_upgrades_unknown(z6_tower):
     assert upgraded.verdict == "NotNorm" and upgraded.assumed
     strict = norm_class(subtle, h, registry=reg, strict=True)
     assert strict.verdict == "Unknown"
+
+
+@pytest.mark.parametrize("verdict", ["bogus", None, 5, [], "NotNorm "])
+def test_fact_refuses_a_foreign_verdict(z6_tower, verdict):
+    g = z6_tower.element_named("g")
+    with pytest.raises(TowerError, match="not a norm-class verdict"):
+        FactRegistry().assume(z6_tower.var("y"), g, verdict)
 
 
 @pytest.mark.parametrize("names,gtype", [

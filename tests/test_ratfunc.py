@@ -16,6 +16,7 @@ from dp6._ratfunc import (
     monic_pair,
     poly_nth_root,
     power,
+    qomega_nth_roots,
     rational_ring,
     strip_monomial_content,
     term_pair,
@@ -267,6 +268,27 @@ def test_poly_nth_root_of_scaled_power(n, terms, d, var, k):
     bump = CPoly.one(R) + CPoly.from_terms(R, {tuple(
         k if i == var else 0 for i in range(3)): QOmega.one()})
     assert poly_nth_root(p * bump, n) is None
+
+
+_MIXED = st.builds(lambda a, b, d: QOmega(QQ(a, d), QQ(b, d)), st.integers(-6, 6),
+                   st.integers(-6, 6).filter(bool), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MIXED, _MIXED, st.sampled_from([2, 3]), st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=2, unique=True))
+def test_mixed_roots_roundtrip(c, c2, k, monoms):
+    """Roots with a w-part: the cube root of c^3 for c = a + b*w, b != 0 (the
+    rational roots of a cubic), and the k-th root of p^k for p of one or two
+    terms with such coefficients (a squarefree split over Q(w) when p has
+    two terms)."""
+    cube = c ** 3
+    r = qomega_nth_roots(cube, 3)
+    assert r is not None and r ** 3 == cube
+    p = CPoly.from_terms(R, dict(zip(monoms, (c, c2))))
+    root = poly_nth_root(p ** k, k)
+    assert root is not None and root ** k == p ** k
 
 
 def test_poly_nth_root_degree_test_comes_first(monkeypatch):

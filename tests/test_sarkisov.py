@@ -15,7 +15,7 @@ from dp6.sarkisov import (
     link,
     transport,
 )
-from dp6.surface import make_surface
+from dp6.surface import make_surface, sb_class_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,25 @@ def test_birational_no_and_unknown(s3_example, z6_hex, z6_index6):
     assert res2.verdict == "No"
     res3 = are_birational(s3_example, s3_example)
     assert res3.verdict == "Yes" and res3.chain == ()
+
+
+def test_birational_case2_conic_classes_differ(z6_hex):
+    """Two index-2 surfaces whose conic classes differ by proven NotNorms."""
+    tower = z6_hex.tower
+    x1, x2 = tower.var("x1"), tower.var("x2")
+    other = make_surface("Z6", tower, tower.one(), (x1 + 1) / (x2 + 1))
+    res = are_birational(z6_hex, other)
+    assert (res.verdict, res.case, res.reason) == ("No", 2, "L or Am(S_L) differ")
+    assert res.assumed == ()
+    a, b = as_data_surface(z6_hex), as_data_surface(other)
+    assert sarkisov._class_pair_equivalent(a, b, "L") is False
+    # the oracle compares rho with the rotations of the other conic's rho
+    g, h = tower.element_named("g"), tower.element_named("h")
+    rho = b.conic.element
+    facts = [sb_class_equivalent(a.conic.element, c, h)
+             for c in (rho, apply(g, rho), apply(g * g, rho))]
+    assert [(f.verdict, f.provenance, f.detail) for f in facts] == \
+        [("NotNorm", "residue-proof", ("y",))] * 3
 
 
 def test_fields_probe_empty_and_full(s3_example, example_points, example_links):

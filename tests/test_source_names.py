@@ -57,3 +57,36 @@ def test_no_undefined_or_unused_names(path):
                     if name not in loaded)
     assert not undefined, f"{path.name} loads undefined names: {undefined}"
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _storage_reads(tree):
+    """(line, what) for each place a module imports sympy, reads a CPoly's
+    `pa` or `pb` part, or reads an attribute of a polynomial ring."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [(node.lineno, f"import {m}") for m in modules
+                  if m.split(".")[0] == "sympy"]
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("pa", "pb"):
+                found.append((node.lineno, f".{node.attr}"))
+            inner = node.value
+            if (isinstance(inner, ast.Attribute) and inner.attr == "ring"
+                    or isinstance(inner, ast.Name) and inner.id == "ring"):
+                found.append((node.lineno, f"ring.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_ratfunc.py"],
+                         ids=lambda p: p.name)
+def test_only_ratfunc_knows_the_polynomial_storage(path):
+    """`_ratfunc` alone imports sympy and reads how a polynomial is stored;
+    the other modules go through CPoly's methods.  Passing a ring on as an
+    argument is allowed."""
+    found = _storage_reads(ast.parse(path.read_text(), str(path)))
+    assert not found, f"{path.name} reads the polynomial storage: {found}"

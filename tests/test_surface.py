@@ -8,7 +8,7 @@ import pytest
 
 from dp6 import hexagon
 from dp6._ratfunc import QOmega
-from dp6.fieldtower import FactRegistry, apply, is_fixed, norm
+from dp6.fieldtower import FactRegistry, TowerError, apply, is_fixed, norm
 from dp6.surface import (
     SurfaceConditionError,
     TwistedAutomorphism,
@@ -17,6 +17,7 @@ from dp6.surface import (
     cocycle_assignments,
     equivalence_move,
     index,
+    index_from_flags,
     is_automorphism,
     is_isomorphic,
     make_surface,
@@ -350,6 +351,15 @@ def test_index_values(s3_example, z6_hex, z6_index6, z6_index3, d6_index2):
                             norm(s3_example.tower.element_named("g"),
                                  s3_example.tower.var("t1")))
     assert index(rational) == 1
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+@pytest.mark.parametrize("flags", [("bogus", "NotNorm"), ("NotNorm", None),
+                                   (5, "IsNorm"), ("IsNorm", "")])
+def test_index_refuses_a_foreign_flag(gtype, flags):
+    """No flag outside IsNorm, NotNorm and Unknown reads as NotNorm."""
+    with pytest.raises(TowerError, match="not a norm-class verdict"):
+        index_from_flags(gtype, *flags)
 
 
 # ---------------------------------------------------------------------------
