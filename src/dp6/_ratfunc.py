@@ -687,7 +687,7 @@ def _int_nth_root(m, n):
 
 
 def qomega_nth_roots(c: QOmega, n):
-    """One n-th root of c in Q(w), or None if none exists (n in 1..6)."""
+    """One n-th root of c in Q(w), or None if none exists (n in 1, 2, 3, 6)."""
     if n == 1:
         return c
     if c.is_zero():
@@ -696,9 +696,6 @@ def qomega_nth_roots(c: QOmega, n):
         return _qomega_sqrt(c)
     if n == 3:
         return _qomega_cbrt(c)
-    if n == 4:
-        s = _qomega_sqrt(c)
-        return _qomega_sqrt(s) if s is not None else None
     if n == 6:
         s = _qomega_sqrt(c)
         if s is None:

@@ -357,7 +357,6 @@ class Token:
     kind: str                 # A / B / C / D / C4 (degree-4 Geiser)
     payload: object           # LinkRecord, TwistedAutomorphism, or tag
     inverse: bool = False
-    vertex: tuple | None = None
 
     def __repr__(self):
         inv = "^-1" if self.inverse else ""
@@ -435,13 +434,13 @@ def _segment_tokens(graph, seg):
     second = seg[1]
     if isinstance(second, tuple) and second[0] == "aut":
         rest = _segment_tokens(graph, [ref] + seg[2:])
-        return [Token("D", second[1], vertex=v1)] + rest
+        return [Token("D", second[1])] + rest
     if second.source.vertex_key() != v1:
         raise GraphError("tour hops do not compose")
     v2 = second.target.vertex_key()
     if v2 == v1:
         rest = _segment_tokens(graph, [ref] + seg[2:])
-        return [Token("D", second, vertex=v1)] + rest
+        return [Token("D", second)] + rest
     if v2 == graph.base_key:
         # chi2 o chi_{v1} = (B_{chi2^{-1}})^{-1}
         tail = _segment_tokens(graph, seg[2:])
@@ -539,21 +538,13 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
-def psi_image(graph: BirGraph, word: BirWord, mode=None) -> QuotientImage:
+def psi_image(graph: BirGraph, word: BirWord) -> QuotientImage:
     """Image of the word under the quotient homomorphism Psi."""
-    if mode is None:
-        mode = _graph_mode(graph)
+    mode = "index2" if graph.base().data.surface_index() == 2 else "index3"
     letters = []
     for tok in word.tokens:
-        lets = _token_letters(graph, tok, mode)
-        letters.extend(lets)
+        letters.extend(_token_letters(graph, tok, mode))
     return QuotientImage(_reduce_letters(letters), mode)
-
-
-def _graph_mode(graph):
-    base = graph.base()
-    idx = base.data.surface_index()
-    return "index2" if idx == 2 else "index3"
 
 
 def _token_letters(graph, tok: Token, mode):

@@ -115,6 +115,12 @@ def _assumed_line(label, fact):
     return f"{label}: {fact.detail[0] if fact.detail else ''} ({fact.verdict})"
 
 
+def _emit_assumed(emit, facts):
+    """One `assumed-fact:` line per distinct fact a verdict relies on."""
+    for fact in dict.fromkeys(facts):
+        emit(_assumed_line("assumed-fact", fact))
+
+
 def _guard_unknown(state, what, value):
     if state["strict"] and value == UNKNOWN:
         raise UnknownBlocked(f"{what} is Unknown and --strict forbids assumed facts")
@@ -195,8 +201,7 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"Am_K: {data.am_K}")
         emit(f"Am_L: {data.am_L}")
         emit(f"automorphisms: {automorphism_description(spec)}")
-        for fact in data.assumed_facts:
-            emit(_assumed_line("assumed-fact", fact))
+        _emit_assumed(emit, data.assumed_facts)
         return
     if op == "iso":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
@@ -221,6 +226,7 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"K': {rec.target.K.name}")
         emit(f"L': {rec.target.L.name if rec.target.L else '-'}")
         emit(f"inverse-point-field: {rec.inverse_point.fld.name}")
+        _emit_assumed(emit, rec.source.assumed)
         return
     if op == "rigid":
         spec = _surface(scen, args[0])
@@ -229,8 +235,7 @@ def _dispatch(scen, state, cmd, emit):
         emit(f"rigidity: {res.verdict}")
         if res.reason:
             emit(f"reason: {res.reason}")
-        for fact in res.assumed:
-            emit(_assumed_line("assumed-fact", fact))
+        _emit_assumed(emit, res.assumed)
         return
     if op == "birational":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
@@ -244,6 +249,7 @@ def _dispatch(scen, state, cmd, emit):
             emit(f"chain: {' -> '.join(r.name for r in res.chain)}")
         if res.reason:
             emit(f"reason: {res.reason}")
+        _emit_assumed(emit, res.assumed)
         return
     if op == "explore":
         spec = _surface(scen, args[0])

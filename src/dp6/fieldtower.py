@@ -1076,8 +1076,7 @@ def _norm_n(uf, x, n):
     return out
 
 
-def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = None,
-               strict=False):
+def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = None):
     """Three-valued membership of x in Norm_u(F*) (or the composite analogue).
 
     IsNorm requires an exact certificate (supplied, or found for monomial
@@ -1139,7 +1138,7 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
                 )
                 return registry.record(x, u, fact) if registry else fact
 
-    if registry is not None and not strict:
+    if registry is not None:
         prior = registry.lookup(x, u)
         if prior is not None:
             registry.note_assumed_use(prior)

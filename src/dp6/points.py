@@ -302,16 +302,16 @@ def _monomials_of_bounded_degree(tower, bound=2):
             yield tower.monomial(exps)
 
 
-def _scan_candidates(tower, bound=2):
+def _scan_candidates(tower):
     """Monomials, then small binomials m + m' (the recipes may need sums)."""
-    monos = list(_monomials_of_bounded_degree(tower, bound))
+    monos = list(_monomials_of_bounded_degree(tower))
     yield from monos
     small = [tower.one()] + list(_monomials_of_bounded_degree(tower, 1))
     for a, b in itertools.combinations(small, 2):
         yield a + b
 
 
-def construct_3point(spec: SurfaceSpec, scan_bound=2):
+def construct_3point(spec: SurfaceSpec):
     """A 3-point in general position split inside F, per the existence recipes."""
     idx = index(spec)
     if idx != 3:
@@ -325,7 +325,7 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
             [tower.element_named("1")]), name="F")
         f = tower.element_named("f")
         gf = tower.element_named("gf")
-        for lam in _monomials_of_bounded_degree(tower, scan_bound):
+        for lam in _monomials_of_bounded_degree(tower):
             if apply(gf, lam) == lam:
                 continue
             lam2 = apply(f, lam.inv()) * spec.xi.inv()
@@ -348,7 +348,7 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
     ext = ExtensionDescriptor("subfield", tower, fixing=tower.subgroup(["h"]), name="L")
     if spec.gtype == "Z6":
         xi_inv = spec.xi.inv()
-        for b in _monomials_of_bounded_degree(tower, scan_bound):
+        for b in _monomials_of_bounded_degree(tower):
             if not is_fixed(b, [g]):
                 continue
             lam1 = b / apply(h, b)
@@ -369,7 +369,7 @@ def construct_3point(spec: SurfaceSpec, scan_bound=2):
     # D6: lambda = a/h(a), a outside F^h and F^gf
     f = tower.element_named("f")
     gf = tower.element_named("gf")
-    for a in _scan_candidates(tower, scan_bound):
+    for a in _scan_candidates(tower):
         if apply(h, a) == a or apply(gf, a) == a:
             continue
         lam = a / apply(h, a)

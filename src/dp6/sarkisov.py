@@ -582,63 +582,58 @@ class RigidityResult:
 
 
 def is_birationally_rigid(source, declared_points=()):
-    """Rigidity per the splitting-field criterion, relative to known points."""
+    """Rigidity per the splitting-field criterion, relative to known points;
+    the result carries the surface's assumed facts."""
     src = as_data_surface(source)
+    return replace(_rigidity(src, declared_points), assumed=src.assumed)
+
+
+def _rigidity(src: DataSurface, declared_points):
     idx = src.surface_index()
-    assumed = src.assumed
     if idx == UNKNOWN:
-        return RigidityResult("Conditional", reason="index undecided", assumed=assumed)
+        return RigidityResult("Conditional", reason="index undecided")
     if idx == 1:
-        return RigidityResult("NotRigid", reason="the surface is k-rational",
-                              assumed=assumed)
+        return RigidityResult("NotRigid", reason="the surface is k-rational")
     if idx == 6:
-        return RigidityResult("SuperRigid", assumed=assumed)
+        return RigidityResult("SuperRigid")
     handles = point_handles(src.spec, declared_points)
     if idx == 2:
         if src.gtype == "D6":
             witness = None
             if src.spec is not None:
+                gf_fix = src.spec.tower.subgroup(["g", "f"])
                 try:
-                    witness = [
-                        q for q in construct_2point(src.spec)
-                        if q.ext.fixing is not None
-                        and q.ext.fixing == src.spec.tower.subgroup(["g", "f"])
-                    ]
-                    witness = witness[0] if witness else None
+                    witness = next((q for q in construct_2point(src.spec)
+                                    if q.ext.fixing == gf_fix), None)
                 except (PointValidationError, PointCaseError):
-                    witness = None
+                    pass
             return RigidityResult(
                 "NotRigid", witness=witness,
-                reason="2-points split over F^<g,f> always exist", assumed=assumed)
+                reason="2-points split over F^<g,f> always exist")
         for h in handles:
             if h.degree == 2 and h.fld.same_field(src.K) is False:
                 return RigidityResult(
                     "NotRigid", witness=h,
-                    reason=f"declared 2-point {h.name} splits outside K",
-                    assumed=assumed)
+                    reason=f"declared 2-point {h.name} splits outside K")
         return RigidityResult(
             "Conditional",
             reason="rigid relative to the declared point universe "
-                   "(every known 2-point splits over K)",
-            assumed=assumed)
-    # index 3
+                   "(every known 2-point splits over K)")
+    # index 3: the known 3-points must split over L (over F for S3)
     if src.gtype == "S3":
+        ok_name = "F"
         ok_field = subfield(src.tower, [src.tower.element_named("1")], "F")
     else:
-        ok_field = src.L
+        ok_name, ok_field = "L", src.L
     for h in handles:
         if h.degree == 3 and h.fld.same_field(ok_field) is False:
             return RigidityResult(
                 "NotRigid", witness=h,
-                reason=f"declared 3-point {h.name} splits outside "
-                       f"{'F' if src.gtype == 'S3' else 'L'}",
-                assumed=assumed)
+                reason=f"declared 3-point {h.name} splits outside {ok_name}")
     return RigidityResult(
         "Conditional",
         reason="rigid relative to the declared point universe "
-               f"(every known 3-point splits over "
-               f"{'F' if src.gtype == 'S3' else 'L'})",
-        assumed=assumed)
+               f"(every known 3-point splits over {ok_name})")
 
 
 @dataclass
@@ -700,31 +695,29 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
     """The four-case birationality criterion, with explicit chains when known.
 
     `links` may contain LinkRecords from a common neighbour; they are used to
-    produce chains for data-only vertices.
+    produce chains for data-only vertices.  The result carries the assumed
+    facts of both surfaces.
     """
     a, b = as_data_surface(a_src), as_data_surface(b_src)
-    assumed = tuple(a.assumed) + tuple(b.assumed)
+    return replace(_birationality(a, b, declared_points, links),
+                   assumed=tuple(a.assumed) + tuple(b.assumed))
+
+
+def _birationality(a: DataSurface, b: DataSurface, declared_points, links):
     ia, ib = a.surface_index(), b.surface_index()
     if UNKNOWN in (ia, ib):
-        return BirationalResult("Unknown", reason="index undecided",
-                                assumed=assumed)
+        return BirationalResult("Unknown", reason="index undecided")
     if a.vertex_key() == b.vertex_key():
-        return BirationalResult("Yes", chain=(), reason="equal data", case=0,
-                                assumed=assumed)
+        return BirationalResult("Yes", reason="equal data")
     if a.spec is not None and b.spec is not None:
-        iso = is_isomorphic(a.spec, b.spec)
-        if iso.verdict == "Yes":
-            return BirationalResult("Yes", chain=(), case=0,
-                                    reason="isomorphic surfaces",
-                                    assumed=assumed)
+        if is_isomorphic(a.spec, b.spec).verdict == "Yes":
+            return BirationalResult("Yes", reason="isomorphic surfaces")
     if ia != ib:
         return BirationalResult(
-            "No", reason=f"index {ia} vs {ib} (a birational invariant)",
-            assumed=assumed)
+            "No", reason=f"index {ia} vs {ib} (a birational invariant)")
     idx = ia
     if idx == 1:
-        return BirationalResult("Yes", reason="both k-rational", case=1,
-                                assumed=assumed)
+        return BirationalResult("Yes", reason="both k-rational", case=1)
     if idx == 6:
         same_k = a.K.same_field(b.K)
         same_l = (a.L.same_field(b.L) if a.L is not None and b.L is not None
@@ -733,52 +726,42 @@ def are_birational(a_src, b_src, declared_points=(), links=()):
         am_l = _class_pair_equivalent(a, b, "L")
         if same_k and same_l and am_k and am_l:
             return BirationalResult("Yes", case=4, reason="equal nontrivial "
-                                    "Amitsur data over K and L", assumed=assumed)
+                                    "Amitsur data over K and L")
         if False in (same_k, same_l, am_k, am_l):
             return BirationalResult("No", case=4,
-                                    reason="Amitsur data over K or L differ",
-                                    assumed=assumed)
+                                    reason="Amitsur data over K or L differ")
         return BirationalResult("Unknown", case=4,
-                                reason="field or class comparison undecided",
-                                assumed=assumed)
+                                reason="field or class comparison undecided")
     if idx == 2:
         same_l = a.L.same_field(b.L) if (a.L and b.L) else None
         am_l = _class_pair_equivalent(a, b, "L")
         if same_l is False or am_l is False:
-            return BirationalResult("No", case=2, reason="L or Am(S_L) differ",
-                                    assumed=assumed)
+            return BirationalResult("No", case=2, reason="L or Am(S_L) differ")
         if same_l is None or am_l is None:
             return BirationalResult("Unknown", case=2,
-                                    reason="L-side comparison undecided",
-                                    assumed=assumed)
+                                    reason="L-side comparison undecided")
         chain, wit = _point_chain(a, b, 2, declared_points, links)
         if wit:
             return BirationalResult("Yes", chain=chain, case=2,
-                                    reason="2-point with splitting field K' "
-                                    "found", assumed=assumed)
+                                    reason="2-point with splitting field K' found")
         return BirationalResult(
             "Unknown", case=2,
-            reason="point existence open: need a 2-point of S splitting "
-                   "over K'", assumed=assumed)
+            reason="point existence open: need a 2-point of S splitting over K'")
     # idx == 3
     same_k = a.K.same_field(b.K)
     am_k = _class_pair_equivalent(a, b, "K")
     if same_k is False or am_k is False:
-        return BirationalResult("No", case=3, reason="K or Am(S_K) differ",
-                                assumed=assumed)
+        return BirationalResult("No", case=3, reason="K or Am(S_K) differ")
     if same_k is None or am_k is None:
         return BirationalResult("Unknown", case=3,
-                                reason="K-side comparison undecided",
-                                assumed=assumed)
+                                reason="K-side comparison undecided")
     chain, wit = _point_chain(a, b, 3, declared_points, links)
     if wit:
         return BirationalResult("Yes", chain=chain, case=3,
-                                reason="3-point with splitting field L' found",
-                                assumed=assumed)
+                                reason="3-point with splitting field L' found")
     return BirationalResult(
         "Unknown", case=3,
-        reason="point existence open: need a 3-point of S splitting over L'",
-        assumed=assumed)
+        reason="point existence open: need a 3-point of S splitting over L'")
 
 
 def _target_field(b: DataSurface, d):

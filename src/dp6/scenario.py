@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from ._ratfunc import QOmega, unit_from_str
 from .fieldtower import (
+    CertificateError,
     ExtensionDescriptor,
     FactRegistry,
     GaloisTower,
@@ -36,10 +37,16 @@ class ScenarioError(ValueError):
 # expression parser
 # ---------------------------------------------------------------------------
 
+#: the deepest nesting of parentheses and unary minus signs an expression
+#: may have; the parser recurses once per level
+_MAX_NESTING = 100
+
+
 class _Tokens:
     def __init__(self, text):
         self.toks = self._lex(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _lex(text):
@@ -82,7 +89,11 @@ class _Tokens:
 
 
 def parse_element(text, tower: GaloisTower, composite=None):
-    """Parse an infix expression into a field (or radical-field) element."""
+    """Parse an infix expression into a field (or radical-field) element.
+
+    Grammar, loosest first: sums, products and quotients, unary minus, and
+    powers with an integer exponent, so -x^2 is -(x^2).
+    """
     toks = _Tokens(str(text))
     value = _parse_sum(toks, tower, composite)
     if toks.peek() != (None, None):
@@ -100,12 +111,29 @@ def _parse_sum(toks, tower, comp):
 
 
 def _parse_product(toks, tower, comp):
-    value = _parse_power(toks, tower, comp)
+    value = _parse_unary(toks, tower, comp)
     while toks.peek() in (("op", "*"), ("op", "/")):
         _, op = toks.next()
-        rhs = _parse_power(toks, tower, comp)
+        rhs = _parse_unary(toks, tower, comp)
         value = value * rhs if op == "*" else value / rhs
     return value
+
+
+def _nested(toks, parse, *args):
+    """parse(toks, *args) one nesting level deeper, refused past _MAX_NESTING."""
+    if toks.depth == _MAX_NESTING:
+        raise ScenarioError(f"expression nested deeper than {_MAX_NESTING} levels")
+    toks.depth += 1
+    value = parse(toks, *args)
+    toks.depth -= 1
+    return value
+
+
+def _parse_unary(toks, tower, comp):
+    if toks.peek() == ("op", "-"):
+        toks.next()
+        return -_nested(toks, _parse_unary, tower, comp)
+    return _parse_power(toks, tower, comp)
 
 
 def _parse_power(toks, tower, comp):
@@ -125,10 +153,8 @@ def _parse_power(toks, tower, comp):
 
 def _parse_atom(toks, tower, comp):
     kind, val = toks.next()
-    if kind == "op" and val == "-":
-        return -_parse_atom(toks, tower, comp)
     if kind == "op" and val == "(":
-        inner = _parse_sum(toks, tower, comp)
+        inner = _nested(toks, _parse_sum, tower, comp)
         if toks.next() != ("op", ")"):
             raise ScenarioError("missing closing parenthesis")
         return inner
@@ -198,7 +224,8 @@ def _required(node, key, what):
 def _element(node, key, where, tower, comp=None):
     """The required field node[key] of the entry `where`, parsed.
 
-    A division by zero in the expression is an error in that field.
+    An expression that does not parse, or divides by zero, is an error in
+    that field.
     """
     text = _required(node, key, where)
     try:
@@ -206,6 +233,8 @@ def _element(node, key, where, tower, comp=None):
     except ZeroDivisionError:
         raise ScenarioError(
             f"{where}: {key}: division by zero in {text!r}") from None
+    except ScenarioError as e:
+        raise ScenarioError(f"{where}: {key}: {e}") from None
 
 
 def _entries(raw, key):
@@ -350,16 +379,21 @@ def load_scenario(path_or_dict):
         elem = _element(fact, "element", "fact", tower)
         gen = tower.element_named(
             _word(_required(fact, "generator", "fact"), "fact generator"))
+        where = f"fact {fact['element']} under {fact['generator']}"
         if "certificate" in fact:
             cert = _element(fact, "certificate", "fact", tower)
-            norm_class(elem, gen, cert=cert, registry=registry)
+            try:
+                norm_class(elem, gen, cert=cert, registry=registry)
+            except CertificateError as e:
+                raise ScenarioError(f"{where}: {e}") from None
         else:
             verdict = _required(fact, "verdict", "fact")
             if verdict not in (IS_NORM, NOT_NORM):
                 raise ScenarioError(
-                    f"fact {fact['element']} under {fact['generator']}: verdict "
-                    f"must be {IS_NORM} or {NOT_NORM}, got {verdict!r}")
-            registry.assume(elem, gen, verdict, note=fact.get("note", ""))
+                    f"{where}: verdict must be {IS_NORM} or {NOT_NORM}, got "
+                    f"{verdict!r}")
+            note = _word(fact.get("note", ""), f"{where}: note")
+            registry.assume(elem, gen, verdict, note=note)
     for name, node in _entries(raw, "surfaces"):
         where = f"surface {name}"
         tower = _named(towers, _required(node, "tower", where), f"{where}: tower")

@@ -131,6 +131,21 @@ class ClassHandle:
         return None
 
 
+#: per side of the surface, each norm-class verdict's Amitsur group and index
+#: factor (None: undecided); the K side is the class of xi, the L side the
+#: conic class of rho
+_K_SIDE = {IS_NORM: ("0", 1), NOT_NORM: ("Z/3", 3), UNKNOWN: ("unknown", None)}
+_L_SIDE = {IS_NORM: ("0", 1), NOT_NORM: ("(Z/2)^2", 2),
+           UNKNOWN: ("unknown", None)}
+
+
+def _side(table, verdict):
+    """The entry of a side table for a verdict; a foreign verdict is refused."""
+    if verdict not in VERDICTS:
+        raise TowerError(f"not a norm-class verdict: {verdict!r}")
+    return table[verdict]
+
+
 @dataclass
 class SeveriBrauerData:
     """Derived classification payload: fields, class pair, conic triple, flags."""
@@ -146,21 +161,12 @@ class SeveriBrauerData:
 
     @property
     def am_K(self):
-        if self.k_trivial == IS_NORM:
-            return "0"
-        if self.k_trivial == NOT_NORM:
-            return "Z/3"
-        return "unknown"
+        return _side(_K_SIDE, self.k_trivial)[0]
 
     @property
     def am_L(self):
-        if self.L is None:
-            return "-"
-        if self.l_trivial == IS_NORM:
-            return "0"
-        if self.l_trivial == NOT_NORM:
-            return "(Z/2)^2"
-        return "unknown"
+        am = _side(_L_SIDE, self.l_trivial)[0]
+        return "-" if self.L is None else am
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +409,11 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
                 continue
             if (u * u) == idn and {perm[i] for i in (0, 1, 2)} == {3, 4, 5}:
                 kleins.append(frozenset([idn, h, u, h * u]))
-        seen = []
-        for v in kleins:
-            if v not in seen:
-                seen.append(v)
-        L_i = tuple(
-            subfield(tower, v, f"L{i+1}") for i, v in enumerate(seen)
-        )
+        L_i = tuple(subfield(tower, v, f"L{i+1}")
+                    for i, v in enumerate(dict.fromkeys(kleins)))
 
     conic = None
-    l_trivial = UNKNOWN
+    l_trivial = IS_NORM  # no involution-surface side for S3
     assumed = []
     if spec.gtype in ("Z6", "D6"):
         h = tower.element_named("h")
@@ -422,8 +423,6 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
         l_trivial = conic_fact.verdict
         if conic_fact.assumed:
             assumed.append(conic_fact)
-    else:
-        l_trivial = IS_NORM  # no involution-surface side for S3
 
     if xi_fact.assumed:
         assumed.append(xi_fact)
@@ -458,24 +457,13 @@ def index(spec: SurfaceSpec):
 
 def index_from_flags(gtype, k, l):
     """The index of a surface of type gtype whose classes over K and L have
-    the triviality verdicts k and l."""
-    if k not in VERDICTS or l not in VERDICTS:
-        raise TowerError(f"not a norm-class verdict: {k!r} or {l!r}")
+    the triviality verdicts k and l: the product of the two sides' factors
+    (the K side alone for S3), Unknown when a factor is undecided."""
+    factor_k = _side(_K_SIDE, k)[1]
+    factor_l = _side(_L_SIDE, l)[1]
     if gtype == "S3":
-        if k == IS_NORM:
-            return 1
-        if k == NOT_NORM:
-            return 3
-        return UNKNOWN
-    if UNKNOWN in (k, l):
-        return UNKNOWN
-    if k == IS_NORM and l == IS_NORM:
-        return 1
-    if k == IS_NORM:
-        return 2
-    if l == IS_NORM:
-        return 3
-    return 6
+        factor_l = 1
+    return UNKNOWN if None in (factor_k, factor_l) else factor_k * factor_l
 
 
 @dataclass
@@ -497,17 +485,11 @@ def is_isomorphic(s1: SurfaceSpec, s2: SurfaceSpec) -> IsoResult:
         return IsoResult("No", reason="different Galois type")
     tower = s1.tower
     g = tower.element_named("g")
-    inversions = (1, -1)
-    if s1.gtype == "Z6":
-        rotations = (0, 1, 2)
-    elif s1.gtype == "S3":
-        rotations = (0,)
-    else:
-        rotations = (0, 1, 2)
+    rotations = (0,) if s1.gtype == "S3" else (0, 1, 2)
 
     saw_unknown = False
     first_no = None
-    for eps in inversions:
+    for eps in (1, -1):
         xi_c = s1.xi if eps == 1 else s1.xi.inv()
         fact_xi = sb_class_equivalent(xi_c, s2.xi, g, registry=s1.registry)
         if fact_xi.verdict == UNKNOWN:
@@ -602,13 +584,13 @@ def is_automorphism(spec: SurfaceSpec, psi: TwistedAutomorphism):
 
 def automorphism_description(spec: SurfaceSpec):
     """Structural descriptor of Aut_k(S) per the membership theorem."""
-    data = spec.sbdata
-    k, l = data.k_trivial, data.l_trivial
+    k, l = spec.sbdata.k_trivial, spec.sbdata.l_trivial
+    _side(_K_SIDE, k), _side(_L_SIDE, l)  # refuse a foreign verdict
     if spec.gtype == "S3":
         return "T2"
+    if k == l == IS_NORM:
+        return "rational: full automorphism group not classified here"
     if spec.gtype == "Z6":
-        if k == IS_NORM and l == IS_NORM:
-            return "rational: full automorphism group not classified here"
         if k == IS_NORM:
             return "T1 x <alpha_h>"
         if l == IS_NORM:
@@ -616,8 +598,6 @@ def automorphism_description(spec: SurfaceSpec):
         if UNKNOWN in (k, l):
             return "conditional: T1, extended by alpha_h/alpha_g if a class is trivial"
         return "T1"
-    if k == IS_NORM and l == IS_NORM:
-        return "rational: full automorphism group not classified here"
     if k == IS_NORM:
         return "T3 x <alpha_h>"
     if k == UNKNOWN:

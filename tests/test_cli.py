@@ -1,12 +1,17 @@
 """Scenario loading, command reports, exit codes, determinism."""
 
+import copy
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+from dp6._ratfunc import QOmega
 from dp6.cli import bundled_path, run
-from dp6.scenario import ScenarioError, load_scenario, parse_element
+from dp6.scenario import _MAX_NESTING, ScenarioError, load_scenario, parse_element
 
 
 def test_parse_element(s3_tower):
@@ -363,6 +368,9 @@ _SZ = ("surfaces", "SZ")
                           "verdict": verdict}]), False,
        f"fact x1/x2 under g: verdict must be IsNorm or NotNorm, got {verdict!r}")
       for verdict in ("bogus", None, 5, [], {}, "Unknown")],
+    (_set(("facts",), [{"tower": "FZ", "element": "x1/x2", "generator": "g",
+                        "verdict": "NotNorm", "note": []}]), False,
+     "fact x1/x2 under g: note must be a string, got []"),
 ], ids=["facts", "facts-strict", "points", "variables", "perm", "scale",
         "perm-list", "fixing", "list", "list-strict", "fixing-word",
         "fact-generator", "name", "extension-tower", "surface-tower",
@@ -374,7 +382,8 @@ _SZ = ("surfaces", "SZ")
         "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict",
         "xi-by-zero", "rho-by-zero", "lambda1-by-zero", "lambda2-by-zero",
         "fact-by-zero", "f-form-without-f", "verdict-bogus", "verdict-null",
-        "verdict-int", "verdict-list", "verdict-object", "verdict-unknown"])
+        "verdict-int", "verdict-list", "verdict-object", "verdict-unknown",
+        "note-list"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
     scen = edit(json.loads(open(bundled_path("z6-index2-hex")).read()))
     path = tmp_path / "shape.json"
@@ -450,3 +459,249 @@ def test_unsupported_composite_in_a_command(tmp_path, monkeypatch):
     got = _sections(text)
     assert got["== link SZ p"] == "error: radicand is a cube in k"
     assert "index: 2" in got["== classify SZ"]
+
+
+# ---------------------------------------------------------------------------
+# expression grammar: unary minus, nesting depth
+# ---------------------------------------------------------------------------
+
+def test_unary_minus_binds_looser_than_power(s3_tower):
+    t1 = s3_tower.var("t1")
+    assert parse_element("-t1^2", s3_tower) == -(t1 * t1)
+    assert parse_element("-2^2", s3_tower) == s3_tower.const(QOmega(-4))
+    assert parse_element("2*-t1^2", s3_tower) == -2 * t1 * t1
+    assert parse_element("(-t1)^2", s3_tower) == t1 * t1
+    assert parse_element("--t1^3", s3_tower) == t1 ** 3
+    assert parse_element("1 - -t1^2", s3_tower) == 1 + t1 * t1
+
+
+def _index6_with_rho(tmp_path, rho):
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    scen["surfaces"]["S6"]["rho"] = rho
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(scen))
+    return run(str(path))
+
+
+@pytest.mark.parametrize("rho", [
+    "(" * 1200 + "x1/x2" + ")" * 1200,
+    "-" * 1500 + "x1/x2",
+    "(" * _MAX_NESTING + "-x1/x2" + ")" * _MAX_NESTING,
+    "-(" * (_MAX_NESTING // 2) + "-x1/x2" + ")" * (_MAX_NESTING // 2),
+], ids=["parentheses", "minus-signs", "one-past-the-bound", "mixed"])
+def test_deep_nesting_is_load_error(tmp_path, rho):
+    code, text = _index6_with_rho(tmp_path, rho)
+    assert (code, text) == (2, "load-error: surface S6: rho: expression "
+                               f"nested deeper than {_MAX_NESTING} levels\n")
+
+
+def test_nesting_at_the_bound_loads(tmp_path):
+    code, text = _index6_with_rho(
+        tmp_path, "(" * _MAX_NESTING + "x1/x2" + ")" * _MAX_NESTING)
+    assert (code, text) == run(bundled_path("z6-index6"))
+
+
+# ---------------------------------------------------------------------------
+# a seeded sample of leaf mutations of the bundled scenarios
+# ---------------------------------------------------------------------------
+
+BUNDLED = ("example-main", "z6-index2-hex", "z6-index6", "d6-swap")
+_FUZZ_VALUES = ("(" * 1200 + "x1" + ")" * 1200, "-" * 1500 + "x1", [], {},
+                None, "bogus", 10 ** 30)
+
+
+def _leaves(node, path=()):
+    """The paths of the scalar leaves of a JSON document."""
+    if isinstance(node, (dict, list)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            yield from _leaves(node[k], path + (k,))
+    else:
+        yield path
+
+
+def test_fuzzed_scenarios_exit_cleanly(tmp_path):
+    """Each run ends in a report with a documented exit code: no exception
+    escapes `run`, whatever a leaf of the scenario is replaced by."""
+    scenarios = {name: json.loads(open(bundled_path(name)).read())
+                 for name in BUNDLED}
+    mutations = [(name, path, value) for name in BUNDLED
+                 for path in _leaves(scenarios[name])
+                 for value in range(len(_FUZZ_VALUES))]
+    codes = []
+    for name, path, value in random.Random(17).sample(mutations, 60):
+        scen = copy.deepcopy(scenarios[name])
+        node = scen
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = _FUZZ_VALUES[value]
+        file = tmp_path / "fuzzed.json"
+        file.write_text(json.dumps(scen))
+        code, text = run(str(file))
+        assert code in (0, 2, 3, 4), (name, path, text)
+        codes.append(code)
+    assert {2, 3} <= set(codes)  # both load errors and command errors
+
+
+# ---------------------------------------------------------------------------
+# assumed facts in every report that relies on them; the remaining commands
+# ---------------------------------------------------------------------------
+
+_FACT_LINE = ("assumed-fact: user assertion: xi is not a g-norm (no valuation "
+              "or residue proof applies) (NotNorm)")
+
+
+def _index6_scenario(tmp_path, commands):
+    """z6-index6 with S2 (index 2), and S3z (index 3 on the assumed fact)
+    carrying a 3-point p3 split over L."""
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    xi = scen["surfaces"]["S6"]["xi"]
+    scen["surfaces"]["S2"] = {"gtype": "Z6", "tower": "FZ", "xi": "1",
+                              "rho": "x1/x2"}
+    scen["surfaces"]["S3z"] = {"gtype": "Z6", "tower": "FZ", "xi": xi,
+                               "rho": "1"}
+    scen["extensions"] = {"L": {"kind": "subfield", "tower": "FZ",
+                                "fixing": ["h"]}}
+    scen["points"] = {"p3": {"surface": "S3z", "degree": 3, "extension": "L",
+                             "lambda1": "-1",
+                             "lambda2": "(x1+x2+x3-y)/(x1+x2+x3+y)"}}
+    scen["commands"] = commands
+    path = tmp_path / "index6.json"
+    path.write_text(json.dumps(scen))
+    return run(str(path))
+
+
+def test_birational_and_link_name_their_assumed_facts(tmp_path):
+    code, text = _index6_scenario(tmp_path, [
+        ["birational", "S6", "S2"], ["birational", "S6", "S6"],
+        ["link", "S3z", "p3"], ["birational", "S2", "S2"]])
+    assert code == 0
+    got = _sections(text)
+    assert got["== birational S6 S2"] == "\n".join([
+        "birational: No", "case: 0",
+        "reason: index 6 vs 2 (a birational invariant)", _FACT_LINE])
+    # one line per fact, though both sides rely on it
+    assert got["== birational S6 S6"] == "\n".join([
+        "birational: Yes", "case: 0", "reason: equal data", _FACT_LINE])
+    assert got["== link S3z p3"] == "\n".join([
+        "link: chi[p3]", "degree: 3", "kernel-H: <1>", "target: S3z",
+        "target-gtype: Z6", "self-link: true", "K': K", "L': L",
+        "inverse-point-field: E(ind)", _FACT_LINE])
+    assert "assumed-fact" not in got["== birational S2 S2"]
+
+
+def test_strict_blocks_an_unknown_birationality(tmp_path):
+    """Without its fact S6's index is Unknown, and so is the verdict."""
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    scen["surfaces"]["S2"] = {"gtype": "Z6", "tower": "FZ", "xi": "1",
+                              "rho": "x1/x2"}
+    scen["commands"] = [["birational", "S6", "S2"], ["birational", "S2", "S2"]]
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(scen))
+    code, text = run(str(path), strict=True)
+    assert code == 4
+    got = _sections(text)
+    assert got["== birational S6 S2"] == (
+        "error: birationality verdict is Unknown")
+    assert got["== birational S2 S2"] == (
+        "birational: Yes\ncase: 0\nreason: equal data\n")
+
+
+def test_construct_point_and_one_argument_validate(tmp_path):
+    code, text = _index6_scenario(tmp_path, [
+        ["construct-point", "S3z", 3], ["construct-point", "S2", "2"],
+        ["validate", "S6"], ["construct-point", "S6", 2]])
+    assert code == 3
+    got = _sections(text)
+    assert got["== construct-point S3z 3"] == (
+        "point-degree: 3\nlambda1: -1\n"
+        "lambda2: (x1 + x2 + x3 - y)/(x1 + x2 + x3 + y)\nfield: L")
+    assert got["== construct-point S2 2"] == (
+        "point-degree: 2\nlambda1: 1\nfield: K")
+    assert got["== validate S6"] == "surface: S6\nvalid: true\ngtype: Z6"
+    assert got["== construct-point S6 2"] == (
+        "error: construct_2point requires index 2, found 6\n")
+
+
+def test_check_relation_on_a_tour_and_graph_dump(tmp_path):
+    scen = json.loads(open(bundled_path("example-main")).read())
+    scen["commands"] = [["explore", "S", 2],
+                        ["check-relation", "S", "p0 p1 p2 !"],
+                        ["check-relation", "S", "p0 p0"]]
+    path = tmp_path / "tour.json"
+    path.write_text(json.dumps(scen))
+    dump_dir = tmp_path / "dumps"
+    code, text = run(str(path), dump_dir=str(dump_dir))
+    assert code == 3
+    got = _sections(text)
+    dump = dump_dir / "graph-S.txt"
+    assert got["== explore S 2"].startswith("depth: 2\nvertices: 5\n")
+    assert got["== explore S 2"].endswith(f"\ngraph-dump: {dump}")
+    assert "# vertex S: key " in dump.read_text()
+    assert got["== check-relation S p0 p1 p2 !"] == (
+        "word: A[chi[p1@chi[p0]]] . A[chi[p2@chi[p1]]] . B[chi[p2]]^-1\n"
+        "holds: true\npsi-identity: false")
+    assert got["== check-relation S p0 p0"] == (
+        "error: no materialized link at p0 from the current vertex; "
+        "increase the exploration depth\n")
+
+
+def test_f_form_point_equals_its_explicit_lambda2(tmp_path):
+    """pF's lambda2 1/(t1*s) is f(1/lambda1) / xi."""
+    scen = json.loads(open(bundled_path("example-main")).read())
+    scen["commands"] = [["validate", "S", "pF"], ["link", "S", "pF"]]
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(scen))
+    want = run(str(path))
+    del scen["points"]["pF"]["lambda2"]
+    scen["points"]["pF"]["lambda2_rule"] = "f-form"
+    path = tmp_path / "f-form.json"
+    path.write_text(json.dumps(scen))
+    assert run(str(path)) == want
+    assert load_scenario(scen).points["pF"].lam2 == \
+        load_scenario(bundled_path("example-main")).points["pF"].lam2
+
+
+@pytest.mark.parametrize("certificate,code,report", [
+    ("x1", 0, "K-trivial: IsNorm"),
+    ("x2*x2", 2, "load-error: fact x1*x2*x3 under g: certificate does not "
+                 "have the stated norm\n"),
+], ids=["valid", "wrong-norm"])
+def test_fact_with_a_certificate(tmp_path, certificate, code, report):
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["facts"] = [{"tower": "FZ", "element": "x1*x2*x3", "generator": "g",
+                      "certificate": certificate}]
+    scen["surfaces"]["Sm"] = {"gtype": "Z6", "tower": "FZ",
+                              "xi": "x1*x2*x3", "rho": "1/(x1*x2)"}
+    scen["commands"] = [["classify", "Sm"]]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(scen))
+    got_code, text = run(str(path))
+    assert got_code == code and report in text
+    if code == 0:
+        scenario = load_scenario(scen)
+        xi = scenario.surfaces["Sm"].xi
+        fact = scenario.registry.lookup(xi, xi.tower.element_named("g"))
+        assert (fact.verdict, fact.provenance, str(fact.witness)) == \
+            ("IsNorm", "certificate", "x1")
+
+
+def _python_m_dp6(*args):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dp6", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_dp6():
+    proc = _python_m_dp6("z6-index6", "--strict")
+    with open(os.path.join(GOLDEN_DIR, "z6-index6--strict.out"),
+              encoding="utf-8", newline="") as fh:
+        assert proc.stdout == fh.read()
+    assert (proc.returncode, proc.stderr) == (4, "")
+    proc = _python_m_dp6("no-such-scenario")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: no scenario file or bundled scenario "
+                           "'no-such-scenario'\n")

@@ -1,9 +1,19 @@
 """Link execution, data transport, rigidity, and birationality decisions."""
 
+from dataclasses import replace
+
 import pytest
 
 from dp6 import curveconfig, hexagon, sarkisov
-from dp6.fieldtower import ExtensionDescriptor, apply
+from dp6._ratfunc import QOmega
+from dp6.fieldtower import (
+    ExtensionDescriptor,
+    FactRegistry,
+    GaloisTower,
+    VarAutomorphism,
+    apply,
+    norm_class,
+)
 from dp6.points import ClosedPointSpec, composite_for, construct_2point
 from dp6.sarkisov import (
     LinkError,
@@ -15,7 +25,12 @@ from dp6.sarkisov import (
     link,
     transport,
 )
-from dp6.surface import make_surface, sb_class_equivalent
+from dp6.surface import (
+    ClassHandle,
+    equivalence_move,
+    make_surface,
+    sb_class_equivalent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +134,10 @@ def test_d6_embedding_swap_link(d6_index2):
     assert link(rec_swap.target.spec, pk2).is_self_link()
 
 
-def test_z6_independent_2link(z6_tower):
+@pytest.fixture(scope="module")
+def z6_independent(z6_tower):
+    """An index-2 Z6 surface with a 2-point split over a quadratic field E
+    independent of F."""
     # E = k(sqrt(y^2 (sum x^2 - sum xx))): the point lambda = y(x1-x2) + r is
     # fixed by the twisted g- and h-actions and swapped by t
     x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
@@ -128,18 +146,21 @@ def test_z6_independent_2link(z6_tower):
     a = y * y * a0
     rho = -(y * y * c2 * c3)
     xi = (y ** 3 * c1 * c2 * c3).inv()
-    from dp6.fieldtower import FactRegistry, norm_class
-
     reg = FactRegistry()
     norm_class(xi, z6_tower.element_named("g"), cert=(y * c1).inv(),
                registry=reg)
     spec = make_surface("Z6", z6_tower, xi, rho, registry=reg, name="SZm")
-    assert as_data_surface(spec).surface_index() == 2
     E = ExtensionDescriptor("quadratic", z6_tower, radicand=a, name="Ea")
     cg = composite_for(z6_tower, E)
     lam = cg.comp.embed(y * c1) + cg.comp.r()
     lam2 = lam * apply(cg.generators["g"], lam)
-    p = ClosedPointSpec(2, E, lam, lam2, name="pa")
+    return spec, ClosedPointSpec(2, E, lam, lam2, name="pa")
+
+
+def test_z6_independent_2link(z6_independent):
+    spec, p = z6_independent
+    E = p.ext
+    assert as_data_surface(spec).surface_index() == 2
     rec = link(spec, p, name="chiE")
     assert not rec.is_self_link()
     assert "h" in rec.h_description  # H = <h> for the independent quadratic
@@ -198,6 +219,151 @@ def test_birational_case2_conic_classes_differ(z6_hex):
              for c in (rho, apply(g, rho), apply(g * g, rho))]
     assert [(f.verdict, f.provenance, f.detail) for f in facts] == \
         [("NotNorm", "residue-proof", ("y",))] * 3
+
+
+# ---------------------------------------------------------------------------
+# each return of the rigidity and birationality criteria, with the assumed
+# facts its result carries
+# ---------------------------------------------------------------------------
+
+def _verdict(res):
+    return res.verdict, res.case, res.reason
+
+
+def _index6(tower):
+    """S6 (index 6 on an assumed NotNorm for xi), its norm twist by x1 with
+    an assumed NotNorm of its own, and the two facts."""
+    x1, x2, x3, y = (tower.var(v) for v in ("x1", "x2", "x3", "y"))
+    g = tower.element_named("g")
+    xi = (x1 + x2 + x3 + y) / (x1 + x2 + x3 - y)
+    reg = FactRegistry()
+    fact = reg.assume(xi, g, "NotNorm", note="xi")
+    s6 = make_surface("Z6", tower, xi, x1 / x2, registry=reg, name="S6")
+    twist_xi = equivalence_move(s6, "twist", x1).xi
+    twist_fact = reg.assume(twist_xi, g, "NotNorm", note="twisted xi")
+    return s6, equivalence_move(s6, "twist", x1), fact, twist_fact
+
+
+def test_rigidity_of_every_index(z6_tower, z6_index3, z6_independent,
+                                 d6_index2):
+    x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
+    xi = (x1 + x2 + x3 + y) / (x1 + x2 + x3 - y)
+    undecided = make_surface("Z6", z6_tower, xi, x1 / x2)  # no fact for xi
+    rational = make_surface("Z6", z6_tower, z6_tower.one(), z6_tower.one())
+    spec, p = z6_independent
+    # a twist with xi != 1: the 2-point recipe refuses it, so no witness
+    d6_tower = d6_index2.tower
+    lam = d6_tower.var("x1") * apply(d6_tower.element_named("gf"),
+                                     d6_tower.var("x1"))
+    d6_twist = equivalence_move(d6_index2, "twist", lam)
+    assert not d6_twist.xi.is_one()
+    cases = [
+        (is_birationally_rigid(d6_twist), "NotRigid",
+         "2-points split over F^<g,f> always exist", None),
+        (is_birationally_rigid(undecided), "Conditional", "index undecided", None),
+        (is_birationally_rigid(rational), "NotRigid",
+         "the surface is k-rational", None),
+        (is_birationally_rigid(spec, [p]), "NotRigid",
+         "declared 2-point pa splits outside K", p),
+        (is_birationally_rigid(z6_index3), "Conditional",
+         "rigid relative to the declared point universe (every known 3-point "
+         "splits over L)", None),
+    ]
+    for res, verdict, reason, point in cases:
+        assert (res.verdict, res.reason) == (verdict, reason)
+        assert (res.witness.point if point else res.witness) is point
+    assert [res.assumed for res, *_ in cases] == \
+        [(), (), (), (), z6_index3.sbdata.assumed_facts]
+    assert len(z6_index3.sbdata.assumed_facts) == 1
+
+
+def test_birational_undecided_equal_and_rational(z6_tower, z6_hex, z6_index6,
+                                                 s3_tower):
+    x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
+    xi = (x1 + x2 + x3 + y) / (x1 + x2 + x3 - y)
+    undecided = make_surface("Z6", z6_tower, xi, x1 / x2)  # no fact for xi
+    res = are_birational(undecided, z6_hex)
+    assert _verdict(res) == ("Unknown", 0, "index undecided")
+    assert res.assumed == ()
+    # both surfaces' facts, once each
+    (fact,) = z6_index6.sbdata.assumed_facts
+    res = are_birational(z6_index6, z6_index6)
+    assert _verdict(res) == ("Yes", 0, "equal data")
+    assert res.assumed == (fact, fact)
+    res = are_birational(z6_index6, z6_hex)
+    assert _verdict(res) == ("No", 0, "index 6 vs 2 (a birational invariant)")
+    assert res.assumed == (fact,)
+    # k-rational surfaces over different towers: not isomorphic, birational
+    rational_z6 = make_surface("Z6", z6_tower, z6_tower.one(), z6_tower.one())
+    rational_s3 = make_surface("S3", s3_tower, s3_tower.one())
+    res = are_birational(rational_z6, rational_s3)
+    assert _verdict(res) == ("Yes", 1, "both k-rational")
+    assert res.assumed == ()
+
+
+def test_birational_case4(z6_tower):
+    s6, twist, fact, twist_fact = _index6(z6_tower)
+    x1, x2 = z6_tower.var("x1"), z6_tower.var("x2")
+    a = as_data_surface(s6)
+    # the twist as a data-only vertex: no isomorphism test, the oracle
+    # matches both classes
+    res = are_birational(s6, replace(as_data_surface(twist), spec=None))
+    assert _verdict(res) == ("Yes", 4, "equal nontrivial Amitsur data over K "
+                                       "and L")
+    assert res.assumed == (fact, twist_fact)
+    other = make_surface("Z6", z6_tower, s6.xi, (x1 + 1) / (x2 + 1),
+                         registry=s6.registry)
+    res = are_birational(s6, other)
+    assert _verdict(res) == ("No", 4, "Amitsur data over K or L differ")
+    assert res.assumed == (fact, fact)
+    # an opaque conic class cannot be compared
+    opaque = replace(a, conic=ClassHandle(key=("opaque",), status="NotNorm"),
+                     spec=None)
+    res = are_birational(s6, opaque)
+    assert _verdict(res) == ("Unknown", 4, "field or class comparison "
+                                           "undecided")
+    assert res.assumed == (fact, fact)
+
+
+def test_birational_case2(z6_independent):
+    spec, p = z6_independent
+    rec = link(spec, p, name="chiE")
+    found = ("Yes", 2, "2-point with splitting field K' found")
+    res = are_birational(spec, rec.target, links=[rec])
+    assert _verdict(res) == found and res.chain == (rec,)
+    res = are_birational(spec, rec.target, declared_points=[p])
+    assert _verdict(res) == found
+    assert [r.name for r in res.chain] == ["chi[pa]"]
+    res = are_birational(spec, rec.target)
+    assert _verdict(res) == ("Unknown", 2, "point existence open: need a "
+                                           "2-point of S splitting over K'")
+    opaque = replace(as_data_surface(spec),
+                     conic=ClassHandle(key=("opaque",), status="NotNorm"),
+                     spec=None)
+    res = are_birational(spec, opaque)
+    assert _verdict(res) == ("Unknown", 2, "L-side comparison undecided")
+    assert res.assumed == ()
+
+
+def test_birational_case3(s3_example, example_links):
+    s = s3_example.tower.var("s")
+    res = are_birational(s3_example, example_links[0].target)
+    assert _verdict(res) == ("Unknown", 3, "point existence open: need a "
+                                           "3-point of S splitting over L'")
+    # (s+1)/s has no valuation proof, s*(s+1) has one
+    shifted = make_surface("S3", s3_example.tower, s + 1)
+    res = are_birational(s3_example, shifted)
+    assert _verdict(res) == ("Unknown", 3, "K-side comparison undecided")
+    # two k-variables: the classes of s and u differ by valuation proofs
+    one = QOmega.one()
+    g = VarAutomorphism([1, 2, 0, 3, 4], [one] * 5)
+    f = VarAutomorphism([0, 2, 1, 3, 4], [one] * 5)
+    tower = GaloisTower(["t1", "t2", "t3", "s", "u"], {"g": g, "f": f},
+                        name="F5")
+    res = are_birational(make_surface("S3", tower, tower.var("s")),
+                         make_surface("S3", tower, tower.var("u")))
+    assert _verdict(res) == ("No", 3, "K or Am(S_K) differ")
+    assert res.assumed == ()
 
 
 def test_fields_probe_empty_and_full(s3_example, example_points, example_links):

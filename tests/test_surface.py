@@ -3,6 +3,7 @@
 import copy
 import random
 import re
+import types
 
 import pytest
 
@@ -10,6 +11,7 @@ from dp6 import hexagon
 from dp6._ratfunc import QOmega
 from dp6.fieldtower import FactRegistry, TowerError, apply, is_fixed, norm
 from dp6.surface import (
+    SeveriBrauerData,
     SurfaceConditionError,
     TwistedAutomorphism,
     are_cohomologous,
@@ -360,6 +362,77 @@ def test_index_refuses_a_foreign_flag(gtype, flags):
     """No flag outside IsNorm, NotNorm and Unknown reads as NotNorm."""
     with pytest.raises(TowerError, match="not a norm-class verdict"):
         index_from_flags(gtype, *flags)
+
+
+_RATIONAL = "rational: full automorphism group not classified here"
+_COND_T1 = "conditional: T1, extended by alpha_h/alpha_g if a class is trivial"
+_COND_T3 = "conditional: T3, extended by alpha_h if the SB class is trivial"
+
+#: (gtype, K verdict, L verdict) -> index, Am_K, Am_L, automorphisms
+_VERDICT_TABLE = {
+    ("Z6", "IsNorm", "IsNorm"): (1, "0", "0", _RATIONAL),
+    ("Z6", "IsNorm", "NotNorm"): (2, "0", "(Z/2)^2", "T1 x <alpha_h>"),
+    ("Z6", "IsNorm", "Unknown"): ("Unknown", "0", "unknown", "T1 x <alpha_h>"),
+    ("Z6", "NotNorm", "IsNorm"): (3, "Z/3", "0", "T1 x <alpha_g>"),
+    ("Z6", "NotNorm", "NotNorm"): (6, "Z/3", "(Z/2)^2", "T1"),
+    ("Z6", "NotNorm", "Unknown"): ("Unknown", "Z/3", "unknown", _COND_T1),
+    ("Z6", "Unknown", "IsNorm"): ("Unknown", "unknown", "0", "T1 x <alpha_g>"),
+    ("Z6", "Unknown", "NotNorm"): ("Unknown", "unknown", "(Z/2)^2", _COND_T1),
+    ("Z6", "Unknown", "Unknown"): ("Unknown", "unknown", "unknown", _COND_T1),
+    ("S3", "IsNorm", "IsNorm"): (1, "0", "-", "T2"),
+    ("S3", "IsNorm", "NotNorm"): (1, "0", "-", "T2"),
+    ("S3", "IsNorm", "Unknown"): (1, "0", "-", "T2"),
+    ("S3", "NotNorm", "IsNorm"): (3, "Z/3", "-", "T2"),
+    ("S3", "NotNorm", "NotNorm"): (3, "Z/3", "-", "T2"),
+    ("S3", "NotNorm", "Unknown"): (3, "Z/3", "-", "T2"),
+    ("S3", "Unknown", "IsNorm"): ("Unknown", "unknown", "-", "T2"),
+    ("S3", "Unknown", "NotNorm"): ("Unknown", "unknown", "-", "T2"),
+    ("S3", "Unknown", "Unknown"): ("Unknown", "unknown", "-", "T2"),
+    ("D6", "IsNorm", "IsNorm"): (1, "0", "0", _RATIONAL),
+    ("D6", "IsNorm", "NotNorm"): (2, "0", "(Z/2)^2", "T3 x <alpha_h>"),
+    ("D6", "IsNorm", "Unknown"): ("Unknown", "0", "unknown", "T3 x <alpha_h>"),
+    ("D6", "NotNorm", "IsNorm"): (3, "Z/3", "0", "T3"),
+    ("D6", "NotNorm", "NotNorm"): (6, "Z/3", "(Z/2)^2", "T3"),
+    ("D6", "NotNorm", "Unknown"): ("Unknown", "Z/3", "unknown", "T3"),
+    ("D6", "Unknown", "IsNorm"): ("Unknown", "unknown", "0", _COND_T3),
+    ("D6", "Unknown", "NotNorm"): ("Unknown", "unknown", "(Z/2)^2", _COND_T3),
+    ("D6", "Unknown", "Unknown"): ("Unknown", "unknown", "unknown", _COND_T3),
+}
+
+
+def _verdict_spec(gtype, k, l):
+    """A stand-in surface with the given verdicts: only gtype and sbdata are
+    read, and an S3 surface has no field L."""
+    data = SeveriBrauerData(K="K", L=None if gtype == "S3" else "L",
+                            k_trivial=k, l_trivial=l)
+    return types.SimpleNamespace(gtype=gtype, sbdata=data)
+
+
+@pytest.mark.parametrize("gtype,k,l", sorted(_VERDICT_TABLE))
+def test_verdict_table(gtype, k, l):
+    """Index, Amitsur groups and automorphisms of every verdict pair."""
+    spec = _verdict_spec(gtype, k, l)
+    assert (index_from_flags(gtype, k, l), spec.sbdata.am_K, spec.sbdata.am_L,
+            automorphism_description(spec)) == _VERDICT_TABLE[gtype, k, l]
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+@pytest.mark.parametrize("side", ["K", "L"])
+@pytest.mark.parametrize("foreign", ["bogus", None, 5, [], "NotNorm "])
+@pytest.mark.parametrize("reader", ["amitsur", "automorphisms"])
+def test_verdict_readers_refuse_a_foreign_verdict(gtype, side, foreign, reader):
+    """A verdict outside IsNorm, NotNorm and Unknown on either side is
+    refused by the Amitsur group of that side and by the automorphism
+    descriptor (`test_index_refuses_a_foreign_flag` covers the index)."""
+    k, l = (foreign, "NotNorm") if side == "K" else ("NotNorm", foreign)
+    spec = _verdict_spec(gtype, k, l)
+    with pytest.raises(TowerError, match="not a norm-class verdict"):
+        if reader == "automorphisms":
+            automorphism_description(spec)
+        elif side == "K":
+            spec.sbdata.am_K
+        else:
+            spec.sbdata.am_L
 
 
 # ---------------------------------------------------------------------------
