@@ -1,31 +1,165 @@
 """Exact arithmetic helpers: the coefficient field Q(w) and sparse polynomials.
 
 The coefficient field is Q adjoined a primitive cube root of unity w, with
-w^2 = -1 - w.  Polynomials over it are stored as a pair of sympy sparse
-polynomials over QQ (the "1" part and the "w" part); almost all data in
-practice has a zero w-part, which keeps gcd and multiplication in the fast
-rational path.  The algebraic-field ring is only consulted for gcds and
-squarefree splits of genuinely mixed polynomials.
+w^2 = -1 - w.  Its rationals are `MPQ`s, and a polynomial over Q is a plain
+dict from exponent tuples to nonzero `MPQ`s, in the lex order of tuples.  A
+polynomial over Q(w) is a pair of them (the "1" part and the "w" part);
+almost all data in practice has a zero w-part, which keeps gcd and
+multiplication in the fast rational path.
 
 `cancel_pair` makes a fraction canonical by its gcd; `term_pair` builds the
 canonical pair of a term quotient c*x^e straight from c and the exponent
 vector e, with no product and no gcd, and `pair_term` reads c and e back.
+The rational gcd is the heuristic gcd over Z (`_heugcd`).
 
 This is the only module that knows how a polynomial is stored and the only
-one that imports sympy; each sympy algorithm sits behind one function here.
+one that uses sympy.  sympy is imported inside the few functions that need
+it, through one converter pair (`_to_sympy`, `_from_sympy`): the gcd and the
+squarefree split of polynomials with a w-part, the squarefree split over Q,
+and the gcd over Q when the heuristic gives up.  Nothing else loads it.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from operator import add, sub
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
+from typing import NamedTuple
 
-from sympy.polys.domains import QQ
-from sympy.polys.euclidtools import dmp_ff_prs_gcd
-from sympy.polys.polyerrors import HeuristicGCDFailed
-from sympy.polys.rings import ring as _sympy_ring
+_new = object.__new__
 
-_QQ_TYPE = QQ.dtype
+
+class MPQ:
+    """A rational number p/q on Python ints, in lowest terms with q > 0.
+
+    It behaves as sympy's pure-Python `PythonMPQ` does: the same `str` ("p/q",
+    or "p" when q = 1), the same `repr` ("MPQ(p,q)") and the same numeric
+    hash, so keys, hashes and digests built from it read as before.  Sums and
+    products of integers (q = 1) take no gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, p, q=1):
+        if not isinstance(p, int):  # a Fraction, an MPQ or sympy's PythonMPQ
+            p, q = p.numerator * q, p.denominator
+        if not q:
+            raise ZeroDivisionError(f"rational {p}/0")
+        g = gcd(p, q)
+        if q < 0:
+            g = -g
+        return _mpq(p // g, q // g)
+
+    def __reduce__(self):  # for pickle and copy
+        return MPQ, (self.numerator, self.denominator)
+
+    def __bool__(self):
+        return bool(self.numerator)
+
+    def __eq__(self, other):
+        if type(other) is MPQ:
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        if isinstance(other, int):
+            return self.denominator == 1 and self.numerator == other
+        return NotImplemented
+
+    def __hash__(self):
+        p, q = self.numerator, self.denominator
+        if q == 1:
+            return hash(p)
+        # the hash of Fraction(p, q), as PythonMPQ computes it
+        try:
+            h = hash(hash(abs(p)) * pow(q, -1, _HASH_MODULUS))
+        except ValueError:  # q is a multiple of the modulus
+            h = sys.hash_info.inf
+        h = h if p >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __lt__(self, other):
+        other = _as_mpq(other)
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __str__(self):
+        if self.denominator != 1:
+            return f"{self.numerator}/{self.denominator}"
+        return f"{self.numerator}"
+
+    def __repr__(self):
+        return f"MPQ({self.numerator},{self.denominator})"
+
+    def __neg__(self):
+        return _mpq(-self.numerator, self.denominator)
+
+    def __add__(self, other):
+        if type(other) is not MPQ:
+            if not isinstance(other, int):
+                return NotImplemented
+            return _mpq(self.numerator + self.denominator * other, self.denominator)
+        ap, aq = self.numerator, self.denominator
+        bp, bq = other.numerator, other.denominator
+        if aq == 1 and bq == 1:
+            return _mpq(ap + bp, 1)
+        g = gcd(aq, bq)
+        if g == 1:
+            return _mpq(ap * bq + aq * bp, aq * bq)
+        q1, q2 = aq // g, bq // g
+        p = ap * q2 + bp * q1
+        g2 = gcd(p, g)
+        return _mpq(p // g2, q1 * q2 * (g // g2))
+
+    def __sub__(self, other):
+        if type(other) is not MPQ:
+            if not isinstance(other, int):
+                return NotImplemented
+            return _mpq(self.numerator - self.denominator * other, self.denominator)
+        return self + _mpq(-other.numerator, other.denominator)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not MPQ:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = _mpq(other, 1)
+        ap, aq = self.numerator, self.denominator
+        bp, bq = other.numerator, other.denominator
+        if aq == 1 and bq == 1:
+            return _mpq(ap * bp, 1)
+        x1, x2 = gcd(ap, bq), gcd(bp, aq)
+        return _mpq((ap // x1) * (bp // x2), (aq // x2) * (bq // x1))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_mpq(other)
+        if not other.numerator:
+            raise ZeroDivisionError("division by zero rational")
+        bp, bq = other.numerator, other.denominator
+        if bp < 0:
+            bp, bq = -bp, -bq
+        return self * _mpq(bq, bp)
+
+
+def _mpq(p, q):
+    """The MPQ p/q of a p/q already in lowest terms with q > 0 (no checks)."""
+    x = _new(MPQ)
+    x.numerator = p
+    x.denominator = q
+    return x
+
+
+def _as_mpq(x):
+    return x if type(x) is MPQ else MPQ(x)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_Q0 = _mpq(0, 1)
+_Q1 = _mpq(1, 1)
 
 
 def power(x, k, one):
@@ -45,17 +179,17 @@ def power(x, k, one):
 
 
 class QOmega:
-    """Element a + b*w of Q(w), with a, b rational (sympy QQ ground type)."""
+    """Element a + b*w of Q(w), with a, b rational (`MPQ`)."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=None):
-        # arithmetic hands over QQ values already; only convert other types
-        self.a = a if type(a) is _QQ_TYPE else QQ.convert(a)
+        # arithmetic hands over MPQ values already; only convert other types
+        self.a = a if type(a) is MPQ else MPQ(a)
         if b is None:
-            self.b = QQ.zero
+            self.b = _Q0
         else:
-            self.b = b if type(b) is _QQ_TYPE else QQ.convert(b)
+            self.b = b if type(b) is MPQ else MPQ(b)
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -75,7 +209,7 @@ class QOmega:
         return not self.a and not self.b
 
     def is_one(self):
-        return self.a == QQ.one and not self.b
+        return self.a == _Q1 and not self.b
 
     def is_rational(self):
         return not self.b
@@ -106,7 +240,7 @@ class QOmega:
 
     def inv(self):
         if not self.b and self.a:
-            return QOmega(QQ.one / self.a)
+            return QOmega(_Q1 / self.a)
         n = self.norm()
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(w)")
@@ -128,7 +262,7 @@ class QOmega:
         if not self.b:
             return str(self.a)
         if not self.a:
-            return f"{self.b}*w" if self.b != QQ.one else "w"
+            return f"{self.b}*w" if self.b != _Q1 else "w"
         return f"{self.a}+{self.b}*w"
 
     def key(self):
@@ -181,94 +315,195 @@ def unit_from_str(text):
     return table[t]
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# sparse polynomials over Q: dicts from exponent tuples to nonzero coefficients
+# ---------------------------------------------------------------------------
+
+class Ring(NamedTuple):
+    """The variables of a polynomial: their names and their count."""
+
+    names: tuple
+    ngens: int
+
+
 def rational_ring(names):
-    """The shared sparse QQ-ring on the given variable names."""
-    R = _sympy_ring(" ".join(names), QQ)[0]
-    return R
+    """The ring of polynomials in the given variable names."""
+    return Ring(tuple(names), len(names))
 
 
-@lru_cache(maxsize=None)
-def algebraic_ring(names):
-    """Companion ring over QQ(w), used only for mixed-coefficient gcds.
+def _padd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = dict(p)
+    for m, c in q.items():
+        if m in out:
+            c = out[m] + c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        else:
+            out[m] = c
+    return out
 
-    The expression for w is built here, not at import: evaluating it loads
-    sympy's tensor and combinatorics modules, which nothing else needs.
+
+def _pneg(p):
+    return {m: -c for m, c in p.items()}
+
+
+def _psub(p, q):
+    return _padd(p, _pneg(q))
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return {}
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            if m in out:
+                out[m] = out[m] + c1 * c2
+            else:
+                out[m] = c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pscale(p, c):
+    """c * p for a nonzero scalar c."""
+    return {m: v * c for m, v in p.items()}
+
+
+def _pexquo(p, q, divide):
+    """p / q when q divides p exactly, else None (q nonzero).
+
+    Long division by lex-leading terms: the leading term of p must be a term
+    multiple of that of q, whose coefficient ratio `divide` gives (None when
+    it is not in the coefficient ring).  The remainder's monomials wait in a
+    heap, negated so that the lex-largest comes first; a monomial that has
+    cancelled is skipped when it comes up.
     """
-    from sympy import I, Rational, sqrt
-    dom = QQ.algebraic_field(Rational(-1, 2) + sqrt(3) * I / 2)
-    R = _sympy_ring(" ".join(names), dom)[0]
-    return R
+    lm = max(q)
+    lc = q[lm]
+    rest = dict(p)
+    heap = [tuple(map(neg, m)) for m in rest]
+    heapify(heap)
+    out = {}
+    while rest:
+        m = tuple(map(neg, heappop(heap)))
+        if m not in rest:
+            continue
+        e = tuple(map(sub, m, lm))
+        if min(e, default=0) < 0:
+            return None
+        c = divide(rest[m], lc)
+        if c is None:
+            return None
+        out[e] = c
+        for mq, cq in q.items():
+            k = tuple(map(add, e, mq))
+            if k in rest:
+                v = rest[k] - c * cq
+                if v:
+                    rest[k] = v
+                else:
+                    del rest[k]
+            else:
+                rest[k] = -(c * cq)
+                heappush(heap, tuple(map(neg, k)))
+    return out
+
+
+def _qdiv(a, b):
+    return a / b
+
+
+def _zdiv(a, b):
+    c, r = divmod(a, b)
+    return None if r else c
+
+
+def _pstr(p, names):
+    """p printed as sympy prints a polynomial: "3/2*x**2*y - z + 1"."""
+    if not p:
+        return "0"
+    parts = []
+    for mon, c in sorted(p.items(), reverse=True):
+        parts.append(" - " if c < 0 else " + ")
+        if c < 0:
+            c = -c
+        factors = [v if e == 1 else f"{v}**{e}" for v, e in zip(names, mon) if e]
+        if not factors or c != 1:
+            factors.insert(0, str(c))
+        parts.append("*".join(factors))
+    return ("-" if parts[0] == " - " else "") + "".join(parts[1:])
 
 
 class CPoly:
-    """Polynomial over Q(w): pair (pa, pb) of QQ-ring polynomials, pa + w*pb."""
+    """Polynomial over Q(w): pair (pa, pb) of rational polynomials, pa + w*pb.
+
+    pa is a dict from exponent tuples to nonzero `MPQ`s (empty for zero), and
+    pb is one too, or None when the polynomial is rational.
+    """
 
     __slots__ = ("ring", "pa", "pb")
 
     def __init__(self, ring_, pa, pb=None):
         self.ring = ring_
         self.pa = pa
-        self.pb = pb if (pb is not None and pb) else None
+        self.pb = pb or None
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls, ring_):
-        return cls(ring_, ring_.zero)
+        return cls(ring_, {})
 
     @classmethod
     def one(cls, ring_):
-        return cls(ring_, ring_.one)
+        return cls(ring_, {(0,) * ring_.ngens: _Q1})
 
     @classmethod
     def const(cls, ring_, c: QOmega):
-        pa = ring_.ground_new(c.a) if c.a else ring_.zero
-        pb = ring_.ground_new(c.b) if c.b else None
-        return cls(ring_, pa, pb)
+        m = (0,) * ring_.ngens
+        return cls(ring_, {m: c.a} if c.a else {}, {m: c.b} if c.b else None)
 
     @classmethod
     def variable(cls, ring_, index):
-        return cls(ring_, ring_.gens[index])
+        return cls.monomial(ring_, [int(i == index) for i in range(ring_.ngens)])
 
     @classmethod
     def monomial(cls, ring_, exps):
         """The monomial with exponent vector exps, coefficient 1."""
-        return cls(ring_, ring_.dtype({tuple(exps): QQ.one}))
+        return cls(ring_, {tuple(exps): _Q1})
 
     @classmethod
     def from_terms(cls, ring_, terms):
         da, db = {}, {}
         for mon, c in terms.items():
             if c.a:
-                da[mon] = da.get(mon, QQ.zero) + c.a
+                da[mon] = da.get(mon, _Q0) + c.a
             if c.b:
-                db[mon] = db.get(mon, QQ.zero) + c.b
-        pa = ring_.from_dict({m: v for m, v in da.items() if v})
-        db = {m: v for m, v in db.items() if v}
-        pb = ring_.from_dict(db) if db else None
-        return cls(ring_, pa, pb)
+                db[mon] = db.get(mon, _Q0) + c.b
+        return cls(ring_, {m: v for m, v in da.items() if v},
+                   {m: v for m, v in db.items() if v})
 
     def terms(self):
-        out = {}
-        for mon, c in self.pa.terms():
-            out[mon] = QOmega(c)
+        out = {mon: QOmega(c) for mon, c in self.pa.items()}
         if self.pb is not None:
-            for mon, c in self.pb.terms():
+            for mon, c in self.pb.items():
                 prev = out.get(mon, _ZERO)
                 out[mon] = QOmega(prev.a, prev.b + c)
         return out
 
     # -- predicates ------------------------------------------------------
     def is_zero(self):
-        return (not self.pa) and self.pb is None
+        return not self.pa and self.pb is None
 
     def is_rational(self):
         return self.pb is None
 
     def is_ground(self):
-        ok_a = (not self.pa) or self.pa.is_ground
-        ok_b = self.pb is None or self.pb.is_ground
-        return ok_a and ok_b
+        return not any(chain.from_iterable(chain(self.pa, self.pb or ())))
 
     def is_monomial(self):
         """A single term whose coefficient is rational or a rational times w."""
@@ -282,30 +517,39 @@ class CPoly:
             return len(self.pb) == 1
         return len(self.pa) == 1 and self.pa.keys() == self.pb.keys()
 
+    def shape(self):
+        """(terms, degree, variables): the number of monomials, their highest
+        total degree, and the number of variables that occur in them."""
+        monoms = set(chain(self.pa, self.pb or ()))
+        return (len(monoms), max(map(sum, monoms), default=0),
+                sum(map(any, zip(*monoms))))
+
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         pb = None
         if self.pb is not None or other.pb is not None:
-            pb = (self.pb or self.ring.zero) + (other.pb or self.ring.zero)
-        return CPoly(self.ring, self.pa + other.pa, pb)
+            pb = _padd(self.pb or {}, other.pb or {})
+        return CPoly(self.ring, _padd(self.pa, other.pa), pb)
 
     def __sub__(self, other):
         pb = None
         if self.pb is not None or other.pb is not None:
-            pb = (self.pb or self.ring.zero) - (other.pb or self.ring.zero)
-        return CPoly(self.ring, self.pa - other.pa, pb)
+            pb = _psub(self.pb or {}, other.pb or {})
+        return CPoly(self.ring, _psub(self.pa, other.pa), pb)
 
     def __neg__(self):
-        return CPoly(self.ring, -self.pa, -self.pb if self.pb is not None else None)
+        return CPoly(self.ring, _pneg(self.pa),
+                     _pneg(self.pb) if self.pb is not None else None)
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.pa, self.pb, other.pa, other.pb
         if b1 is None and b2 is None:
-            return CPoly(self.ring, a1 * a2)
-        z = self.ring.zero
-        b1 = b1 if b1 is not None else z
-        b2 = b2 if b2 is not None else z
-        return CPoly(self.ring, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+            return CPoly(self.ring, _pmul(a1, a2))
+        b1 = b1 or {}
+        b2 = b2 or {}
+        bb = _pmul(b1, b2)
+        return CPoly(self.ring, _psub(_pmul(a1, a2), bb),
+                     _psub(_padd(_pmul(a1, b2), _pmul(b1, a2)), bb))
 
     def mul_scalar(self, c: QOmega):
         """c * self, one ground multiplication per part and no product."""
@@ -313,8 +557,10 @@ class CPoly:
         if pb is None:
             return _with_scalar(self.ring, c, pa)
         # (pa + w pb)(a + b w) = (a pa - b pb) + w (b pa + (a - b) pb)
-        return CPoly(self.ring, pa.mul_ground(a) - pb.mul_ground(b),
-                     pa.mul_ground(b) + pb.mul_ground(a - b))
+        return CPoly(self.ring, _psub(_pscale(pa, a) if a else {},
+                                      _pscale(pb, b) if b else {}),
+                     _padd(_pscale(pa, b) if b else {},
+                           _pscale(pb, a - b) if a != b else {}))
 
     def exquo_rational(self, q: CPoly):
         """self / q when the rational polynomial q divides self, else None.
@@ -322,13 +568,13 @@ class CPoly:
         One division by a single polynomial: its remainder is zero exactly
         when q divides, so no gcd is taken.
         """
-        qa, ra = self.pa.div(q.pa)
-        if ra:
+        qa = _pexquo(self.pa, q.pa, _qdiv)
+        if qa is None:
             return None
         qb = None
         if self.pb is not None:
-            qb, rb = self.pb.div(q.pa)
-            if rb:
+            qb = _pexquo(self.pb, q.pa, _qdiv)
+            if qb is None:
                 return None
         return CPoly(self.ring, qa, qb)
 
@@ -339,7 +585,7 @@ class CPoly:
         return (
             isinstance(other, CPoly)
             and self.pa == other.pa
-            and (self.pb or self.ring.zero) == (other.pb or self.ring.zero)
+            and self.pb == other.pb
         )
 
     def __hash__(self):
@@ -347,87 +593,38 @@ class CPoly:
 
     def key(self):
         return (
-            tuple(sorted(self.pa.terms())) if self.pa else (),
-            tuple(sorted(self.pb.terms())) if self.pb is not None else (),
+            tuple(sorted(self.pa.items())),
+            tuple(sorted(self.pb.items())) if self.pb is not None else (),
         )
 
     # -- structure -------------------------------------------------------
     def degree_in(self, index):
         """Maximal exponent of variable `index` (0 for the zero polynomial)."""
-        d = 0
-        for mon in self.pa.monoms():
-            d = max(d, mon[index])
-        if self.pb is not None:
-            for mon in self.pb.monoms():
-                d = max(d, mon[index])
-        return d
+        return max((mon[index] for mon in chain(self.pa, self.pb or ())), default=0)
 
     def min_degrees(self):
-        monoms = list(self.pa.itermonoms())
-        if self.pb is not None:
-            monoms.extend(self.pb.itermonoms())
+        monoms = list(chain(self.pa, self.pb or ()))
         return tuple(map(min, zip(*monoms))) if monoms else (0,) * self.ring.ngens
 
     def shift_down(self, shifts):
         """Divide by the monomial with the given exponent vector (must divide)."""
         def move(p):
-            if p is None:
-                return None
-            return self.ring.dtype(
-                {tuple(map(sub, mon, shifts)): c for mon, c in p.items()})
-        return CPoly(self.ring, move(self.pa) or self.ring.zero, move(self.pb))
+            return {tuple(map(sub, mon, shifts)): c for mon, c in p.items()}
+        return CPoly(self.ring, move(self.pa), move(self.pb or {}))
 
     def leading(self):
         """(monomial, QOmega coefficient) for the lex-leading monomial."""
         if self.is_zero():
             raise ValueError("leading term of zero")
-        order = self.ring.order
-        best = None
-        for p in (self.pa, self.pb):
-            if p is None or not p:
-                continue
-            m = p.LM
-            if best is None or order(m) > order(best):
-                best = m
-        ca = self.pa.get(best, QQ.zero) if self.pa else QQ.zero
-        cb = self.pb.get(best, QQ.zero) if self.pb is not None else QQ.zero
-        return best, QOmega(ca, cb)
+        best = max(chain(self.pa, self.pb or ()))
+        return best, QOmega(self.pa.get(best, _Q0),
+                            _Q0 if self.pb is None else self.pb.get(best, _Q0))
 
     def subs_zero(self, index):
         """Substitute 0 for the variable at `index`."""
         def cut(p):
-            if p is None:
-                return None
-            d = {m: c for m, c in p.terms() if m[index] == 0}
-            return self.ring.from_dict(d) if d else self.ring.zero
-        pa = cut(self.pa)
-        pb = cut(self.pb)
-        return CPoly(self.ring, pa if pa is not None else self.ring.zero,
-                     pb if (pb is not None and pb) else None)
-
-    def to_algebraic(self):
-        RW = algebraic_ring(tuple(self.ring.symbols[i].name for i in range(self.ring.ngens)))
-        dom = RW.domain
-        one_anp = dom.one
-        mod = one_anp.mod
-        from sympy.polys.polyclasses import ANP
-        d = {}
-        for mon, c in self.terms().items():
-            d[mon] = ANP([c.b, c.a], mod, QQ)
-        return RW.from_dict(d)
-
-    @classmethod
-    def from_algebraic(cls, ring_, poly):
-        terms = {}
-        for mon, c in poly.terms():
-            lst = c.to_list()
-            if len(lst) == 0:
-                continue
-            if len(lst) == 1:
-                terms[mon] = QOmega(lst[0], 0)
-            else:
-                terms[mon] = QOmega(lst[1], lst[0])
-        return cls.from_terms(ring_, terms)
+            return {m: c for m, c in p.items() if m[index] == 0}
+        return CPoly(self.ring, cut(self.pa), cut(self.pb or {}))
 
     def substitute(self, perm, zexp):
         """The image under x_i -> zeta^zexp[i] * x_perm[i], term by term.
@@ -451,15 +648,14 @@ class CPoly:
                 if j != 0:  # and w-part c (j = 1) or -c (j = 2)
                     b = c if j == 1 else -c
                     db[key] = db[key] + b if key in db else b
-        new = self.ring.dtype
-        da = {m: c for m, c in da.items() if c}
-        db = {m: c for m, c in db.items() if c}
-        return CPoly(self.ring, new(da), new(db) if db else None)
+        return CPoly(self.ring, {m: c for m, c in da.items() if c},
+                     {m: c for m, c in db.items() if c})
 
     def __repr__(self):
+        names = self.ring.names
         if self.pb is None:
-            return str(self.pa)
-        return f"({self.pa}) + w*({self.pb})"
+            return _pstr(self.pa, names)
+        return f"({_pstr(self.pa, names)}) + w*({_pstr(self.pb, names)})"
 
 
 def cancel_pair(num: CPoly, den: CPoly):
@@ -496,10 +692,9 @@ def cancel_pair(num: CPoly, den: CPoly):
     cn = _scalar_core(num)
     cd = _scalar_core(den)
     if cn is not None and cd is not None:
-        g = _rational_gcd(cn[1], cd[1])
-        if not g.is_ground:
-            num = _with_scalar(ring_, cn[0], cn[1].quo(g))
-            den = _with_scalar(ring_, cd[0], cd[1].quo(g))
+        _, qn, qd = _rational_gcd(cn[1], cd[1])
+        num = _with_scalar(ring_, cn[0], qn)
+        den = _with_scalar(ring_, cd[0], qd)
     else:
         num, den = _algebraic_cancel(num, den)
     return monic_pair(num, den)
@@ -552,10 +747,8 @@ def term_pair(ring_, c: QOmega, e):
     """
     pos = tuple(v if v > 0 else 0 for v in e)
     neg = tuple(-v if v < 0 else 0 for v in e)
-    new = ring_.dtype
-    num = CPoly(ring_, new({pos: c.a}) if c.a else ring_.zero,
-                new({pos: c.b}) if c.b else None)
-    return num, CPoly(ring_, new({neg: QQ.one}))
+    num = CPoly(ring_, {pos: c.a} if c.a else {}, {pos: c.b} if c.b else None)
+    return num, CPoly(ring_, {neg: _Q1})
 
 
 def pair_term(num: CPoly, den: CPoly):
@@ -568,7 +761,7 @@ def pair_term(num: CPoly, den: CPoly):
         return None
     pa, pb = num.pa, num.pb
     (a,) = pa or pb
-    c = QOmega(pa[a] if pa else QQ.zero, QQ.zero if pb is None else pb[a])
+    c = QOmega(pa[a] if pa else _Q0, _Q0 if pb is None else pb[a])
     (b,) = den.pa
     return c, tuple(map(sub, a, b))
 
@@ -608,9 +801,8 @@ def _scalar_core(p: CPoly):
         return (QOmega.one(), p.pa)
     if not p.pa:
         return (QOmega.omega(), p.pb)
-    ta = dict(p.pa.terms())
-    tb = dict(p.pb.terms())
-    if set(ta) != set(tb):
+    ta, tb = p.pa, p.pb
+    if ta.keys() != tb.keys():
         return None
     mon0 = next(iter(ta))
     q = tb[mon0] / ta[mon0]
@@ -620,35 +812,201 @@ def _scalar_core(p: CPoly):
     return (QOmega(1, q), p.pa)
 
 
-def _rational_gcd(f, g):
-    """gcd of two QQ-ring polynomials.
-
-    The sparse ring's gcd is the heuristic gcd alone, which gives up on some
-    inputs with `HeuristicGCDFailed`; those take the subresultant PRS gcd.
-    """
-    try:
-        return f.gcd(g)
-    except HeuristicGCDFailed:
-        ring_ = f.ring
-        h = dmp_ff_prs_gcd(f.to_dense(), g.to_dense(), ring_.ngens - 1, ring_.domain)[0]
-        return ring_.from_dense(h)
-
-
 def _with_scalar(ring_, c: QOmega, q):
-    return CPoly(ring_, q.mul_ground(c.a) if c.a else ring_.zero,
-                 q.mul_ground(c.b) if c.b else None)
+    return CPoly(ring_, _pscale(q, c.a) if c.a else {},
+                 _pscale(q, c.b) if c.b else None)
+
+
+# ---------------------------------------------------------------------------
+# the gcd over Q: heuristic gcd over Z, checked by exact division
+# ---------------------------------------------------------------------------
+
+#: evaluation points the heuristic gcd tries before it gives up
+_HEU_GCD_MAX = 6
+
+
+def _rational_gcd(f, g):
+    """(h, f/h, g/h) for h a gcd of two nonzero rational polynomials.
+
+    Denominators are cleared, so f = F/cf and g = G/cg with F and G over Z;
+    then h = gcd(F, G) and f/h = (F/h)/cf.  When the heuristic gcd gives up,
+    the subresultant PRS gcd over Q decides.
+    """
+    F, cf = _clear_denominators(f)
+    G, cg = _clear_denominators(g)
+    found = _heugcd(F, G)
+    if found is None:
+        return _prs_gcd(f, g)
+    h, cff, cfg = found
+    return ({m: _mpq(c, 1) for m, c in h.items()},
+            {m: MPQ(c, cf) for m, c in cff.items()},
+            {m: MPQ(c, cg) for m, c in cfg.items()})
+
+
+def _clear_denominators(f):
+    """(F, c): F = c*f has integer coefficients, c the lcm of f's denominators."""
+    c = lcm(*(v.denominator for v in f.values()))
+    return {m: v.numerator * (c // v.denominator) for m, v in f.items()}, c
+
+
+def _heugcd(f, g):
+    """(h, f/h, g/h) for h = gcd(f, g) over Z, or None when the heuristic gives up.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comp. 1989), as
+    sympy's `heugcd` runs it: evaluate the first variable at an integer x,
+    take the gcd of the images (recursively, down to integers), recover a
+    candidate from the image by its balanced x-adic digits, and keep it when
+    it divides f and g exactly.  f and g are nonzero, with integer
+    coefficients, over the same variables.
+    """
+    if not next(iter(f)):  # no variables left: integers
+        a, b = f[()], g[()]
+        h = gcd(a, b)
+        return {(): h}, {(): a // h}, {(): b // h}
+    content = gcd(*f.values(), *g.values())
+    f = {m: c // content for m, c in f.items()}
+    g = {m: c // content for m, c in g.items()}
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    for _ in range(_HEU_GCD_MAX):
+        ff, gg = _evaluate_first(f, x), _evaluate_first(g, x)
+        if ff and gg:
+            images = _heugcd(ff, gg)
+            if images is None:
+                return None
+            h_img, cff_img, cfg_img = images
+            h = _primitive(_interpolate(h_img, x))
+            cff, cfg = _pexquo(f, h, _zdiv), _pexquo(g, h, _zdiv)
+            if cff is not None and cfg is not None:
+                return _pscale(h, content), cff, cfg
+            cff = _interpolate(cff_img, x)
+            h = _pexquo(f, cff, _zdiv)
+            cfg = h and _pexquo(g, h, _zdiv)
+            if cfg is not None:
+                return _pscale(h, content), cff, cfg
+            cfg = _interpolate(cfg_img, x)
+            h = _pexquo(g, cfg, _zdiv)
+            cff = h and _pexquo(f, h, _zdiv)
+            if cff is not None:
+                return _pscale(h, content), cff, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _evaluate_first(f, x):
+    """f with its first variable set to the integer x, over the others."""
+    out, powers = {}, {}
+    for m, c in f.items():
+        e, rest = m[0], m[1:]
+        if e not in powers:
+            powers[e] = x ** e
+        out[rest] = out.get(rest, 0) + c * powers[e]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(h, x):
+    """The polynomial with coefficients in (-x/2, x/2] that is h at x0 = x,
+    x0 its new first variable, negated if need be to a positive leading
+    coefficient."""
+    out = {}
+    i = 0
+    while h:
+        digit = {}
+        for m, c in h.items():
+            c %= x
+            if c > x // 2:
+                c -= x
+            if c:
+                digit[m] = c
+                out[(i,) + m] = c
+        h = {m: (c - digit.get(m, 0)) // x for m, c in h.items()}
+        h = {m: c for m, c in h.items() if c}
+        i += 1
+    return _pneg(out) if out[max(out)] < 0 else out
+
+
+def _primitive(f):
+    """f divided by the gcd of its (integer) coefficients."""
+    c = gcd(*f.values())
+    return {m: v // c for m, v in f.items()}
+
+
+# ---------------------------------------------------------------------------
+# sympy: the Q(w) gcd, squarefree splits and the PRS fallback
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _qomega_domain():
+    """sympy's QQ(w), built on first use: evaluating the expression for w
+    loads sympy's tensor and combinatorics modules, which nothing else
+    needs."""
+    from sympy import I, QQ, Rational, sqrt
+    return QQ.algebraic_field(Rational(-1, 2) + sqrt(3) * I / 2)
+
+
+def _to_sympy(ngens, pa, pb=None):
+    """pa + w*pb as a sympy ring element: over QQ when pb is None, else
+    over QQ(w)."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    names = [f"x{i}" for i in range(ngens)]
+    if pb is None:
+        R = ring(names, QQ)[0]
+        return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in pa.items()})
+    from sympy.polys.polyclasses import ANP
+
+    dom = _qomega_domain()
+    R = ring(names, dom)[0]
+    mod = dom.one.mod
+    terms = {m: [_Q0, c] for m, c in pa.items()}
+    for m, c in pb.items():
+        terms.setdefault(m, [_Q0, _Q0])[0] = c
+    return R.from_dict({m: ANP([QQ(c.numerator, c.denominator) for c in bc], mod, QQ)
+                        for m, bc in terms.items()})
+
+
+def _from_sympy(poly):
+    """(pa, pb) of a sympy ring element over QQ or QQ(w); pb is empty when
+    the element is rational."""
+    pa, pb = {}, {}
+    for m, c in poly.terms():
+        if hasattr(c, "to_list"):  # an element of QQ(w): [b, a] or [a]
+            bc = c.to_list()
+            a, b = bc[-1], (bc[0] if len(bc) == 2 else 0)
+        else:
+            a, b = c, 0
+        if a:
+            pa[m] = MPQ(a)
+        if b:
+            pb[m] = MPQ(b)
+    return pa, pb
+
+
+def _prs_gcd(f, g):
+    """(h, f/h, g/h) for two rational polynomials by sympy's subresultant
+    PRS gcd, which never gives up."""
+    from sympy.polys.euclidtools import dmp_ff_prs_gcd
+
+    n = len(next(iter(f)))
+    sf, sg = _to_sympy(n, f), _to_sympy(n, g)
+    R = sf.ring
+    found = dmp_ff_prs_gcd(sf.to_dense(), sg.to_dense(), n - 1, R.domain)
+    return tuple(_from_sympy(R.from_dense(p))[0] for p in found)
 
 
 def _algebraic_cancel(num: CPoly, den: CPoly):
-    ring_ = num.ring
-    an, ad = num.to_algebraic(), den.to_algebraic()
+    n = num.ring.ngens
+    an = _to_sympy(n, num.pa, num.pb or {})
+    ad = _to_sympy(n, den.pa, den.pb or {})
     g = an.gcd(ad)
     if g.is_ground:
         return num, den
-    return (
-        CPoly.from_algebraic(ring_, an.quo(g)),
-        CPoly.from_algebraic(ring_, ad.quo(g)),
-    )
+    return (CPoly(num.ring, *_from_sympy(an.quo(g))),
+            CPoly(num.ring, *_from_sympy(ad.quo(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -656,19 +1014,18 @@ def _algebraic_cancel(num: CPoly, den: CPoly):
 # ---------------------------------------------------------------------------
 
 def _rational_nth_root(q, n):
-    """Exact n-th root of a QQ element, or None."""
+    """Exact n-th root of a rational (`MPQ`), or None."""
     if not q:
-        return QQ.zero
-    num, den = QQ.numer(q), QQ.denom(q)
+        return _Q0
+    num, den = q.numerator, q.denominator
     neg = num < 0
     if neg and n % 2 == 0:
         return None
-    rn = _int_nth_root(abs(int(num)), n)
-    rd = _int_nth_root(int(den), n)
+    rn = _int_nth_root(abs(num), n)
+    rd = _int_nth_root(den, n)
     if rn is None or rd is None:
         return None
-    r = QQ(rn, rd)
-    return -r if neg else r
+    return _mpq(-rn if neg else rn, rd)
 
 
 def _int_nth_root(m, n):
@@ -714,12 +1071,12 @@ def _qomega_sqrt(c: QOmega):
         if r is not None:
             return QOmega(r, 0)
         # (x + yw)^2 with y = 2x: -3x^2 = a
-        r = _rational_nth_root(a / QQ(-3), 2)
+        r = _rational_nth_root(a / -3, 2)
         if r is not None:
             return QOmega(r, 2 * r)
         return None
     # 3 y^4 + (4a - 2b) y^2 - b^2 = 0
-    A, B, C = QQ(3), 4 * a - 2 * b, -b * b
+    A, B, C = 3, 4 * a - 2 * b, -b * b
     disc = B * B - 4 * A * C
     sd = _rational_nth_root(disc, 2)
     if sd is None:
@@ -751,7 +1108,7 @@ def _qomega_cbrt(c: QOmega):
         return None
     # b != 0: y = t x with b t^3 + (3a - 3b) t^2 - 3a t + b = 0
     for tq in _rational_roots([b, 3 * a - 3 * b, -3 * a, b]):
-        den = 3 * tq * (QQ.one - tq)
+        den = 3 * tq * (1 - tq)
         if not den:
             continue
         x3 = b / den
@@ -766,11 +1123,64 @@ def _qomega_cbrt(c: QOmega):
 
 
 def _rational_roots(coeffs):
-    """The rational roots of the polynomial with QQ coefficients `coeffs`,
-    highest degree first (sympy's `ground_roots`)."""
-    from sympy import Poly, Symbol
-    poly = Poly(coeffs, Symbol("t"), domain="QQ")
-    return [QQ.convert(root) for root in poly.ground_roots()]
+    """The rational roots of the cubic with rational coefficients `coeffs`,
+    highest degree first and the first nonzero, in the order of sympy's
+    `ground_roots`: by multiplicity, then by the primitive linear factor
+    q*t - p of the root p/q.
+
+    With integer coefficients a3 t^3 + a2 t^2 + a1 t + a0, u = a3*t is a
+    root of the monic integer cubic u^3 + a2 u^2 + a1 a3 u + a0 a3^2, and by
+    the rational-root theorem its rational roots are integers.
+    """
+    scaled, _ = _clear_denominators(dict(enumerate(map(_as_mpq, coeffs))))
+    a3, a2, a1, a0 = (scaled.get(i, 0) for i in range(4))
+    roots = [MPQ(u, a3) for u in _integer_roots(a2, a1 * a3, a0 * a3 * a3)]
+
+    def multiplicity(t):
+        slope = (3 * a3 * t + 2 * a2) * t + a1
+        return 1 if slope else 2 if 3 * a3 * t + a2 else 3
+
+    return sorted(roots, key=lambda t: (multiplicity(t), t.denominator, -t.numerator))
+
+
+def _integer_roots(p, q, r):
+    """The distinct integer roots of u^3 + p u^2 + q u + r (p, q, r integers).
+
+    Every root lies in (-bound, bound) (Cauchy's bound).  The cubic is
+    monotone below, between and above its critical points
+    (-p -/+ sqrt(p^2 - 3q)) / 3.  With s = isqrt(p^2 - 3q), these lie in
+    ((-p-s-1)/3, (-p-s)/3] and [(-p+s)/3, (-p+s+1)/3), so the integers up
+    to floor((-p-s-1)/3), from ceil((-p-s)/3) to floor((-p+s)/3), and from
+    ceil((-p+s+1)/3) on are three monotone runs.  For any integer a,
+    floor((a-1)/3) + 1 >= ceil(a/3), so the runs leave no integer out.  Each
+    run is searched by bisection.
+    """
+    def f(u):
+        return ((u + p) * u + q) * u + r
+
+    bound = 1 + max(abs(p), abs(q), abs(r))
+    d = p * p - 3 * q
+    if d <= 0:  # f' >= 0: monotone throughout
+        runs = [(-bound, bound)]
+    else:
+        s = isqrt(d)
+        runs = [(-bound, (-p - s - 1) // 3), (-((p + s) // 3), (-p + s) // 3),
+                (-((p - s - 1) // 3), bound)]
+    found = set()
+    for lo, hi in runs:
+        if lo > hi:
+            continue
+        rising = f(hi) >= f(lo)
+        while lo < hi:  # the first u with f(u) >= 0 (rising) or <= 0
+            mid = (lo + hi) // 2
+            v = f(mid)
+            if v < 0 if rising else v > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if not f(lo):
+            found.add(lo)
+    return found
 
 
 def poly_nth_root(p: CPoly, n):
@@ -813,10 +1223,8 @@ def _squarefree_factors(p: CPoly):
     and pairwise coprime (sympy's `sqf_list`, over Q or Q(w))."""
     if p.is_ground():
         return []
-    if p.is_rational():
-        return [(CPoly(p.ring, f), m) for f, m in p.pa.sqf_list()[1]]
-    return [(CPoly.from_algebraic(p.ring, f), m)
-            for f, m in p.to_algebraic().sqf_list()[1]]
+    factors = _to_sympy(p.ring.ngens, p.pa, p.pb).sqf_list()[1]
+    return [(CPoly(p.ring, *_from_sympy(f)), m) for f, m in factors]
 
 
 def _ground_ratio(p: CPoly, q: CPoly):

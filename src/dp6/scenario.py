@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import comb
 
 from ._ratfunc import QOmega, unit_from_str
 from .fieldtower import (
@@ -40,6 +41,10 @@ class ScenarioError(ValueError):
 #: the deepest nesting of parentheses and unary minus signs an expression
 #: may have; the parser recurses once per level
 _MAX_NESTING = 100
+#: the most terms, and the highest degree, a power base^k may be predicted
+#: to have (`_check_power_size`); a larger power is refused unexpanded
+_MAX_POWER_TERMS = 2000
+_MAX_POWER_DEGREE = 1000
 
 
 class _Tokens:
@@ -147,8 +152,38 @@ def _parse_power(toks, tower, comp):
         kind, val = toks.next()
         if kind != "int":
             raise ScenarioError("exponent must be an integer")
+        _check_power_size(base, val)
         return base ** (sign * val)
     return base
+
+
+def _check_power_size(base, k):
+    """Refuse base^k (or base^-k) when its predicted size is over budget.
+
+    A power p^k of a polynomial p with t terms and total degree d in v
+    variables has degree k*d and at most min(comb(t + k - 1, k),
+    comb(v + k*d, v)) terms: the products of k of p's terms, and the
+    monomials of degree up to k*d.  A fraction is predicted by its numerator
+    and its denominator.  A radical element is predicted as one polynomial
+    holding all its digits' terms, with r as one more variable.  A constant
+    counts as degree 1, as its digits grow with k as a degree does.
+    """
+    if k < 2:
+        return
+    if hasattr(base, "digits"):
+        shapes = [p.shape() for d in base.digits for p in (d.num, d.den)]
+        shapes = [(sum(t for t, _, _ in shapes), 1 + max(d for _, d, _ in shapes),
+                   1 + max(v for _, _, v in shapes))]
+    else:
+        shapes = [base.num.shape(), base.den.shape()]
+    for terms, degree, nvars in shapes:
+        if k * max(degree, 1) > _MAX_POWER_DEGREE:
+            raise ScenarioError(f"power too large: degree {k * max(degree, 1)} "
+                                f"is over {_MAX_POWER_DEGREE}")
+        size = min(comb(terms + k - 1, k), comb(nvars + k * degree, nvars))
+        if size > _MAX_POWER_TERMS:
+            raise ScenarioError(f"power too large: up to {size} terms, "
+                                f"over {_MAX_POWER_TERMS}")
 
 
 def _parse_atom(toks, tower, comp):

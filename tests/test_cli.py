@@ -6,12 +6,22 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from dp6._ratfunc import QOmega
 from dp6.cli import bundled_path, run
-from dp6.scenario import _MAX_NESTING, ScenarioError, load_scenario, parse_element
+from dp6.fieldtower import ExtensionDescriptor
+from dp6.points import composite_for
+from dp6.scenario import (
+    _MAX_NESTING,
+    _MAX_POWER_DEGREE,
+    _MAX_POWER_TERMS,
+    ScenarioError,
+    load_scenario,
+    parse_element,
+)
 
 
 def test_parse_element(s3_tower):
@@ -499,6 +509,44 @@ def test_nesting_at_the_bound_loads(tmp_path):
     code, text = _index6_with_rho(
         tmp_path, "(" * _MAX_NESTING + "x1/x2" + ")" * _MAX_NESTING)
     assert (code, text) == run(bundled_path("z6-index6"))
+
+
+# ---------------------------------------------------------------------------
+# size budget of powers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho,message", [
+    ("(x1+x2+x3+1)^40", f"up to 12341 terms, over {_MAX_POWER_TERMS}"),
+    ("x1/(x1+x2+x3+y+1)^-14", f"up to 3060 terms, over {_MAX_POWER_TERMS}"),
+    ("x1/x2^1001", f"degree 1001 is over {_MAX_POWER_DEGREE}"),
+    ("2^5000*x1/x2", f"degree 5000 is over {_MAX_POWER_DEGREE}"),
+], ids=["terms", "negative-exponent", "degree", "constant"])
+def test_oversized_power_is_load_error(tmp_path, rho, message):
+    code, text = _index6_with_rho(tmp_path, rho)
+    assert (code, text) == (2, f"load-error: surface S6: rho: power too large: "
+                               f"{message}\n")
+
+
+def test_oversized_power_is_refused_unexpanded(s3_tower):
+    """(t1+t2+t3+1)^40 has 12341 terms and took seconds to build; its
+    prediction refuses it at once."""
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError, match="up to 12341 terms"):
+        parse_element("(t1+t2+t3+1)^40", s3_tower)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_powers_within_the_budget_parse(s3_tower):
+    """Powers at the budget parse: 1771 terms at degree 20, degree 1000 in
+    one variable, and the same budget holds for a radical element."""
+    t1, t2, t3 = (s3_tower.var(v) for v in ("t1", "t2", "t3"))
+    assert parse_element("t1^1000", s3_tower) == t1 ** 1000
+    assert parse_element("(t1+t2+t3+1)^20", s3_tower).num.shape() == (1771, 20, 3)
+    E = ExtensionDescriptor("kummer-cubic", s3_tower, radicand=t1 + t2 + t3)
+    comp = composite_for(s3_tower, E).comp
+    assert parse_element("(r+t1)^3", s3_tower, comp) == (comp.r() + t1) ** 3
+    with pytest.raises(ScenarioError, match="power too large: up to"):
+        parse_element("(r+t1+t2+t3)^20", s3_tower, comp)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from dp6 import fieldtower, hexagon
 from dp6._ratfunc import (
+    MPQ,
     UNITS,
     ZETA_POWERS,
     CPoly,
@@ -705,6 +706,32 @@ def test_rad_product_cancels_large_digits(z6_tower):
     comp = _radical_composite(z6_tower, "degree-6").comp
     x = RadElement(comp, [x1, x2 + 1, x3 + 2, x1 + 3, x2 + 4, x3 + 5])
     assert x * x.inv() == comp.one()
+
+
+@pytest.mark.parametrize("tower_name,case", _COMPOSITE_CASES)
+def test_rad_inverse_of_general_digits(request, tower_name, case):
+    """x * x^-1 = 1 for seeded random x whose nonzero digits are quotients
+    of linear polynomials with rational coefficients, some denominators
+    times a monomial, on every composite kind.  Mixed coefficients would
+    reach the slow Q(w) gcd.  On the
+    degree-6 composites two of the six digits are nonzero: the conjugate
+    products of more general digits run for minutes."""
+    tower = request.getfixturevalue(tower_name)
+    comp = _radical_composite(tower, case).comp
+    rng = random.Random(f"{tower_name}:{case}")
+    xs = [tower.var(v) for v in tower.variables]
+
+    def linear():
+        a, b = (tower.const(QOmega(MPQ(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                       rng.randint(1, 3)))) for _ in range(2))
+        return a + b * rng.choice(xs)
+
+    for _ in range(3):
+        digits = [tower.zero()] * comp.rdeg
+        for i in rng.sample(range(comp.rdeg), 2 if comp.rdeg == 6 else comp.rdeg):
+            digits[i] = linear() / (linear() * rng.choice(xs) ** rng.randint(0, 2))
+        x = RadElement(comp, digits)
+        assert x * x.inv() == comp.one()
 
 
 def test_power_is_repeated_product(z6_tower):

@@ -1,15 +1,17 @@
 """Canonical forms and power detection in the polynomial layer."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from sympy.polys.domains import QQ
 
 from dp6 import _ratfunc
 from dp6._ratfunc import (
+    MPQ,
     CPoly,
     QOmega,
     cancel_pair,
@@ -61,7 +63,7 @@ def test_cancel_single_term_skips_gcd():
     assert n == x * y and d == y + x * z
     # no shared content: only the denominator's leading coefficient moves
     n, d = cancel_pair(c(3) * x * y * y, c(2) * z + c(4) * x)
-    assert n == c(QQ(3, 4)) * x * y * y and d == x + c(QQ(1, 2)) * z
+    assert n == c(MPQ(3, 4)) * x * y * y and d == x + c(MPQ(1, 2)) * z
     # a single term with a mixed coefficient, on either side
     assert (c(1, 1) * x).is_term() and not (x + c(0, 1) * y).is_term()
     n, d = cancel_pair(c(1, 1) * x, x + y)
@@ -70,13 +72,22 @@ def test_cancel_single_term_skips_gcd():
     assert n == c(0, -1) * (x + y) and d == x
 
 
-def test_cancel_where_the_heuristic_gcd_gives_up():
-    """sympy's sparse heuristic gcd raises HeuristicGCDFailed on this coprime
-    pair; cancel_pair falls back to the PRS gcd and keeps the pair."""
+def _heuristic_gives_up_pair():
+    """A coprime pair on which sympy's sparse heuristic gcd gives up."""
     S = rational_ring(("t1", "t2", "t3", "s"))
-    t1, t2, t3, s = S.gens
-    num = CPoly(S, QQ(4, 9) * t3**10 * s**6 * (t3 + 1)**2)
-    den = CPoly(S, t1**8 * t2**8 * (t1 + QQ(1, 3)) * (t2 + QQ(1, 3)))
+    t1, t2, t3, s = (CPoly.variable(S, i) for i in range(4))
+    one, third = CPoly.one(S), CPoly.const(S, QOmega(MPQ(1, 3)))
+    num = CPoly.const(S, QOmega(MPQ(4, 9))) * t3**10 * s**6 * (t3 + one)**2
+    den = t1**8 * t2**8 * (t1 + third) * (t2 + third)
+    return num, den
+
+
+def test_cancel_where_the_heuristic_gcd_gives_up(monkeypatch):
+    """A coprime pair on which sympy's heuristic gcd gives up keeps its form,
+    by the heuristic gcd and by the PRS gcd it falls back to."""
+    num, den = _heuristic_gives_up_pair()
+    assert cancel_pair(num, den) == (num, den)
+    monkeypatch.setattr(_ratfunc, "_heugcd", lambda f, g: None)
     assert cancel_pair(num, den) == (num, den)
 
 
@@ -103,8 +114,8 @@ def test_cancel_genuinely_algebraic():
 def _gcd_route(num, den):
     """cancel_pair of a rational pair by the rational gcd alone."""
     num, den = strip_monomial_content(num, den)
-    g = _ratfunc._rational_gcd(num.pa, den.pa)
-    return monic_pair(CPoly(num.ring, num.pa.quo(g)), CPoly(num.ring, den.pa.quo(g)))
+    _, qn, qd = _ratfunc._rational_gcd(num.pa, den.pa)
+    return monic_pair(CPoly(num.ring, qn), CPoly(num.ring, qd))
 
 
 def _key(pair):
@@ -123,13 +134,12 @@ def test_term_multiple_matches_gcd_route(g_terms, q, a, b):
     """(q*x^a*g) / (x^b*g) for g without monomial content is the pair the
     gcd route gives, and the term-multiple rule decides it.  a and b are
     drawn apart, so the shift a - b has mixed signs."""
-    g = CPoly.from_terms(R, {m: QOmega(QQ(c.numerator, c.denominator))
-                             for m, c in g_terms.items()})
+    g = CPoly.from_terms(R, {m: QOmega(c) for m, c in g_terms.items()})
     g = g.shift_down(g.min_degrees())
-    num = CPoly.from_terms(R, {a: QOmega(QQ(q.numerator, q.denominator))}) * g
+    num = CPoly.from_terms(R, {a: QOmega(q)}) * g
     den = CPoly.monomial(R, b) * g
     assert _key(cancel_pair(num, den)) == _key(_gcd_route(num, den))
-    if len(g.pa) > 1:
+    if not g.is_term():
         assert _ratfunc._term_quotient(*strip_monomial_content(num, den)) is not None
 
 
@@ -194,13 +204,12 @@ def test_cocycle_poly_surface_takes_no_gcd(monkeypatch, z6_tower):
     assert calls == []
 
 
-# the two sides of the slow mixed pair of ROADMAP item 1, as pa + w*pb
+# the two sides of the slow mixed pair of ROADMAP item 1
 _S = rational_ring(("x1", "x2", "x3", "y"))
-_s1, _s2, _s3, _sy = _S.gens
-_MIXED_NUM = CPoly(_S, QQ(10, 7) * _s1 * _s2**2 * _sy**2 - _s2**2 * _sy**3,
-                   QQ(2, 7) * _s1 * _s2**2 * _sy**2 - _s2**2 * _sy**3)
-_MIXED_DEN = CPoly(_S, _s1**4 * _s3**4 - QQ(10, 7) * _s1**3 * _s3**3,
-                   -QQ(2, 7) * _s1**3 * _s3**3)
+_MIXED_NUM = CPoly.from_terms(_S, {(1, 2, 0, 2): QOmega(MPQ(10, 7), MPQ(2, 7)),
+                                   (0, 2, 0, 3): QOmega(-1, -1)})
+_MIXED_DEN = CPoly.from_terms(_S, {(4, 0, 4, 0): QOmega(1),
+                                   (3, 0, 3, 0): QOmega(MPQ(-10, 7), MPQ(-2, 7))})
 
 
 @pytest.mark.parametrize("f", [_MIXED_NUM, _MIXED_DEN, _MIXED_NUM * _MIXED_DEN],
@@ -219,16 +228,34 @@ def test_mixed_term_multiple_skips_the_algebraic_gcd(monkeypatch, f):
     assert _key(cancel_pair(f * t1, f * t2)) == _key(want)
 
 
-def test_import_does_not_build_the_algebraic_domain():
-    """The Q(w) domain of the mixed gcds is built on first use: evaluating
-    its expression at import would load sympy's tensor modules."""
+def _sympy_modules_after(code):
+    """The sympy modules loaded once `code` has run in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, dp6, dp6.cli; print('sympy.tensor.tensor' in sys.modules)"
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules"
+             " if m == 'sympy' or m.startswith('sympy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout == "False\n"
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_does_not_build_the_algebraic_domain():
+    """Importing dp6 loads no sympy module at all: the polynomial layer is
+    dp6's own, and sympy is imported only where a Q(w) gcd, a squarefree
+    split or the PRS gcd is needed."""
+    assert _sympy_modules_after("import dp6, dp6.cli") == "[]"
+
+
+def test_bundled_runs_load_no_sympy():
+    """Every bundled scenario runs, plain and --strict, without sympy."""
+    code = """
+import dp6.cli
+for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
+    for strict in (False, True):
+        dp6.cli.run(dp6.cli.bundled_path(name), strict=strict)
+"""
+    assert _sympy_modules_after(code) == "[]"
 
 
 @settings(max_examples=80, deadline=None)
@@ -270,7 +297,7 @@ def test_poly_nth_root_of_scaled_power(n, terms, d, var, k):
     assert poly_nth_root(p * bump, n) is None
 
 
-_MIXED = st.builds(lambda a, b, d: QOmega(QQ(a, d), QQ(b, d)), st.integers(-6, 6),
+_MIXED = st.builds(lambda a, b, d: QOmega(MPQ(a, d), MPQ(b, d)), st.integers(-6, 6),
                    st.integers(-6, 6).filter(bool), st.integers(1, 3))
 
 
@@ -304,8 +331,7 @@ def test_poly_nth_root_degree_test_comes_first(monkeypatch):
     def refused(*_):
         raise AssertionError("squarefree split reached")
 
-    monkeypatch.setattr(type(rational.pa), "sqf_list", refused)
-    monkeypatch.setattr(CPoly, "to_algebraic", refused)
+    monkeypatch.setattr(_ratfunc, "_squarefree_factors", refused)
     assert poly_nth_root(rational, 2) is None
     assert poly_nth_root(mixed, 2) is None
     assert poly_nth_root(x * x * y ** 3, 3) is None  # min degrees, as before
@@ -332,12 +358,12 @@ def test_qomega_field_axioms(a1, b1, a2, b2):
         assert (u * v) * v.inv() == u
 
 
-_Q = st.fractions(-9, 9, max_denominator=7).map(lambda f: QQ(f.numerator, f.denominator))
+_Q = st.fractions(-9, 9, max_denominator=7).map(MPQ)
 
 
 @seed(15)
 @settings(max_examples=150, deadline=None)
-@given(_Q, _Q, _Q, st.one_of(st.just(QQ.zero), _Q))
+@given(_Q, _Q, _Q, st.one_of(st.just(MPQ(0)), _Q))
 def test_qomega_rational_case_matches_general_formula(a1, a2, b1, b2):
     """The b = 0 products and inverses equal (a1 + b1 w)(a2 + b2 w) with
     w^2 = -1 - w and the conjugate over the norm, in value and in type;
@@ -345,7 +371,7 @@ def test_qomega_rational_case_matches_general_formula(a1, a2, b1, b2):
     mixed times mixed."""
     def same(got, a, b):
         assert (got.a, got.b) == (a, b)
-        assert type(got.a) is type(got.b) is QQ.dtype
+        assert type(got.a) is type(got.b) is MPQ
 
     for u, v in [(QOmega(a1), QOmega(a2)), (QOmega(a1), QOmega(b1, b2)),
                  (QOmega(b1, b2), QOmega(a2)), (QOmega(a1, b1), QOmega(a2, b2))]:
@@ -360,7 +386,7 @@ _TERM_E = st.tuples(*[st.integers(-4, 4)] * 3)
 
 @seed(15)
 @settings(max_examples=100, deadline=None)
-@given(_TERM_E, _Q.filter(bool), st.one_of(st.just(QQ.zero), _Q),
+@given(_TERM_E, _Q.filter(bool), st.one_of(st.just(MPQ(0)), _Q),
        _Q.filter(bool), st.tuples(*[st.integers(0, 2)] * 3))
 def test_term_pair_matches_cancel_pair(e, a, b, d, s):
     """term_pair(c, e) is the pair cancel_pair makes of c*d*x^(e+ + s) over
@@ -391,3 +417,170 @@ def test_power_forms_no_extra_products(k):
     # and never a product with `one`
     assert len(products) == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
     assert all(1 not in pair for pair in products)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial layer against sympy, which serves only as the reference here
+# ---------------------------------------------------------------------------
+
+def _sympy_poly(ring_, p):
+    """The rational polynomial dict p as an element of sympy's QQ ring."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    R = ring(list(ring_.names), QQ)[0]
+    return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.items()})
+
+
+_RATIONALS = st.builds(MPQ, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def _rational_polys(draw, ring_, max_terms=4, max_degree=3):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_degree)] * ring_.ngens), _RATIONALS,
+        min_size=1, max_size=max_terms))
+    return CPoly.from_terms(ring_, {m: QOmega(c) for m, c in terms.items()})
+
+
+_RINGS = [rational_ring(("x1", "x2", "x3", "y")[:n]) for n in range(1, 5)]
+
+
+def _monic(p):
+    lc = p[max(p)]
+    return {m: c / lc for m, c in p.items()}
+
+
+def _check_gcd_against_sympy(ring_, f, g):
+    h, cf, cg = _ratfunc._rational_gcd(f.pa, g.pa)
+    assert CPoly(ring_, h) * CPoly(ring_, cf) == f
+    assert CPoly(ring_, h) * CPoly(ring_, cg) == g
+    sf, sg = _sympy_poly(ring_, f.pa), _sympy_poly(ring_, g.pa)
+    want = sf.ring.dmp_inner_gcd(sf, sg)[0]  # heuristic, then PRS
+    assert _monic(h) == {m: MPQ(c) for m, c in want.monic().items()}
+
+
+@seed(18)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_RINGS), st.sampled_from(["rational", "repeated", "absent"]),
+       st.data())
+def test_rational_gcd_matches_sympy(ring_, planted, data):
+    """The heuristic gcd over Z, with denominators cleared, against sympy's gcd
+    in one to four variables: a planted rational common factor, the same
+    factor squared on one side and cubed on the other, or none."""
+    f, g = (data.draw(_rational_polys(ring_)) for _ in range(2))
+    if planted != "absent":
+        h = data.draw(_rational_polys(ring_, max_terms=3, max_degree=2))
+        f, g = (f * h, g * h) if planted == "rational" else (f * h**2, g * h**3)
+    _check_gcd_against_sympy(ring_, f, g)
+
+
+def test_rational_gcd_where_sympy_gives_up(monkeypatch):
+    """The pair on which sympy's heuristic gcd gives up, times a planted
+    factor, by the heuristic gcd and by the PRS fallback."""
+    num, den = _heuristic_gives_up_pair()
+    ring_ = num.ring
+    h = CPoly.variable(ring_, 0) + CPoly.variable(ring_, 3) * CPoly.const(
+        ring_, QOmega(MPQ(2, 5)))
+    for f, g in [(num, den), (num * h, den * h)]:
+        _check_gcd_against_sympy(ring_, f, g)
+    monkeypatch.setattr(_ratfunc, "_heugcd", lambda f, g: None)
+    _check_gcd_against_sympy(ring_, num * h, den * h)
+
+
+@seed(18)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_RINGS[1:]), st.data())
+def test_polynomial_printing_matches_sympy(ring_, data):
+    """A rational CPoly prints as sympy prints the same polynomial."""
+    p = data.draw(_rational_polys(ring_, max_terms=5))
+    assert repr(p) == str(_sympy_poly(ring_, p.pa))
+    assert repr(CPoly.zero(ring_)) == "0"
+
+
+_INTS = st.integers(-10**6, 10**6)
+
+
+@seed(18)
+@settings(max_examples=300, deadline=None)
+@given(_INTS, st.integers(1, 10**4).flatmap(lambda d: st.sampled_from([d, -d])),
+       _INTS, st.integers(1, 10**4), st.integers(-50, 50))
+def test_mpq_behaves_as_sympys_python_mpq(p1, q1, p2, q2, k):
+    """str, repr, hash, order and arithmetic, with MPQs and with ints, and
+    pickling."""
+    from sympy.external.pythonmpq import PythonMPQ
+
+    a, b, ra, rb = MPQ(p1, q1), MPQ(p2, q2), PythonMPQ(p1, q1), PythonMPQ(p2, q2)
+    for mine, ref in [(a, ra), (b, rb), (-a, -ra), (a + b, ra + rb),
+                      (a - b, ra - rb), (a * b, ra * rb), (a + k, ra + k),
+                      (k - a, k - ra), (a * k, ra * k), (k * a, k * ra),
+                      (a - k, ra - k)] + ([(a / b, ra / rb)] if p2 else []) + (
+                          [(a / k, ra / k)] if k else []):
+        assert (mine.numerator, mine.denominator) == (ref.numerator, ref.denominator)
+        assert (str(mine), repr(mine), hash(mine)) == (str(ref), repr(ref), hash(ref))
+        assert bool(mine) == bool(ref)
+    assert (a == b, a < b, b < a, a == k, a < k) == (
+        ra == rb, ra < rb, rb < ra, ra == k, ra < k)
+    assert MPQ(ra) == a and MPQ(k) == k
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def _cubic_with_roots(roots, rest, scale):
+    """scale * prod (t - root) * rest, highest degree first, as MPQs."""
+    coeffs = [MPQ(1)]
+    for factor in [[MPQ(1), -r] for r in roots] + [rest]:
+        out = [MPQ(0)] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, d in enumerate(factor):
+                out[i + j] += c * d
+        coeffs = out
+    return [c * scale for c in coeffs]
+
+
+_SMALL_Q = st.builds(MPQ, st.integers(-40, 40), st.integers(1, 9))
+
+
+@seed(18)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.lists(_SMALL_Q, min_size=k, max_size=k)),
+       st.lists(st.integers(-60, 60), min_size=4, max_size=4),
+       _RATIONALS)
+def test_rational_roots_match_sympy(roots, rest, scale):
+    """The rational roots of a cubic, in the order of sympy's ground_roots:
+    cubics with 0-3 planted rational roots (repeats included), times a
+    random factor for the remaining degree."""
+    from sympy import Poly, QQ, Symbol
+
+    coeffs = _cubic_with_roots(roots, [MPQ(c) for c in rest[:4 - len(roots)]], scale)
+    if not coeffs[0]:
+        coeffs[0] = MPQ(1)
+    got = _ratfunc._rational_roots(coeffs)
+    poly = Poly([QQ(c.numerator, c.denominator) for c in coeffs], Symbol("t"), domain=QQ)
+    assert got == [MPQ(r.p, r.q) for r in poly.ground_roots()]
+
+
+def test_integer_roots_of_small_cubics():
+    """Every monic cubic with coefficients in [-8, 8], against a search of
+    all integers within Cauchy's bound: double and triple roots sit on a
+    critical point, at the end of a monotone run."""
+    box = range(-8, 9)
+    for p in box:
+        for q in box:
+            for r in box:
+                bound = 1 + max(abs(p), abs(q), abs(r))
+                want = {u for u in range(-bound, bound + 1)
+                        if u ** 3 + p * u * u + q * u + r == 0}
+                assert _ratfunc._integer_roots(p, q, r) == want, (p, q, r)
+
+
+@seed(18)
+@settings(max_examples=120, deadline=None)
+@given(st.builds(lambda a, b, d, e: QOmega(MPQ(a, d), MPQ(b, e)),
+                 st.integers(-500, 500), st.integers(-500, 500),
+                 st.integers(1, 30), st.integers(1, 30)).filter(
+                     lambda z: not z.is_zero()))
+def test_cube_and_sixth_roots_of_powers(z):
+    """A cube root of z^3, and a sixth root of z^6, for z in Q(w)."""
+    for n in (3, 6):
+        r = qomega_nth_roots(z ** n, n)
+        assert r is not None and r ** n == z ** n
