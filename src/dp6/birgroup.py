@@ -10,9 +10,9 @@ quotient theorems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 
-from .fieldtower import UNKNOWN
+from ._record import Record, field, replace
+from .fieldtower import UNKNOWN, check_verdict
 from .points import ClosedPointSpec
 from .sarkisov import (
     DataSurface,
@@ -32,16 +32,14 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass
-class Vertex:
+class Vertex(Record):
     key: tuple
     data: DataSurface
     name: str
     ref_edge: tuple | None = None  # pair id of the reference link from the base
 
 
-@dataclass
-class EdgeClass:
+class EdgeClass(Record):
     pair_id: tuple
     positive_id: tuple
     records: dict                  # edge_id -> LinkRecord
@@ -53,8 +51,7 @@ class EdgeClass:
     witnesses: tuple = ()
 
 
-@dataclass
-class BirGraph:
+class BirGraph(Record):
     base_key: tuple
     vertices: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
@@ -251,7 +248,8 @@ def _kernels_match(a, b, perm):
 
 
 def _status_match(s1, s2):
-    if UNKNOWN in (s1, s2):
+    """Tri-valued equality of two verdicts; a foreign verdict is refused."""
+    if UNKNOWN in (check_verdict(s1), check_verdict(s2)):
         return None
     return s1 == s2
 
@@ -352,8 +350,7 @@ def classify_edge(graph: BirGraph, rec: LinkRecord, aut_witnesses=()):
 # words and the quotient map
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Token:
+class Token(Record):
     kind: str                 # A / B / C / D / C4 (degree-4 Geiser)
     payload: object           # LinkRecord, TwistedAutomorphism, or tag
     inverse: bool = False
@@ -366,8 +363,7 @@ class Token:
         return f"{self.kind}[{name}]{inv}"
 
 
-@dataclass
-class BirWord:
+class BirWord(Record):
     tokens: tuple
 
     def __repr__(self):
@@ -452,8 +448,7 @@ def _segment_tokens(graph, seg):
 
 # -- free product words ------------------------------------------------------
 
-@dataclass
-class QuotientImage:
+class QuotientImage(Record):
     """Reduced word in the free product; letters are (factor, value) pairs."""
 
     letters: tuple

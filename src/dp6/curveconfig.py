@@ -11,11 +11,11 @@ bounded lattice search `minus_one_classes` is the tests' reference for them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import hexagon
+from ._record import Record, field
 
 # the point counts n whose labeled configurations are built
 POINT_COUNTS = (3, 5, 6)
@@ -25,8 +25,7 @@ class LatticeMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record, frozen=True):
     d: int
     m: tuple
 
@@ -114,8 +113,7 @@ def _labels(n):
     return lab
 
 
-@dataclass
-class CurveConfig:
+class CurveConfig(Record):
     """Labeled set of (-1)-classes with the intersection adjacency."""
 
     n: int
@@ -205,11 +203,8 @@ def invariant_picard_rank(action_perms):
                  for p in action_perms]
     mats = [_lattice_map(config(3), hp, ()) for hp in hex_perms]
     # invariant subspace: intersection of kernels of (M - I) over Q
-    rows = []
-    for mat in mats:
-        for i in range(4):
-            row = [Fraction(mat[i][j]) - (1 if i == j else 0) for j in range(4)]
-            rows.append(row)
+    rows = [[mat[i][j] - (1 if i == j else 0) for j in range(4)]
+            for mat in mats for i in range(4)]
     if not rows:
         return 4
     rank = _row_rank(rows)
@@ -238,20 +233,26 @@ def _lattice_map(config, hex_perm, comp_perm):
 
 
 def _row_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination.
+
+    Each pivot row clears its column from the rows below by integer
+    combinations, and every combined row is divided by its content (the gcd
+    of its entries), so the entries stay small and no rational is needed.
+    """
     rows = [r[:] for r in rows]
-    ncols = len(rows[0])
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pr = rows[rank]
-        pr[:] = [v / pr[col] for v in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], pr)]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                row = [pr[col] * v - f * w for v, w in zip(rows[i], pr)]
+                g = gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
         rank += 1
     return rank
 
@@ -273,8 +274,7 @@ NEW_HEX = {
 }
 
 
-@dataclass
-class InducedAction:
+class InducedAction(Record):
     """Result of propagating a twisted Galois action through a 2- or 3-link."""
 
     d: int

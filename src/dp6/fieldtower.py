@@ -15,7 +15,6 @@ Q(w) value zeta_6^t.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add, sub
 
 from . import hexagon
@@ -38,6 +37,7 @@ from ._ratfunc import (
     strip_monomial_content,
     term_pair,
 )
+from ._record import Record, field
 
 
 class DomainMismatchError(ValueError):
@@ -523,8 +523,7 @@ def is_fixed(x, autos):
 # radical extensions and composites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
+class ExtensionDescriptor(Record, frozen=True):
     """One of: subfield-of-F, kummer-cubic, quadratic, kummer-cubic-with-conjugation.
 
     The radical kinds adjoin r with r^n = a, a in k*; the Galois generators act
@@ -918,8 +917,7 @@ class CompositeField:
         return CompositeElement(self, uf, zexp)
 
 
-@dataclass
-class CompositeGroup:
+class CompositeGroup(Record):
     """Gal(FE/k) presented by named generator pairs, per the composite lemma."""
 
     tower: GaloisTower
@@ -1008,8 +1006,14 @@ UNKNOWN = "Unknown"
 VERDICTS = (IS_NORM, NOT_NORM, UNKNOWN)
 
 
-@dataclass(frozen=True)
-class ClassFact:
+def check_verdict(verdict):
+    """verdict if it is one of VERDICTS; a foreign value is refused."""
+    if verdict not in VERDICTS:
+        raise TowerError(f"not a norm-class verdict: {verdict!r}")
+    return verdict
+
+
+class ClassFact(Record, frozen=True):
     """Verdict on `subject in Norm_u`, with machine-checkable provenance."""
 
     subject_key: tuple
@@ -1020,8 +1024,7 @@ class ClassFact:
     witness: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise TowerError(f"not a norm-class verdict: {self.verdict!r}")
+        check_verdict(self.verdict)
 
     @property
     def assumed(self):

@@ -9,9 +9,9 @@ the subgroup acting trivially on the splitting field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import hexagon
+from ._record import Record
 from .fieldtower import (
     CompositeElement,
     CompositeGroup,
@@ -33,8 +33,7 @@ class PointValidationError(ValueError):
     pass
 
 
-@dataclass
-class ClosedPointSpec:
+class ClosedPointSpec(Record):
     degree: int
     ext: ExtensionDescriptor
     lam1: object  # FieldElement or RadElement; None for declared degree-4 points

@@ -10,10 +10,9 @@ as full surfaces only when the fixed field is again a supported tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import curveconfig, hexagon
 from ._ratfunc import ZETA_KEYS
+from ._record import Record, field, replace
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
@@ -61,8 +60,7 @@ _ROOTS = {2: (0, 3), 3: (0, 2, 4)}
 # point handles and data surfaces
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PointHandle:
+class PointHandle(Record):
     """A 2-/3-point known at data level, with its component Galois action.
 
     `fld` is the splitting field E of the point.  `comp_table` maps (u, t)
@@ -91,8 +89,7 @@ class PointHandle:
         return ("handle", self.name, self.fld.field_id(), self.chain)
 
 
-@dataclass
-class DataSurface:
+class DataSurface(Record):
     """A vertex payload: surface known by Severi-Brauer data (+ spec if any)."""
 
     name: str
@@ -244,8 +241,7 @@ def pair_of(edge_id):
     return edge_id
 
 
-@dataclass
-class LinkRecord:
+class LinkRecord(Record):
     name: str
     d: int
     source: DataSurface
@@ -573,8 +569,7 @@ def _cross_check_kernel(src, handle, rec: LinkRecord, contained):
 # rigidity and birationality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RigidityResult:
+class RigidityResult(Record):
     verdict: str  # SuperRigid / Rigid / NotRigid / Conditional
     witness: object = None
     reason: str = ""
@@ -636,8 +631,7 @@ def _rigidity(src: DataSurface, declared_points):
                f"(every known 3-point splits over {ok_name})")
 
 
-@dataclass
-class BirationalResult:
+class BirationalResult(Record):
     verdict: str  # Yes / No / Unknown
     chain: tuple = ()
     reason: str = ""

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from math import comb
 
 from ._ratfunc import QOmega, unit_from_str
+from ._record import Record, field
 from .fieldtower import (
     CertificateError,
     ExtensionDescriptor,
@@ -212,8 +212,7 @@ def _parse_atom(toks, tower, comp):
 # scenario loading
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     name: str
     towers: dict
     extensions: dict

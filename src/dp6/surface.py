@@ -8,9 +8,8 @@ verified on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import hexagon
+from ._record import Record, field
 from .fieldtower import (
     ExtensionDescriptor,
     FactRegistry,
@@ -20,8 +19,8 @@ from .fieldtower import (
     NOT_NORM,
     TowerError,
     UNKNOWN,
-    VERDICTS,
     apply,
+    check_verdict,
     is_fixed,
     norm,
     norm_class,
@@ -87,12 +86,12 @@ class TwistedAutomorphism:
 # class handles and Severi-Brauer data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassHandle:
+class ClassHandle(Record, frozen=True):
     """A Severi-Brauer or conic class, carried as data.
 
     Either an explicit field element with its norm-generator word, or an
-    opaque transported class identified only by its key.
+    opaque transported class identified only by its key.  The status is a
+    norm-class verdict; a foreign one is refused when the handle is built.
     """
 
     key: tuple
@@ -100,6 +99,9 @@ class ClassHandle:
     gen_word: str = ""
     status: str = UNKNOWN
     assumed: bool = False
+
+    def __post_init__(self):
+        check_verdict(self.status)
 
     @classmethod
     def trivial(cls):
@@ -141,13 +143,10 @@ _L_SIDE = {IS_NORM: ("0", 1), NOT_NORM: ("(Z/2)^2", 2),
 
 def _side(table, verdict):
     """The entry of a side table for a verdict; a foreign verdict is refused."""
-    if verdict not in VERDICTS:
-        raise TowerError(f"not a norm-class verdict: {verdict!r}")
-    return table[verdict]
+    return table[check_verdict(verdict)]
 
 
-@dataclass
-class SeveriBrauerData:
+class SeveriBrauerData(Record):
     """Derived classification payload: fields, class pair, conic triple, flags."""
 
     K: ExtensionDescriptor
@@ -173,8 +172,7 @@ class SeveriBrauerData:
 # the surface spec
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SurfaceSpec:
+class SurfaceSpec(Record):
     gtype: str
     tower: GaloisTower
     xi: FieldElement
@@ -466,8 +464,7 @@ def index_from_flags(gtype, k, l):
     return UNKNOWN if None in (factor_k, factor_l) else factor_k * factor_l
 
 
-@dataclass
-class IsoResult:
+class IsoResult(Record):
     verdict: str  # "Yes" / "No" / "Unknown"
     moves: tuple = ()
     witnesses: tuple = ()

@@ -8,6 +8,7 @@ from dp6.birgroup import (
     QuotientImage,
     Token,
     _reduce_letters,
+    _status_match,
     check_relation,
     classify_edge,
     explore_graph,
@@ -15,7 +16,7 @@ from dp6.birgroup import (
     psi_image,
     word_to_generators,
 )
-from dp6.fieldtower import apply
+from dp6.fieldtower import TowerError, apply
 from dp6.points import ClosedPointSpec, construct_2point, construct_3point, validate_point
 from dp6.sarkisov import link
 from dp6.surface import is_automorphism, torus_member
@@ -338,3 +339,13 @@ def test_one_pass_gives_the_reduced_word(letters):
         assert i == 0 or word[i - 1][0] != fac, word
     image = QuotientImage(word, "index3")
     assert (image * image.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("foreign", ["bogus", None, 5, [], "NotNorm "])
+@pytest.mark.parametrize("verdict", ["IsNorm", "NotNorm", "Unknown"])
+def test_status_match_refuses_a_foreign_verdict(foreign, verdict):
+    """Vertex matching compares Amitsur verdicts; a foreign one is neither
+    undecided nor a verdict that can match."""
+    for pair in ((foreign, verdict), (verdict, foreign)):
+        with pytest.raises(TowerError, match="not a norm-class verdict"):
+            _status_match(*pair)

@@ -6,8 +6,10 @@ must reproduce every cell.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dp6 import hexagon
 from dp6.curveconfig import (
@@ -15,6 +17,8 @@ from dp6.curveconfig import (
     SIGMA_PRIME,
     CurveConfig,
     _check_action,
+    _lattice_map,
+    _row_rank,
     config,
     hexagon_action,
     induced_sigma_prime_action,
@@ -86,6 +90,61 @@ def test_hexagon_action_and_ranks(s3_tower, z6_tower):
     assert invariant_picard_rank([actz["g"]]) == 2
     assert invariant_picard_rank([actz["g"], actz["h"]]) == 1
     assert invariant_picard_rank([act["g"], act["f"]]) == 1
+
+
+def _rational_rank(rows):
+    """Rank by Gauss-Jordan elimination over the rationals."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = [v / rows[rank][col] for v in rows[rank]]
+        rows[rank] = pr
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                rows[i] = [v - rows[i][col] * w for v, w in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+def test_invariant_rank_on_every_d6_subset():
+    """Every set of hexagon symmetries holding the identity (2^11 of them):
+    4 minus the rational rank of the stacked M - I."""
+    perms = sorted(hexagon.d6_elements())
+    assert len(perms) == 12 and hexagon.IDENTITY in perms
+    # M - I per symmetry, and the symmetry as a label map
+    mats = {p: _lattice_map(config(3), p, ()) for p in perms}
+    m_minus_i = {p: [[mat[i][j] - (i == j) for j in range(4)] for i in range(4)]
+                 for p, mat in mats.items()}
+    as_dict = {p: dict(zip(hexagon.LABELS, (hexagon.LABELS[i] for i in p)))
+               for p in perms}
+    others = [p for p in perms if p != hexagon.IDENTITY]
+    ranks = set()
+    for k in range(len(others) + 1):
+        for subset in itertools.combinations(others, k):
+            chosen = (hexagon.IDENTITY,) + subset
+            rows = [row for p in chosen for row in m_minus_i[p]]
+            as_dicts = [as_dict[p] for p in chosen]
+            want = 4 - _rational_rank(rows)
+            assert invariant_picard_rank(as_dicts) == want, chosen
+            ranks.add(want)
+    assert ranks == {1, 2, 3, 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_row_rank_matches_rational_rank(nrows, ncols, data):
+    """Fraction-free elimination on integer rows with large entries and
+    planted dependent rows."""
+    entries = st.integers(-10**12, 10**12) | st.integers(-3, 3)
+    rows = [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+    rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    assert _row_rank(rows) == _rational_rank(rows)
 
 
 @pytest.mark.parametrize("n", [3, 5, 6])

@@ -1,9 +1,12 @@
 """Closed-point validation, general position, constructions, twisted orbits."""
 
+import json
+
 import pytest
 
 from dp6 import hexagon, points
 from dp6._ratfunc import QOmega
+from dp6.cli import bundled_path
 from dp6.fieldtower import (
     ExtensionDescriptor,
     GaloisTower,
@@ -26,7 +29,8 @@ from dp6.points import (
     twisted_orbit,
     validate_point,
 )
-from dp6.surface import make_surface
+from dp6.scenario import load_scenario
+from dp6.surface import index, make_surface
 
 
 def test_example_points_validate(s3_example, example_points):
@@ -415,3 +419,21 @@ def test_composite_groups_belong_to_their_tower():
     assert composite_for(a, ea) is cga
     assert composite_for(a, _kummer(a)) is cga
     assert composite_for(b, eb) is cgb
+
+
+@pytest.mark.parametrize("name", ["example-main", "z6-index2-hex", "z6-index6",
+                                  "d6-swap"])
+def test_index_divides_the_degree_of_every_valid_point(name):
+    """The index is the gcd of the degrees of the closed points, so every
+    declared point that validates has a degree the index divides."""
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        scen = load_scenario(json.load(fh))
+    for spec in scen.surfaces.values():
+        idx = index(spec)
+        assert idx in (1, 2, 3, 6), (name, idx)
+        for p in scen.points.values():
+            try:
+                validate_point(spec, p)
+            except (PointValidationError, PointCaseError):
+                continue
+            assert p.degree % idx == 0, (name, p.name, p.degree, idx)

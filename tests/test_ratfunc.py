@@ -228,34 +228,51 @@ def test_mixed_term_multiple_skips_the_algebraic_gcd(monkeypatch, f):
     assert _key(cancel_pair(f * t1, f * t2)) == _key(want)
 
 
-def _sympy_modules_after(code):
-    """The sympy modules loaded once `code` has run in a fresh interpreter."""
+def _modules_after(code, packages=("sympy",)):
+    """The modules of `packages` loaded once `code` has run in a fresh
+    interpreter, as the printed sorted list."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code += ("\nimport sys\nprint(sorted(m for m in sys.modules"
-             " if m == 'sympy' or m.startswith('sympy.')))")
+    code += (f"\nimport sys\npackages = {tuple(packages)!r}\n"
+             "print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in packages))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     return out.stdout.splitlines()[-1]
+
+
+_BUNDLED_RUNS = """
+import dp6.cli
+for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
+    for strict in (False, True):
+        dp6.cli.run(dp6.cli.bundled_path(name), strict=strict)
+"""
 
 
 def test_import_does_not_build_the_algebraic_domain():
     """Importing dp6 loads no sympy module at all: the polynomial layer is
     dp6's own, and sympy is imported only where a Q(w) gcd, a squarefree
     split or the PRS gcd is needed."""
-    assert _sympy_modules_after("import dp6, dp6.cli") == "[]"
+    assert _modules_after("import dp6, dp6.cli") == "[]"
 
 
 def test_bundled_runs_load_no_sympy():
     """Every bundled scenario runs, plain and --strict, without sympy."""
-    code = """
-import dp6.cli
-for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
-    for strict in (False, True):
-        dp6.cli.run(dp6.cli.bundled_path(name), strict=strict)
-"""
-    assert _sympy_modules_after(code) == "[]"
+    assert _modules_after(_BUNDLED_RUNS) == "[]"
+
+
+#: start-up costs dp6 no longer pays: the `@dataclass` machinery (which also
+#: loads inspect) and rational numbers (which load decimal)
+_SLOW_TO_IMPORT = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("code", ["import dp6.cli", _BUNDLED_RUNS],
+                         ids=["import", "bundled-runs"])
+def test_no_dataclasses_or_fractions_are_loaded(code):
+    """Records come from `dp6._record` and ranks use integer elimination, so
+    neither the import nor the bundled runs load these modules."""
+    assert _modules_after(code, _SLOW_TO_IMPORT) == "[]"
 
 
 @settings(max_examples=80, deadline=None)

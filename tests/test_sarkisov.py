@@ -1,15 +1,15 @@
 """Link execution, data transport, rigidity, and birationality decisions."""
 
-from dataclasses import replace
-
 import pytest
 
 from dp6 import curveconfig, hexagon, sarkisov
 from dp6._ratfunc import QOmega
+from dp6._record import replace
 from dp6.fieldtower import (
     ExtensionDescriptor,
     FactRegistry,
     GaloisTower,
+    TowerError,
     VarAutomorphism,
     apply,
     norm_class,
@@ -17,6 +17,7 @@ from dp6.fieldtower import (
 from dp6.points import ClosedPointSpec, composite_for, construct_2point
 from dp6.sarkisov import (
     LinkError,
+    _normalize_handle,
     are_birational,
     as_data_surface,
     declared_point_handle,
@@ -457,3 +458,11 @@ def test_link_kernel_matches_the_generated_group(monkeypatch, z6_hex):
     # both degrees, and 18 links that adjoin the point's radical
     assert degrees == {2, 3} and independent == 18
     assert len(recs) == 42
+
+
+@pytest.mark.parametrize("foreign", ["bogus", None, 5, "IsNorm "])
+def test_normalized_handle_refuses_a_foreign_status(foreign):
+    """Only an IsNorm handle is replaced by the trivial one; a foreign status
+    must not pass through as a decided class."""
+    with pytest.raises(TowerError, match="not a norm-class verdict"):
+        _normalize_handle(ClassHandle(key=("opaque",), status=foreign))

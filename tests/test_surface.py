@@ -9,8 +9,10 @@ import pytest
 
 from dp6 import hexagon
 from dp6._ratfunc import QOmega
+from dp6._record import replace
 from dp6.fieldtower import FactRegistry, TowerError, apply, is_fixed, norm
 from dp6.surface import (
+    ClassHandle,
     SeveriBrauerData,
     SurfaceConditionError,
     TwistedAutomorphism,
@@ -433,6 +435,21 @@ def test_verdict_readers_refuse_a_foreign_verdict(gtype, side, foreign, reader):
             spec.sbdata.am_K
         else:
             spec.sbdata.am_L
+
+
+@pytest.mark.parametrize("foreign", ["bogus", None, 5, [], "NotNorm "])
+@pytest.mark.parametrize("build", ["new", "replace"])
+@pytest.mark.parametrize("reader", ["is_trivial", "same_class"])
+def test_class_handle_refuses_a_foreign_status(foreign, build, reader):
+    """A handle whose status is no verdict is never read: `is_trivial` would
+    call it not trivial and `same_class` a decided class."""
+    with pytest.raises(TowerError, match="not a norm-class verdict"):
+        h = (ClassHandle(key=("opaque",), status=foreign) if build == "new"
+             else replace(ClassHandle.trivial(), status=foreign))
+        if reader == "is_trivial":
+            h.is_trivial()
+        else:
+            h.same_class(ClassHandle.trivial())
 
 
 # ---------------------------------------------------------------------------
