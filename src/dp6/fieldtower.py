@@ -353,6 +353,7 @@ class GaloisTower:
             tuple(sorted((n, u.key()) for n, u in self.generators.items())),
             tuple(sorted((n, self.embed_map[u]) for n, u in self.generators.items())))
         self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
+        self.sb_fields = None  # (K, L, L_i), see surface._tower_fields
 
     # -- group structure ---------------------------------------------------
     def _check_presentation(self):

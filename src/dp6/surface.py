@@ -103,9 +103,10 @@ class ClassHandle(Record, frozen=True):
     def __post_init__(self):
         check_verdict(self.status)
 
-    @classmethod
-    def trivial(cls):
-        return cls(key=("trivial",), status=IS_NORM)
+    @staticmethod
+    def trivial():
+        """The trivial class; one shared handle, as handles are frozen."""
+        return _TRIVIAL
 
     @classmethod
     def explicit(cls, element, gen_word, fact):
@@ -132,6 +133,8 @@ class ClassHandle(Record, frozen=True):
             return False
         return None
 
+
+_TRIVIAL = ClassHandle(key=("trivial",), status=IS_NORM)
 
 #: per side of the surface, each norm-class verdict's Amitsur group and index
 #: factor (None: undecided); the K side is the class of xi, the L side the
@@ -184,6 +187,10 @@ class SurfaceSpec(Record):
     # point.key() -> the point's twisted pass, filled by points._twisted_pass
     point_passes: dict = field(default_factory=dict, init=False, compare=False,
                                repr=False)
+    # (tower, copy of cocycle) as verify_cocycle last accepted them, () before;
+    # a later call on the same tower object and an equal table only compares
+    verified_table: tuple = field(default=(), init=False, compare=False,
+                                  repr=False)
 
     def gen(self, word):
         return self.tower.element_named(word)
@@ -268,7 +275,9 @@ def _base_cocycle(spec):
 
 
 def cocycle_assignments(spec: SurfaceSpec):
-    """Generator -> twisted automorphism, after full cocycle verification."""
+    """Generator -> twisted automorphism, after `verify_cocycle` accepts the
+    table: a comparison with its snapshot when the table is unchanged since
+    it was last accepted, the full check otherwise."""
     verify_cocycle(spec)
     return {name: spec.alpha(u) for name, u in spec.tower.generators.items()}
 
@@ -301,11 +310,21 @@ def verify_cocycle(spec: SurfaceSpec):
     for this call; the closure words `tower.words` are suffix-closed, so
     the relator words share their products.  A missing table entry alpha_v
     is set to the value of the word of v; a present one, alpha_1 and the
-    generator values included, is compared with it, so a call on a built
-    table checks the whole table.
+    generator values included, is compared with it.
+
+    An accepted table is kept on the spec with its tower, in
+    `spec.verified_table`.  A later call whose tower is the same object and
+    whose table equals that copy entry by entry under `==` returns True
+    without a twisted product: canonical forms make `==` exact, so the
+    verdict depends only on what is compared.  Any other table, such as a
+    new dict, one with an entry replaced, or the generator values alone, is
+    checked in full as above, and a failing one is not kept.
     """
     tower = spec.tower
     table = spec.cocycle
+    memo = spec.verified_table
+    if memo and memo[0] is tower and memo[1] == table:
+        return True
     values = {(): TwistedAutomorphism.identity(tower)}
 
     def alpha(word):
@@ -335,6 +354,7 @@ def verify_cocycle(spec: SurfaceSpec):
             raise SurfaceConditionError(
                 f"cocycle identity fails at element {''.join(word) or '1'}"
             )
+    spec.verified_table = (tower, dict(table))
     return True
 
 
@@ -383,20 +403,20 @@ def l_fixing_subgroup(tower):
     return frozenset([idn, h])
 
 
-def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
-    tower = spec.tower
-    g = tower.element_named("g")
-    xi_fact = norm_class(spec.xi, g, registry=spec.registry)
-    spec.registry.note_assumed_use(xi_fact)
-    xi_inv_handle = ClassHandle.explicit(spec.xi.inv(), "g", xi_fact)
-    xi_handle = ClassHandle.explicit(spec.xi, "g", xi_fact)
-
+def _tower_fields(tower):
+    """(K, L, L_i) of every surface on `tower`: subfields of F that depend on
+    the tower alone (L is None for S3, L_i empty unless D6).  They are built
+    on the first call and kept on the tower, whose type make_surface checks
+    equals the surface's; the descriptors are frozen, so surfaces share them.
+    """
+    if tower.sb_fields is not None:
+        return tower.sb_fields
     K = subfield(tower, k_fixing_subgroup(tower), "K")
     L = None
     L_i = ()
-    if spec.gtype in ("Z6", "D6"):
+    if tower.gtype in ("Z6", "D6"):
         L = subfield(tower, l_fixing_subgroup(tower), "L")
-    if spec.gtype == "D6":
+    if tower.gtype == "D6":
         h = central_element(tower)
         idn = tower.element_named("1")
         kleins = []
@@ -409,6 +429,18 @@ def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
                 kleins.append(frozenset([idn, h, u, h * u]))
         L_i = tuple(subfield(tower, v, f"L{i+1}")
                     for i, v in enumerate(dict.fromkeys(kleins)))
+    tower.sb_fields = (K, L, L_i)
+    return tower.sb_fields
+
+
+def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:
+    tower = spec.tower
+    g = tower.element_named("g")
+    xi_fact = norm_class(spec.xi, g, registry=spec.registry)
+    spec.registry.note_assumed_use(xi_fact)
+    xi_inv_handle = ClassHandle.explicit(spec.xi.inv(), "g", xi_fact)
+    xi_handle = ClassHandle.explicit(spec.xi, "g", xi_fact)
+    K, L, L_i = _tower_fields(tower)
 
     conic = None
     l_trivial = IS_NORM  # no involution-surface side for S3

@@ -10,7 +10,17 @@ import pytest
 from dp6 import hexagon
 from dp6._ratfunc import QOmega
 from dp6._record import replace
-from dp6.fieldtower import FactRegistry, TowerError, apply, is_fixed, norm
+from dp6.fieldtower import (
+    ExtensionDescriptor,
+    FactRegistry,
+    GaloisTower,
+    IS_NORM,
+    TowerError,
+    VarAutomorphism,
+    apply,
+    is_fixed,
+    norm,
+)
 from dp6.surface import (
     ClassHandle,
     SeveriBrauerData,
@@ -24,9 +34,12 @@ from dp6.surface import (
     index_from_flags,
     is_automorphism,
     is_isomorphic,
+    k_fixing_subgroup,
+    l_fixing_subgroup,
     make_surface,
     sb_class_equivalent,
     severi_brauer_data,
+    subfield,
     torus_member,
     verify_cocycle,
 )
@@ -202,12 +215,79 @@ def test_verify_cocycle_product_count(gtype, bound, z6_hex, s3_example,
         calls.append(1)
         return mul(a, b)
 
+    # a copy with no snapshot, so the built table is checked in full and not
+    # only compared with what make_surface accepted
+    built = copy.copy(spec)
+    built.verified_table = ()
     monkeypatch.setattr(TwistedAutomorphism, "__mul__", counting)
-    for table in (spec, fresh):
+    for table in (built, fresh):
         calls.clear()
         assert verify_cocycle(table)
         assert len(calls) <= bound
     assert fresh.cocycle == spec.cocycle
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    mul = TwistedAutomorphism.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TwistedAutomorphism, "__mul__", counting)
+    return calls
+
+
+def _rebuilt(spec):
+    """A surface of our own with the parameters of a shared fixture."""
+    return make_surface(spec.gtype, spec.tower, spec.xi, spec.rho)
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+def test_second_verification_only_compares(gtype, z6_hex, s3_example,
+                                           d6_index2, monkeypatch):
+    spec = {"Z6": z6_hex, "S3": s3_example, "D6": d6_index2}[gtype]
+    calls = _counting_products(monkeypatch)
+    assert verify_cocycle(spec)
+    assert cocycle_assignments(spec)
+    assert not calls
+    # a spec built anew from the same fields carries no snapshot
+    again = replace(spec)
+    again.cocycle = dict(spec.cocycle)
+    assert verify_cocycle(again)
+    assert calls
+
+
+@pytest.mark.parametrize("gtype", ["Z6", "S3", "D6"])
+def test_verify_cocycle_sees_an_entry_replaced_in_place(gtype, z6_hex,
+                                                        s3_example, d6_index2):
+    spec = _rebuilt({"Z6": z6_hex, "S3": s3_example, "D6": d6_index2}[gtype])
+    tower = spec.tower
+    x1 = tower.var(tower.variables[0])
+    for w in tower.elements:
+        a = spec.cocycle[w]
+        for tampered in (TwistedAutomorphism(a.t1 * x1, a.t2, a.perm),
+                         TwistedAutomorphism(a.t1, a.t2, hexagon.compose(
+                             a.perm, hexagon.CENTRAL))):
+            with pytest.raises(SurfaceConditionError) as fresh:
+                verify_cocycle(_tampered(spec, {w: tampered}))
+            assert verify_cocycle(spec)
+            spec.cocycle[w] = tampered
+            with pytest.raises(SurfaceConditionError) as in_place:
+                verify_cocycle(spec)
+            assert str(in_place.value) == str(fresh.value)
+            assert str(fresh.value).startswith("cocycle identity fails at ")
+            spec.cocycle[w] = a
+
+
+def test_cocycle_assignments_refuses_a_tampered_table(d6_index2):
+    spec = _rebuilt(d6_index2)
+    g = spec.tower.generators["g"]
+    assert cocycle_assignments(spec)["g"] == spec.cocycle[g]
+    spec.cocycle[g] = _break_factors(spec.tower)["first"] * spec.cocycle[g]
+    with pytest.raises(SurfaceConditionError, match="relator g\\^3"):
+        cocycle_assignments(spec)
 
 
 def test_make_surface_rejections(z6_tower, s3_tower, d6_tower):
@@ -329,6 +409,48 @@ def test_severi_brauer_data(s3_example, z6_hex, d6_index2):
     assert len(dd.L_i) == 3
     for li in dd.L_i:
         assert li.degree == 3
+
+
+def test_surfaces_on_one_tower_share_their_fields(z6_hex, z6_index6,
+                                                  d6_index2, d6_index3):
+    for a, b in ((z6_hex, z6_index6), (d6_index2, d6_index3)):
+        tower = a.tower
+        assert b.tower is tower
+        assert a.sbdata.K is b.sbdata.K and a.sbdata.L is b.sbdata.L
+        assert a.sbdata.L_i is b.sbdata.L_i
+        assert a.sbdata.K == subfield(tower, k_fixing_subgroup(tower), "K")
+        assert a.sbdata.L == subfield(tower, l_fixing_subgroup(tower), "L")
+    tower = d6_index2.tower
+    assert d6_index2.sbdata.L_i == tuple(
+        subfield(tower, tower.subgroup(["h", f]), f"L{i}")
+        for i, f in enumerate(("f", "gf", "ggf"), 1))
+
+
+def test_tower_fields_are_built_once(monkeypatch):
+    one, minus = QOmega.one(), -QOmega.one()
+    tower = GaloisTower(["x1", "x2", "x3", "y"], {
+        "g": VarAutomorphism([1, 2, 0, 3], [one] * 4),
+        "f": VarAutomorphism([0, 2, 1, 3], [one] * 4),
+        "h": VarAutomorphism([0, 1, 2, 3], [one] * 3 + [minus])}, name="FD")
+    built = []
+    post_init = ExtensionDescriptor.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(ExtensionDescriptor, "__post_init__", counting)
+    rng = random.Random(11)
+    specs = [make_surface("D6", tower, *random_valid_params("D6", tower, rng))
+             for _ in range(10)]
+    assert sorted(built) == ["K", "L", "L1", "L2", "L3"]
+    assert len({id(s.sbdata.L_i) for s in specs}) == 1
+
+
+def test_trivial_class_handle_is_shared():
+    handle = ClassHandle.trivial()
+    assert handle is ClassHandle.trivial()
+    assert handle == ClassHandle(key=("trivial",), status=IS_NORM)
 
 
 def test_conic_triple_coherence(z6_hex):
