@@ -10,6 +10,9 @@ multiplication in the fast rational path.
 `cancel_pair` makes a fraction canonical by its gcd; `term_pair` builds the
 canonical pair of a term quotient c*x^e straight from c and the exponent
 vector e, with no product and no gcd, and `pair_term` reads c and e back.
+A `fieldtower.FieldElement` keeps (c, e) as its term view: a term built
+from its view gets its pair from `term_pair` on first read, and equality,
+hashing and keys read that pair.
 The rational gcd is the heuristic gcd over Z (`_heugcd`).
 
 This is the only module that knows how a polynomial is stored and the only

@@ -11,7 +11,7 @@ bounded lattice search `minus_one_classes` is the tests' reference for them.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from . import hexagon
@@ -290,7 +290,9 @@ def config(n):
     return CurveConfig.build(n)
 
 
-@lru_cache(maxsize=16384)
+# the domain is finite: d in {2, 3}, one of the 12 hexagon symmetries and
+# one of the d! component permutations, so at most 12*2 + 12*6 = 96 keys
+@cache
 def propagate_pair(d, hex_perm, comp_perm):
     """(full label permutation, relabeled new-hexagon perm) for one action pair."""
     full = _propagate(config(3 + d), hex_perm, comp_perm)

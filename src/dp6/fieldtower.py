@@ -15,7 +15,7 @@ Q(w) value zeta_6^t.
 from __future__ import annotations
 
 import itertools
-from operator import add, sub
+from operator import add, neg, sub
 
 from . import hexagon
 from ._ratfunc import (
@@ -61,16 +61,31 @@ class CertificateError(ValueError):
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """Canonical fraction num/den of Q(w)-polynomials in a tower's variables."""
+    """Canonical fraction num/den of Q(w)-polynomials in a tower's variables.
 
-    __slots__ = ("tower", "num", "den")
+    A term c*x^e also carries its view (c, e) in `_t`: None for a non-term,
+    `_UNREAD` until read.  A term built from its view fills num/den by
+    `term_pair` on first read; equality, hashing and `key()` read the pair.
+    """
+
+    __slots__ = ("tower", "num", "den", "_t")
 
     def __init__(self, tower, num: CPoly, den: CPoly, _canonical=False):
         self.tower = tower
+        self._t = _UNREAD
         if _canonical:
             self.num, self.den = num, den
         else:
             self.num, self.den = cancel_pair(num, den)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: num and den of an element built by
+        # _from_term; a set slot is read without this call
+        if name != "num" and name != "den":
+            raise AttributeError(f"'FieldElement' object has no attribute {name!r}")
+        c, e = self._t
+        self.num, self.den = term_pair(self.tower.ring, c, e)
+        return self.num if name == "num" else self.den
 
     # -- helpers ---------------------------------------------------------
     def _coerce(self, other):
@@ -85,9 +100,13 @@ class FieldElement:
         raise DomainMismatchError(f"cannot coerce {other!r}")
 
     def is_zero(self):
-        return self.num.is_zero()
+        # a term is never zero
+        return type(self._t) is not tuple and self.num.is_zero()
 
     def is_one(self):
+        t = self._t
+        if type(t) is tuple:
+            return t[0].is_one() and not any(t[1])
         return self.num == self.den
 
     def is_constant(self):
@@ -100,9 +119,12 @@ class FieldElement:
         """(c, e) when self is the term quotient c*x^e with e in Z^n, else None.
 
         Canonical, it is c*x^(e+) / x^(e-): the denominator is monic, so its
-        one term has coefficient 1.
+        one term has coefficient 1.  Read from the pair once, then cached.
         """
-        return pair_term(self.num, self.den)
+        t = self._t
+        if t is _UNREAD:
+            t = self._t = pair_term(self.num, self.den)
+        return t
 
     def _product(self, o, divide=False):
         """self * o, or self / o when `divide`, made canonical.
@@ -125,8 +147,8 @@ class FieldElement:
         if s is not None and t is not None:
             (c1, e1), (c2, e2) = s, t
             if divide:
-                return self.tower.monomial(tuple(map(sub, e1, e2)), c1 * c2.inv())
-            return self.tower.monomial(tuple(map(add, e1, e2)), c1 * c2)
+                return _from_term(self.tower, c1 * c2.inv(), tuple(map(sub, e1, e2)))
+            return _from_term(self.tower, c1 * c2, tuple(map(add, e1, e2)))
         if divide:
             num, den = self.num * o.den, self.den * o.num
         else:
@@ -155,6 +177,9 @@ class FieldElement:
         return self._coerce(other) - self
 
     def __neg__(self):
+        t = self._t
+        if type(t) is tuple:
+            return _from_term(self.tower, -t[0], t[1])
         return FieldElement(self.tower, -self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
@@ -177,12 +202,22 @@ class FieldElement:
         return self._coerce(other) / self
 
     def inv(self):
+        t = self._term()
+        if t is not None:
+            # (c*x^e)^-1 = c^-1 * x^-e
+            c, e = t
+            return _from_term(self.tower, c.inv(), tuple(map(neg, e)))
         if self.is_zero():
             raise ZeroDivisionError
         # swapping a coprime pair keeps it coprime: only the scale moves
         return FieldElement(self.tower, *monic_pair(self.den, self.num), _canonical=True)
 
     def __pow__(self, k):
+        t = self._term()
+        if t is not None:
+            # (c*x^e)^k = c^k * x^(k*e), for negative k too
+            c, e = t
+            return _from_term(self.tower, c**k, tuple(map(k.__mul__, e)))
         if k < 0:
             return self.inv() ** (-k)
         # powers of a coprime pair are coprime, and of a monic den monic
@@ -221,6 +256,21 @@ class FieldElement:
         if self.den == CPoly.one(self.tower.ring):
             return f"{self.num}"
         return f"({self.num})/({self.den})"
+
+
+_UNREAD = object()  # FieldElement._t before the term view is first read
+_new = object.__new__
+
+
+def _from_term(tower, c, e):
+    """The term element c*x^e from its view: c nonzero, e a tuple of ints.
+
+    Its pair is left unset; `FieldElement.__getattr__` fills it on first read.
+    """
+    x = _new(FieldElement)
+    x.tower = tower
+    x._t = (c, e)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +481,7 @@ class GaloisTower:
         c = coeff if coeff is not None else QOmega.one()
         if c.is_zero():
             return self.zero()
-        return FieldElement(self, *term_pair(self.ring, c, exponents), _canonical=True)
+        return _from_term(self, c, tuple(exponents))
 
     def in_base_field(self, x):
         """True iff x is fixed by the whole group (x in k)."""
@@ -489,7 +539,7 @@ def apply(u, x):
                 # to each term of a polynomial
                 c, e = t
                 img, s = monomial_image(u.perm, u.zexp, e)
-                return x.tower.monomial(img, c * ZETA_POWERS[s] if s else c)
+                return _from_term(x.tower, c * ZETA_POWERS[s] if s else c, img)
             # a ring automorphism keeps a coprime pair coprime: no gcd needed
             num, den = monic_pair(x.num.substitute(u.perm, u.zexp),
                                   x.den.substitute(u.perm, u.zexp))

@@ -24,7 +24,8 @@ REFLECT_F = (3, 5, 4, 0, 2, 1)
 
 def compose(p, q):
     """(p o q)[i] = p[q[i]] -- apply q first."""
-    return tuple(p[q[i]] for i in range(6))
+    a, b, c, d, e, f = q
+    return (p[a], p[b], p[c], p[d], p[e], p[f])
 
 
 def invert(p):

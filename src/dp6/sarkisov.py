@@ -576,6 +576,10 @@ class RigidityResult(Record):
     assumed: tuple = ()
 
 
+def _foreign_index(idx):
+    return f"surface index {idx!r} is none of Unknown, 1, 2, 3, 6 (index_from_flags)"
+
+
 def is_birationally_rigid(source, declared_points=()):
     """Rigidity per the splitting-field criterion, relative to known points;
     the result carries the surface's assumed facts."""
@@ -591,6 +595,8 @@ def _rigidity(src: DataSurface, declared_points):
         return RigidityResult("NotRigid", reason="the surface is k-rational")
     if idx == 6:
         return RigidityResult("SuperRigid")
+    if idx != 2 and idx != 3:
+        raise ValueError(_foreign_index(idx))
     handles = point_handles(src.spec, declared_points)
     if idx == 2:
         if src.gtype == "D6":
@@ -741,7 +747,8 @@ def _birationality(a: DataSurface, b: DataSurface, declared_points, links):
         return BirationalResult(
             "Unknown", case=2,
             reason="point existence open: need a 2-point of S splitting over K'")
-    # idx == 3
+    if idx != 3:
+        raise ValueError(_foreign_index(idx))
     same_k = a.K.same_field(b.K)
     am_k = _class_pair_equivalent(a, b, "K")
     if same_k is False or am_k is False:

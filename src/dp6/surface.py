@@ -282,6 +282,19 @@ def cocycle_assignments(spec: SurfaceSpec):
     return {name: spec.alpha(u) for name, u in spec.tower.generators.items()}
 
 
+def _word_value(tower, table, values, word):
+    """alpha(word) = alpha_s * s(alpha(rest)) for word = s + rest, memoised in
+    `values`.  A module function: a closure that called itself would hold a
+    reference cycle, and the memo would live until the cyclic gc ran."""
+    a = values.get(word)
+    if a is None:
+        s = tower.generators[word[0]]
+        a = (table[s] if len(word) == 1
+             else table[s] * _word_value(tower, table, values, word[1:]).galois(s))
+        values[word] = a
+    return a
+
+
 def verify_cocycle(spec: SurfaceSpec):
     """Check that the generator values of the cocycle table extend to a
     cocycle, on the relators of the tower's presentation, and fill in or
@@ -328,12 +341,7 @@ def verify_cocycle(spec: SurfaceSpec):
     values = {(): TwistedAutomorphism.identity(tower)}
 
     def alpha(word):
-        a = values.get(word)
-        if a is None:
-            s = tower.generators[word[0]]
-            a = table[s] if len(word) == 1 else table[s] * alpha(word[1:]).galois(s)
-            values[word] = a
-        return a
+        return _word_value(tower, table, values, word)
 
     pres = tower.presentation
     for name, order in pres["gens"].items():

@@ -15,6 +15,7 @@ from dp6._ratfunc import (
     QOmega,
     poly_nth_root,
     qomega_nth_roots,
+    term_pair,
 )
 from dp6.fieldtower import (
     CertificateError,
@@ -287,6 +288,129 @@ def test_term_products_form_no_polynomial_product(monkeypatch, z6_tower, d6_towe
 
     monkeypatch.setattr(CPoly, "__mul__", refuse)
     assert [((x * y).key(), (x / y).key()) for x, y in cases] == want
+
+
+def _seeded_terms(tower, rng, count):
+    """(c, e) pairs: c a nonzero a + b*w, e in [-3, 3]^n."""
+    out = []
+    while len(out) < count:
+        c = QOmega(MPQ(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+        if not c.is_zero():
+            out.append((c, tuple(rng.randint(-3, 3) for _ in tower.variables)))
+    return out
+
+
+def _by_cancel_pair(tower, c, e, rng):
+    """c*x^e through cancel_pair, with a random common content s*d on both
+    sides, so nothing of the term view is involved."""
+    d = QOmega(rng.randint(1, 3), rng.randint(-1, 1))
+    s = [rng.randint(0, 2) for _ in e]
+    num = {tuple(max(v, 0) + t for v, t in zip(e, s)): c * d}
+    den = {tuple(max(-v, 0) + t for v, t in zip(e, s)): d}
+    ring = tower.ring
+    return FieldElement(tower, CPoly.from_terms(ring, num), CPoly.from_terms(ring, den))
+
+
+def _random_automorphisms(tower, rng, count):
+    """The tower's group and `count` random variable permutations with unit
+    scalars, so that apply's zeta factor is exercised."""
+    n = len(tower.variables)
+    return list(tower.elements) + [
+        VarAutomorphism(rng.sample(range(n), n), [rng.choice(UNITS) for _ in range(n)])
+        for _ in range(count)]
+
+
+def test_term_rules_call_neither_pair_term_nor_term_pair(monkeypatch, z6_tower,
+                                                         s3_tower, d6_tower):
+    """monomial, and *, /, inv, ** and apply of terms built from their view,
+    work on (c, e) alone: neither pair_term nor term_pair is called."""
+    rng = random.Random(21)
+    towers = (z6_tower, s3_tower, d6_tower)
+    data = [(t, _seeded_terms(t, rng, 4), _random_automorphisms(t, rng, 2))
+            for t in towers]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("pair_term", "term_pair"):
+        monkeypatch.setattr(fieldtower, name, counted(name, getattr(fieldtower, name)))
+    results = []
+    for tower, terms, autos in data:
+        xs = [tower.monomial(e, c) for c, e in terms]
+        for x in xs:
+            results += [x.inv(), -x] + [x**k for k in range(-2, 4)]
+            results += [apply(u, x) for u in autos]
+            for y in xs:
+                results += [x * y, x / y]
+    assert calls == []
+    assert not any(r.is_zero() for r in results) and calls == []
+    # the pairs are filled on first read, through term_pair
+    assert all(r.key() for r in results) and set(calls) == {"term_pair"}
+
+
+@pytest.mark.parametrize("tower_name", ["z6_tower", "s3_tower", "d6_tower"])
+def test_term_view_results_equal_the_cancel_pair_route(request, tower_name):
+    """Each term-rule result is ==, and has the key and the hash of, the
+    element FieldElement(tower, num, den) builds through cancel_pair from
+    polynomial arithmetic on the operands' pairs."""
+    tower = request.getfixturevalue(tower_name)
+    rng = random.Random(tower_name)
+    terms = _seeded_terms(tower, rng, 6)
+    autos = _random_automorphisms(tower, rng, 4)
+    views = [tower.monomial(e, c) for c, e in terms]
+    pairs = [_by_cancel_pair(tower, c, e, rng) for c, e in terms]
+
+    def check(got, num, den):
+        want = FieldElement(tower, num, den)
+        assert got == want and want == got
+        assert got.key() == want.key() and hash(got) == hash(want)
+
+    for x, px in zip(views, pairs):
+        check(x, px.num, px.den)
+        check(-x, -px.num, px.den)
+        check(x.inv(), px.den, px.num)
+        for k in range(-2, 4):
+            num, den = (px.num, px.den) if k >= 0 else (px.den, px.num)
+            check(x**k, num**abs(k), den**abs(k))
+        for u in autos:
+            check(apply(u, x), _substituted(u, px.num), _substituted(u, px.den))
+        for y, py in zip(views, pairs):
+            check(x * y, px.num * py.num, px.den * py.den)
+            check(x / y, px.num * py.den, px.den * py.num)
+        assert x.is_one() == (px == tower.one())
+        assert (x * x.inv()).is_one() and not (x * x.inv()).is_zero()
+
+
+def test_term_pair_is_filled_on_first_read(z6_tower, d6_tower):
+    """A term built by monomial leaves num/den unset until read; is_zero,
+    is_one and negation read the view only; the filled pair is term_pair's."""
+    unset = object()
+
+    def slot(x, name):
+        try:
+            return getattr(FieldElement, name).__get__(x, FieldElement)
+        except AttributeError:
+            return unset
+
+    cases = [(z6_tower, QOmega(-3, 2), (2, -1, 0, 3)),
+             (d6_tower, QOmega(0, MPQ(1, 2)), (0, -2, 1, 0)),
+             (d6_tower, QOmega(1), (0, 0, 0, 0)),
+             (z6_tower, QOmega(1), (0, 1, 0, -1))]
+    for tower, c, e in cases:
+        x = tower.monomial(e, c)
+        assert not x.is_zero() and x.is_one() == (not any(e) and c.is_one())
+        neg = -x
+        assert all(slot(y, n) is unset for y in (x, neg) for n in ("num", "den"))
+        num, den = term_pair(tower.ring, c, e)
+        assert (x.num, x.den) == (num, den) and x.key() == (num.key(), den.key())
+        assert slot(x, "num") is x.num and slot(x, "den") is x.den
+        assert neg.key() == ((-num).key(), den.key())
+    with pytest.raises(AttributeError, match="digits"):
+        z6_tower.monomial((1, 0, 0, 0)).digits
 
 
 def test_non_unit_scalar_refused():

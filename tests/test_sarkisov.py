@@ -278,6 +278,17 @@ def test_rigidity_of_every_index(z6_tower, z6_index3, z6_independent,
     assert len(z6_index3.sbdata.assumed_facts) == 1
 
 
+def test_a_foreign_index_is_refused(monkeypatch, z6_index3, z6_hex):
+    """Rigidity and birationality name every index they accept: one outside
+    Unknown, 1, 2, 3, 6 raises instead of being read as 3."""
+    monkeypatch.setattr(sarkisov, "index_from_flags", lambda *flags: 4)
+    msg = "surface index 4 is none of Unknown, 1, 2, 3, 6"
+    with pytest.raises(ValueError, match=msg):
+        is_birationally_rigid(z6_index3)
+    with pytest.raises(ValueError, match=msg):
+        are_birational(z6_index3, z6_hex)
+
+
 def test_birational_undecided_equal_and_rational(z6_tower, z6_hex, z6_index6,
                                                  s3_tower):
     x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
