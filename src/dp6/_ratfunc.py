@@ -11,8 +11,8 @@ multiplication in the fast rational path.
 canonical pair of a term quotient c*x^e straight from c and the exponent
 vector e, with no product and no gcd, and `pair_term` reads c and e back.
 A `fieldtower.FieldElement` keeps (c, e) as its term view: a term built
-from its view gets its pair from `term_pair` on first read, and equality,
-hashing and keys read that pair.
+from its view gets its pair from `term_pair` on first read; hashing and
+keys read that pair, and equality does unless both views are known.
 The rational gcd is the heuristic gcd over Z (`_heugcd`).
 
 This is the only module that knows how a polynomial is stored and the only
@@ -213,9 +213,6 @@ class QOmega:
 
     def is_one(self):
         return self.a == _Q1 and not self.b
-
-    def is_rational(self):
-        return not self.b
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):

@@ -65,7 +65,8 @@ class FieldElement:
 
     A term c*x^e also carries its view (c, e) in `_t`: None for a non-term,
     `_UNREAD` until read.  A term built from its view fills num/den by
-    `term_pair` on first read; equality, hashing and `key()` read the pair.
+    `term_pair` on first read; hashing and `key()` read the pair, and so
+    does equality unless both views are known.
     """
 
     __slots__ = ("tower", "num", "den", "_t")
@@ -229,7 +230,14 @@ class FieldElement:
                 other = self.tower.const(QOmega(other))
             else:
                 return NotImplemented
-        # canonical representation makes this literal
+        # two term views, or a term and a non-term, compare without the pairs;
+        # otherwise the canonical pairs make the comparison literal
+        t, u = self._t, other._t
+        if type(t) is tuple:
+            if type(u) is tuple or u is None:
+                return t == u
+        elif t is None and type(u) is tuple:
+            return False
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -237,10 +245,6 @@ class FieldElement:
 
     def key(self):
         return (self.num.key(), self.den.key())
-
-    def degree_in(self, var_name):
-        i = self.tower.var_index(var_name)
-        return self.num.degree_in(i) - self.den.degree_in(i)
 
     def nth_root(self, n):
         """Exact n-th root in F, or None."""
@@ -271,6 +275,15 @@ def _from_term(tower, c, e):
     x.tower = tower
     x._t = (c, e)
     return x
+
+
+def represent(x: FieldElement, tower) -> FieldElement:
+    """x as an element of `tower`, a presentation of the same field as x's
+    tower (equal `field_key()`): the same canonical pair over the same
+    variables, so keys and hashes are unchanged."""
+    if x.tower is tower:
+        return x
+    return FieldElement(tower, x.num, x.den, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +678,7 @@ class ExtensionDescriptor(Record, frozen=True):
         if self.kind == "subfield":
             return self.fixing == other.fixing
         n = self.degree
-        other_rad = other.radicand
-        if other_rad.tower is not self.tower:
-            # same underlying field presented through another tower object
-            other_rad = FieldElement(self.tower, other_rad.num, other_rad.den,
-                                     _canonical=True)
+        other_rad = represent(other.radicand, self.tower)
         va, vb = _valuations(self.radicand), _valuations(other_rad)
         return any(_gcd(j, n) == 1
                    and all((x - j * y) % n == 0 for x, y in zip(va, vb))
@@ -961,9 +970,6 @@ class CompositeField:
     def one(self):
         return self.embed(self.tower.one())
 
-    def zero(self):
-        return self.embed(self.tower.zero())
-
     def element(self, uf, zexp):
         return CompositeElement(self, uf, zexp)
 
@@ -977,22 +983,10 @@ class CompositeGroup(Record):
     generators: dict
     elements: list
     intersection: str  # "k", "quadratic", or "contained"
-    intersection_q: FieldElement | None = None
 
     @property
     def order(self):
         return len(self.elements)
-
-    def fixes_E(self, u):
-        """Whether the group element restricts to the identity on E."""
-        if self.intersection == "contained":
-            fix = self.ext.fixing_subgroup_in_F()
-            return u in fix
-        if u.zexp:
-            return False
-        if self.intersection == "quadratic":
-            return apply(u.uf, self.intersection_q) == self.intersection_q
-        return True
 
 
 def composite_group(tower: GaloisTower, ext: ExtensionDescriptor) -> CompositeGroup:
@@ -1036,8 +1030,7 @@ def composite_group(tower: GaloisTower, ext: ExtensionDescriptor) -> CompositeGr
         gens["w"] = comp.element(idv, 2)
     if m % 2 == 0:
         gens["t"] = comp.element(idv, 3)
-    return CompositeGroup(tower, ext, comp, gens, elements, intersection,
-                          intersection_q=q)
+    return CompositeGroup(tower, ext, comp, gens, elements, intersection)
 
 
 def _as_qomega(x: FieldElement) -> QOmega:
@@ -1131,7 +1124,7 @@ def _norm_n(uf, x, n):
 
 
 def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = None):
-    """Three-valued membership of x in Norm_u(F*) (or the composite analogue).
+    """Three-valued membership of x in Norm_u(F*), u a tower automorphism.
 
     IsNorm requires an exact certificate (supplied, or found for monomial
     data); NotNorm requires a valuation or quadratic-residue proof; otherwise
@@ -1181,9 +1174,8 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
 
     # quadratic residue proof
     if n == 2:
-        uf = u.uf if isinstance(u, CompositeElement) else u
         for i in range(len(tower.variables)):
-            if not _flips_only(uf, i):
+            if not _flips_only(u, i):
                 continue
             verdict = _residue_test(x, i)
             if verdict is False:
@@ -1240,10 +1232,9 @@ def _monomial_norm_preimage(x: FieldElement, u, n):
     if not x.is_monomial_quotient():
         return None
     tower = x.tower
-    uf = u.uf if isinstance(u, CompositeElement) else u
     nvars = len(tower.variables)
     _, e = x._term()
-    orbits = _perm_orbits(uf.perm, nvars)
+    orbits = _perm_orbits(u.perm, nvars)
     totals = []
     for orb in orbits:
         if len({e[i] for i in orb}) != 1:
@@ -1265,7 +1256,7 @@ def _monomial_norm_preimage(x: FieldElement, u, n):
             continue
         seen.add(d)
         mu = tower.monomial(d)
-        nm = _norm_n(uf, mu, n)
+        nm = _norm_n(u, mu, n)
         ratio = x / nm
         if not ratio.is_constant():
             continue
@@ -1274,10 +1265,7 @@ def _monomial_norm_preimage(x: FieldElement, u, n):
         if k is None:
             continue
         cand = mu * tower.const(k)
-        if isinstance(u, CompositeElement):
-            if norm(u, u.comp.embed(cand)) == u.comp.embed(x):
-                return cand
-        elif norm(uf, cand) == x:
+        if norm(u, cand) == x:
             return cand
     return None
 
@@ -1314,10 +1302,9 @@ def hilbert90_witness(lam: FieldElement, u):
     if not lam.is_monomial_quotient():
         return None
     tower = lam.tower
-    uf = u.uf if isinstance(u, CompositeElement) else u
     nvars = len(tower.variables)
     _, e = lam._term()
-    orbits = _perm_orbits(uf.perm, nvars)
+    orbits = _perm_orbits(u.perm, nvars)
     d = [0] * nvars
     for orb in orbits:
         # walk the orbit: d_i - d_{perm^-1(i)} = e_i
@@ -1327,7 +1314,7 @@ def hilbert90_witness(lam: FieldElement, u):
         for i in orb[1:]:  # _perm_orbits lists each orbit in cycle order
             acc += e[i]
             d[i] = acc
-    n_ord = element_order(uf)
+    n_ord = element_order(u)
     # adjust constants by shifting whole orbits (changes the quotient by a unit);
     # start from the shift that clears negative exponents
     base_shifts = [max(0, -min(d[i] for i in orb)) for orb in orbits]
@@ -1338,6 +1325,6 @@ def hilbert90_witness(lam: FieldElement, u):
             for i in orb:
                 dd[i] += sh
         mu = tower.monomial(dd)
-        if mu / apply(uf, mu) == lam:
+        if mu / apply(u, mu) == lam:
             return mu
     return None

@@ -205,7 +205,8 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         coords = tuple(cg.comp.embed(c) if isinstance(c, FieldElement) else c
                        for c in coords)
         group = cg.elements
-        fixes = cg.fixes_E
+        # E = k(r), so (u, t) is the identity on E exactly when it fixes r
+        fixes = lambda u: not u.zexp  # noqa: E731
 
     key = p.key()
     if key in spec.point_passes:

@@ -16,14 +16,12 @@ from ._record import Record, field, replace
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
-    FieldElement,
     GaloisTower,
     IS_NORM,
     NOT_NORM,
-    TowerError,
     UNKNOWN,
     apply,
-    norm,
+    represent,
 )
 from .points import (
     ClosedPointSpec,
@@ -36,11 +34,9 @@ from .points import (
 )
 from .surface import (
     ClassHandle,
-    SurfaceConditionError,
     SurfaceSpec,
     index_from_flags,
     is_isomorphic,
-    k_fixing_subgroup,
     make_surface,
     sb_class_equivalent,
     subfield,
@@ -136,25 +132,22 @@ class DataSurface(Record):
 
 
 def classify_perm_group(perms):
-    """Structure of a subgroup of D6 given by hexagon permutations."""
+    """The type, Z6, S3 or D6, of the subgroup of D6 generated by hexagon
+    permutations.  A surface of Picard rank 1, such as a link target, has one
+    of these three; any other subgroup is refused."""
     elems = hexagon.closure(hexagon.IDENTITY, dict(enumerate(perms)),
                             hexagon.compose, 12)
     n = len(elems)
+    if n == 12:
+        return "D6"
+    if n != 6:
+        raise LinkError(f"hexagon action of order {n}: a surface of Picard "
+                        "rank 1 has a group of order 6 or 12")
     abelian = all(
         hexagon.compose(a, b) == hexagon.compose(b, a)
         for a in elems for b in elems
     )
-    if n == 12:
-        return "D6"
-    if n == 6:
-        return "Z6" if abelian else "S3"
-    if n == 1:
-        return "1"
-    if n == 2:
-        return "Z2"
-    if n == 3:
-        return "Z3"
-    return f"order{n}{'ab' if abelian else ''}"
+    return "Z6" if abelian else "S3"
 
 
 def _normalize_handle(h):
@@ -490,42 +483,21 @@ def _reconstruct_target(src: DataSurface, handle: PointHandle,
     tower = spec.tower
     if target.vertex_key() == src.vertex_key():
         return spec  # self-link: the data determines the surface
-    if d != 2 or handle.fld.kind != "subfield":
-        return None
-    g = tower.element_named("g")
-    if spec.gtype == "Z6" and handle.fld.fixing == k_fixing_subgroup(tower):
-        fact = spec.registry.lookup(spec.xi, g)
-        if fact is None or fact.witness is None:
-            return None
-        c = fact.witness  # Norm_g(c) = xi
-        h = tower.element_named("h")
-        try:
-            return make_surface("Z6", tower, tower.one(),
-                                spec.rho * norm(h, c), spec.registry,
-                                name=spec.name + "'")
-        except (SurfaceConditionError, TowerError):
-            return None
-    if spec.gtype == "D6":
-        gf_fix = tower.subgroup(["g", "f"])
-        if handle.fld.fixing == gf_fix and spec.xi.is_one():
-            # re-present the same field with the reflection roles exchanged:
-            # the generator named f becomes the automorphism h*f, so that the
-            # new s = h*(h*f) is the old f
-            gens = dict(tower.generators)
-            gens["f"] = tower.generators["h"] * tower.generators["f"]
-            try:
-                tower2 = GaloisTower(tower.variables, gens,
-                                     name=tower.name + "~")
-                return make_surface("D6", tower2, tower2.one(),
-                                    _move_element(spec.rho, tower2),
-                                    spec.registry, name=spec.name + "~")
-            except (SurfaceConditionError, TowerError):
-                return None
+    if (d == 2 and handle.fld.kind == "subfield" and spec.gtype == "D6"
+            and handle.fld.fixing == tower.subgroup(["g", "f"])
+            and spec.xi.is_one()):
+        # re-present the same field with the reflection roles exchanged:
+        # the generator named f becomes the automorphism h*f, so that the
+        # new s = h*(h*f) is the old f.  h is central, so g, h*f, h satisfy
+        # the D6 presentation, and h*f(rho) = f(rho) for rho in F^h: the
+        # tower and the surface conditions hold as they do for the source
+        gens = dict(tower.generators)
+        gens["f"] = tower.generators["h"] * tower.generators["f"]
+        tower2 = GaloisTower(tower.variables, gens, name=tower.name + "~")
+        return make_surface("D6", tower2, tower2.one(),
+                            represent(spec.rho, tower2), spec.registry,
+                            name=spec.name + "~")
     return None
-
-
-def _move_element(x: FieldElement, tower2):
-    return FieldElement(tower2, x.num, x.den, _canonical=True)
 
 
 #: F-parts of H per the new-splitting-field propositions, as generator words
@@ -548,9 +520,8 @@ def _cross_check_kernel(src, handle, rec: LinkRecord, contained):
     if src.spec is None or src.radicals:
         return  # table lookup applies to first links from full specs
     pattern = "contained" if contained else "independent"
-    expected = _EXPECTED_H.get((src.gtype, rec.d, pattern))
-    if expected is None:
-        return
+    # S3 surfaces have index 1 or 3, so every key a link reaches is present
+    expected = _EXPECTED_H[(src.gtype, rec.d, pattern)]
     tower = src.tower
     exp_elems = {tower.element_named(w) for w in expected}
     comp_trivial = tuple(range(rec.d))
@@ -670,12 +641,9 @@ def _class_pair_equivalent(a: DataSurface, b: DataSurface, side):
         for y in hb:
             if x.element is None or y.element is None:
                 continue
-            ye = y.element
-            if ye.tower is not x.element.tower:
-                if ye.tower.field_key() != x.element.tower.field_key():
-                    continue
-                ye = FieldElement(x.element.tower, ye.num, ye.den,
-                                  _canonical=True)
+            if y.element.tower.field_key() != x.element.tower.field_key():
+                continue
+            ye = represent(y.element, x.element.tower)
             candidates = [ye]
             if side == "L":
                 candidates = [ye, apply(g, ye), apply(g * g, ye)]

@@ -374,7 +374,8 @@ def _build_point(name, node, scenario):
                     f"{where}: lambda2_rule: f-form needs an f generator")
             lam2 = apply(cg.generators["f"], lam1 ** -1) * spec.xi.inv()
         else:
-            raise ScenarioError(f"unknown lambda2 rule {rule!r}")
+            raise ScenarioError(
+                f"{where}: lambda2_rule: unknown rule {rule!r}")
     return ClosedPointSpec(degree, ext, lam1, lam2, name=name)
 
 

@@ -24,6 +24,7 @@ from .fieldtower import (
     is_fixed,
     norm,
     norm_class,
+    represent,
 )
 
 
@@ -191,9 +192,6 @@ class SurfaceSpec(Record):
     # a later call on the same tower object and an equal table only compares
     verified_table: tuple = field(default=(), init=False, compare=False,
                                   repr=False)
-
-    def gen(self, word):
-        return self.tower.element_named(word)
 
     def alpha(self, u):
         """Cocycle value on a group element (the table verify_cocycle built)."""
@@ -515,20 +513,26 @@ class IsoResult(Record):
 
 
 def is_isomorphic(s1: SurfaceSpec, s2: SurfaceSpec) -> IsoResult:
-    """Decide isomorphism via the equivalence moves and the norm oracle."""
+    """Decide isomorphism via the equivalence moves and the norm oracle.
+
+    Equal tower keys mean equal generators, so an equal type (make_surface
+    builds a surface of its tower's type only); s2's parameters are read in
+    s1's tower, which may be another presentation of the same field."""
     if s1.tower.key() != s2.tower.key():
         return IsoResult("No", reason="different splitting field or embedding")
-    if s1.gtype != s2.gtype:
-        return IsoResult("No", reason="different Galois type")
     tower = s1.tower
     g = tower.element_named("g")
     rotations = (0,) if s1.gtype == "S3" else (0, 1, 2)
+    xi2 = represent(s2.xi, tower)
+    if s1.gtype != "S3":
+        h = tower.element_named("h")
+        rho2 = represent(s2.rho, tower)
 
     saw_unknown = False
     first_no = None
     for eps in (1, -1):
         xi_c = s1.xi if eps == 1 else s1.xi.inv()
-        fact_xi = sb_class_equivalent(xi_c, s2.xi, g, registry=s1.registry)
+        fact_xi = sb_class_equivalent(xi_c, xi2, g, registry=s1.registry)
         if fact_xi.verdict == UNKNOWN:
             saw_unknown = True
         for t in rotations:
@@ -545,11 +549,10 @@ def is_isomorphic(s1: SurfaceSpec, s2: SurfaceSpec) -> IsoResult:
                 if fact_xi.verdict == NOT_NORM:
                     first_no = first_no or "SB classes differ over K"
                 continue
-            h = tower.element_named("h")
             rho_c = s1.rho if eps == 1 else s1.rho.inv()
             for _ in range(t):
                 rho_c = apply(g, rho_c)
-            fact_rho = sb_class_equivalent(rho_c, s2.rho, h, registry=s1.registry)
+            fact_rho = sb_class_equivalent(rho_c, rho2, h, registry=s1.registry)
             if fact_xi.verdict == IS_NORM and fact_rho.verdict == IS_NORM:
                 return IsoResult(
                     "Yes", tuple(moves + ["norm-twist"]), (fact_xi, fact_rho)

@@ -374,6 +374,8 @@ _SZ = ("surfaces", "SZ")
     # a Z6 tower has the generators g and h only
     (_set(_P + ("lambda2_rule",), "f-form"), False,
      "point p: lambda2_rule: f-form needs an f generator"),
+    (_set(_P + ("lambda2_rule",), "h-orbit"), False,
+     "point p: lambda2_rule: unknown rule 'h-orbit'"),
     *[(_set(("facts",), [{"tower": "FZ", "element": "x1/x2", "generator": "g",
                           "verdict": verdict}]), False,
        f"fact x1/x2 under g: verdict must be IsNorm or NotNorm, got {verdict!r}")
@@ -391,7 +393,7 @@ _SZ = ("surfaces", "SZ")
         "no-surface-tower", "no-xi", "no-gtype", "no-point-surface",
         "no-degree", "no-point-extension", "no-lambda1", "no-lambda1-strict",
         "xi-by-zero", "rho-by-zero", "lambda1-by-zero", "lambda2-by-zero",
-        "fact-by-zero", "f-form-without-f", "verdict-bogus", "verdict-null",
+        "fact-by-zero", "f-form-without-f", "unknown-rule", "verdict-bogus", "verdict-null",
         "verdict-int", "verdict-list", "verdict-object", "verdict-unknown",
         "note-list"])
 def test_scenario_shape_is_load_error(tmp_path, edit, strict, message):
@@ -732,6 +734,122 @@ def test_fact_with_a_certificate(tmp_path, certificate, code, report):
         fact = scenario.registry.lookup(xi, xi.tower.element_named("g"))
         assert (fact.verdict, fact.provenance, str(fact.witness)) == \
             ("IsNorm", "certificate", "x1")
+
+
+def _scenario_run(tmp_path, scen, strict=False):
+    """(exit code, report sections without their final newline)."""
+    path = tmp_path / f"{scen['name']}.json"
+    path.write_text(json.dumps(scen))
+    code, text = run(str(path), strict=strict)
+    return code, {k: v.rstrip("\n") for k, v in _sections(text).items()}
+
+
+def test_an_assumed_conic_fact_is_named_by_classify(tmp_path):
+    """rho = (x1^2 + y^2)/(x2^2 + y^2) has no oracle proof either way under h
+    (no term quotient, y-degree 0, residue x1^2 x2^2 a square), so its class
+    comes from the assumed fact: with xi = 1 the index is 1 * 2 = 2, and
+    without the fact it is Unknown."""
+    rho = "(x1^2+y^2)/(x2^2+y^2)"
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    scen.update(name="conic-fact", commands=[["classify", "SC"]], facts=[
+        {"tower": "FZ", "element": rho, "generator": "h", "verdict": "NotNorm",
+         "note": "user assertion: rho is not an h-norm"}])
+    scen["surfaces"] = {"SC": {"gtype": "Z6", "tower": "FZ", "xi": "1",
+                               "rho": rho}}
+    code, got = _scenario_run(tmp_path, scen)
+    assert code == 0
+    assert got["== classify SC"] == "\n".join([
+        "surface: SC", "gtype: Z6", "index: 2", "K-trivial: IsNorm",
+        "L-trivial: NotNorm", "Am_K: 0", "Am_L: (Z/2)^2",
+        "automorphisms: T1 x <alpha_h>",
+        "assumed-fact: user assertion: rho is not an h-norm (NotNorm)"])
+    code, got = _scenario_run(tmp_path, scen, strict=True)
+    assert code == 4
+    assert got["== classify SC"].endswith(
+        "error: index is Unknown and --strict forbids assumed facts")
+
+
+def test_birational_reports_its_chain(tmp_path):
+    """A and B have index 2, xi_A = Norm_g(c_A) and xi_B = Norm_g(c_B) by
+    certificates, with c = (x1 + a*y)/(x1 - a*y), and rho_B = rho_A * (x1/x2)^2.
+    The norm twist by (c_A/c_B) * x1/x2 maps A to B, as h(c) = 1/c; the oracle
+    cannot see it (xi_B/xi_A has no proof), so iso is Unknown.  The conic
+    classes are equal, and the declared 2-point p of A splits over K, which is
+    B's K: case 2 gives Yes with the link at p as the chain."""
+    def xi(a):
+        return "*".join(f"(x{i}+{a}*y)" for i in (1, 2, 3)) + "/(" + \
+            "*".join(f"(x{i}-{a}*y)" for i in (1, 2, 3)) + ")"
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen.update(name="chain", commands=[["iso", "A", "B"],
+                                        ["birational", "A", "B"]])
+    scen["facts"] = [{"tower": "FZ", "element": xi(a), "generator": "g",
+                      "certificate": f"(x1+{a}*y)/(x1-{a}*y)"} for a in (1, 2)]
+    scen["surfaces"] = {
+        "A": {"gtype": "Z6", "tower": "FZ", "xi": xi(1), "rho": "x1/x2"},
+        "B": {"gtype": "Z6", "tower": "FZ", "xi": xi(2), "rho": "x1^3/x2^3"}}
+    scen["points"] = {"p": {"surface": "A", "degree": 2, "extension": "K",
+                            "lambda1": "(x1-y)/(x1+y)"}}
+    code, got = _scenario_run(tmp_path, scen)
+    assert code == 0
+    assert got["== iso A B"] == (
+        "isomorphic: Unknown\nreason: norm oracle undecided")
+    assert got["== birational A B"] == (
+        "birational: Yes\ncase: 2\nchain: chi[p]\n"
+        "reason: 2-point with splitting field K' found")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_surface_on_a_duplicate_tower(tmp_path, name):
+    """Each bundled surface S against its copy S~ on a copy T~ of its tower T:
+    the same field and Galois action, so the identity is an isomorphism, and
+    birational S S~ says what birational S S says."""
+    scen = json.loads(open(bundled_path(name)).read())
+    surfaces = sorted(scen["surfaces"])
+    for t in list(scen["towers"]):
+        scen["towers"][t + "~"] = scen["towers"][t]
+    for s in surfaces:
+        node = scen["surfaces"][s]
+        scen["surfaces"][s + "~"] = dict(node, tower=node["tower"] + "~")
+    scen["commands"] = [[op, s, t] for s in surfaces for op, t in
+                        (("iso", s + "~"), ("birational", s + "~"),
+                         ("birational", s))]
+    code, got = _scenario_run(tmp_path, scen)
+    assert code == 0
+    for s in surfaces:
+        assert got[f"== iso {s} {s}~"].startswith("isomorphic: Yes\n")
+        assert got[f"== birational {s} {s}~"] == got[f"== birational {s} {s}"]
+
+
+def test_surfaces_on_two_presentations_of_one_tower(tmp_path):
+    """SA on FZ against SB on FB, a second tower with FZ's generators, reads
+    as SA against SC, SB's copy on FZ.  Over K both carry xi (NotNorm by the
+    assumed fact); over L, (x1+1)/(x2+1) against each rotation of x1/x2 has a
+    residue proof (at y = 0 the residue is not a square), so the conic classes
+    differ and case 4 says No.  With xi^2 the index is undecided."""
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    xi = scen["surfaces"]["S6"]["xi"]
+    scen["name"] = "two-presentations"
+    scen["towers"]["FB"] = scen["towers"]["FZ"]
+    scen["surfaces"] = {
+        "SA": {"gtype": "Z6", "tower": "FZ", "xi": xi, "rho": "x1/x2"},
+        "SB": {"gtype": "Z6", "tower": "FB", "xi": xi, "rho": "(x1+1)/(x2+1)"},
+        "SC": {"gtype": "Z6", "tower": "FZ", "xi": xi, "rho": "(x1+1)/(x2+1)"},
+        "SD": {"gtype": "Z6", "tower": "FB", "xi": f"({xi})^2", "rho": "x1/x2"},
+        "SE": {"gtype": "Z6", "tower": "FZ", "xi": f"({xi})^2", "rho": "x1/x2"}}
+    scen["commands"] = [[op, "SA", t] for t in ("SB", "SC", "SD", "SE")
+                        for op in ("iso", "birational")]
+    code, got = _scenario_run(tmp_path, scen)
+    assert code == 0
+    for fb, fz in (("SB", "SC"), ("SD", "SE")):
+        for op in ("iso", "birational"):
+            assert got[f"== {op} SA {fb}"] == got[f"== {op} SA {fz}"]
+        assert got[f"== iso SA {fb}"] == (
+            "isomorphic: Unknown\nreason: norm oracle undecided")
+    assert got["== birational SA SB"] == "\n".join([
+        "birational: No", "case: 4", "reason: Amitsur data over K or L differ",
+        _FACT_LINE])
+    assert got["== birational SA SD"].startswith(
+        "birational: Unknown\ncase: 0\nreason: index undecided\n")
 
 
 def _python_m_dp6(*args):

@@ -322,8 +322,8 @@ def _random_automorphisms(tower, rng, count):
 
 def test_term_rules_call_neither_pair_term_nor_term_pair(monkeypatch, z6_tower,
                                                          s3_tower, d6_tower):
-    """monomial, and *, /, inv, ** and apply of terms built from their view,
-    work on (c, e) alone: neither pair_term nor term_pair is called."""
+    """monomial, and *, /, inv, **, apply and == of terms built from their
+    view, work on (c, e) alone: neither pair_term nor term_pair is called."""
     rng = random.Random(21)
     towers = (z6_tower, s3_tower, d6_tower)
     data = [(t, _seeded_terms(t, rng, 4), _random_automorphisms(t, rng, 2))
@@ -338,14 +338,19 @@ def test_term_rules_call_neither_pair_term_nor_term_pair(monkeypatch, z6_tower,
 
     for name in ("pair_term", "term_pair"):
         monkeypatch.setattr(fieldtower, name, counted(name, getattr(fieldtower, name)))
-    results = []
+    results, equal, want_equal = [], [], []
     for tower, terms, autos in data:
         xs = [tower.monomial(e, c) for c, e in terms]
-        for x in xs:
+        for x, (c, e) in zip(xs, terms):
             results += [x.inv(), -x] + [x**k for k in range(-2, 4)]
             results += [apply(u, x) for u in autos]
-            for y in xs:
+            equal += [x == tower.monomial(e, c), x == -x, x * x.inv() == x / x]
+            want_equal += [True, False, True]
+            for y, term in zip(xs, terms):
                 results += [x * y, x / y]
+                equal.append(x == y)
+                want_equal.append((c, e) == term)
+    assert equal == want_equal and False in equal
     assert calls == []
     assert not any(r.is_zero() for r in results) and calls == []
     # the pairs are filled on first read, through term_pair
@@ -933,6 +938,18 @@ def test_registry_consistency(z6_tower):
     reg.assume(y, g, "IsNorm", note="wrong")
     again = norm_class(y, g, registry=reg)
     assert again.verdict == "NotNorm" and not again.assumed
+
+
+def test_a_second_certificate_keeps_the_first_fact(z6_tower):
+    """x1*x2*x3 is the g-norm of x1 and of x2 alike; the registry keeps the
+    first proven fact, so its witness stays x1."""
+    g = z6_tower.element_named("g")
+    x1, x2, x3 = vars_of(z6_tower, "x1", "x2", "x3")
+    reg = FactRegistry()
+    first = norm_class(x1 * x2 * x3, g, cert=x1, registry=reg)
+    second = norm_class(x1 * x2 * x3, g, cert=x2, registry=reg)
+    assert second is first and second.witness == x1
+    assert reg.lookup(x1 * x2 * x3, g) is first
 
 
 def test_assumed_fact_upgrades_unknown(z6_tower):

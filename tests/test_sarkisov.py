@@ -289,6 +289,16 @@ def test_a_foreign_index_is_refused(monkeypatch, z6_index3, z6_hex):
         are_birational(z6_index3, z6_hex)
 
 
+def test_a_group_of_picard_rank_above_one_is_refused():
+    """A link target has Picard rank 1, so its hexagon group is Z6, S3 or D6;
+    a smaller group breaks that invariant and raises instead of being named."""
+    assert sarkisov.classify_perm_group([hexagon.ROT3, hexagon.CENTRAL]) == "Z6"
+    for perms, n in (([], 1), ([hexagon.CENTRAL], 2), ([hexagon.ROT3], 3),
+                     ([hexagon.CENTRAL, hexagon.REFLECT_F], 4)):
+        with pytest.raises(LinkError, match=f"hexagon action of order {n}:"):
+            sarkisov.classify_perm_group(perms)
+
+
 def test_birational_undecided_equal_and_rational(z6_tower, z6_hex, z6_index6,
                                                  s3_tower):
     x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))

@@ -90,3 +90,33 @@ def test_only_ratfunc_knows_the_polynomial_storage(path):
     argument is allowed."""
     found = _storage_reads(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name} reads the polynomial storage: {found}"
+
+
+def _loaded_names(path):
+    """Names a file loads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_defined_function_is_loaded():
+    """Every function or method name `src/dp6` defines, dunders apart, is
+    loaded somewhere in `src/dp6`, `tests`, `scripts` or `bench`: no dead
+    methods.  Like the check above it is scope-blind: a load of a name counts
+    for every function of that name."""
+    root = SRC.parent.parent
+    users = [p for d in ("src/dp6", "tests", "scripts", "bench")
+             for p in sorted((root / d).glob("*.py"))]
+    loaded = set().union(*map(_loaded_names, users))
+    dead = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in loaded)
+    assert not dead, f"functions nothing loads: {dead}"

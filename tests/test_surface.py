@@ -16,6 +16,7 @@ from dp6.fieldtower import (
     GaloisTower,
     IS_NORM,
     TowerError,
+    UNKNOWN,
     VarAutomorphism,
     apply,
     is_fixed,
@@ -396,6 +397,22 @@ def test_iso_distinguishes(s3_example, z6_hex, z6_index6):
                         z6_hex.tower.one())
     res2 = is_isomorphic(z6_index6, triv)
     assert res2.verdict in ("No", "Unknown")
+
+
+def test_iso_is_unknown_when_only_the_conic_class_is_undecided(z6_tower):
+    """xi = 1 on both sides, and rho = (x1^2 + y^2)/(x2^2 + y^2) against 1.
+    The surfaces are isomorphic exactly when some g^t(rho^(+-1)) is an
+    h-norm, and the oracle proves neither way: no term quotient for a
+    certificate, y-degree 0 for a valuation proof, and the residue at y = 0
+    is x_i^2 x_j^2, a square.  So the verdict is Unknown, not No."""
+    x1, x2, y = (z6_tower.var(v) for v in ("x1", "x2", "y"))
+    one = z6_tower.one()
+    rho = (x1 * x1 + y * y) / (x2 * x2 + y * y)
+    s = make_surface("Z6", z6_tower, one, rho, FactRegistry())
+    t = make_surface("Z6", z6_tower, one, one, s.registry)
+    assert s.sbdata.l_trivial == UNKNOWN
+    res = is_isomorphic(s, t)
+    assert (res.verdict, res.reason) == ("Unknown", "norm oracle undecided")
 
 
 def test_severi_brauer_data(s3_example, z6_hex, d6_index2):
