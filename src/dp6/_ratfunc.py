@@ -7,9 +7,11 @@ polynomial over Q(w) is a pair of them (the "1" part and the "w" part);
 almost all data in practice has a zero w-part, which keeps gcd and
 multiplication in the fast rational path.
 
-`cancel_pair` makes a fraction canonical by its gcd; `term_pair` builds the
-canonical pair of a term quotient c*x^e straight from c and the exponent
-vector e, with no product and no gcd, and `pair_term` reads c and e back.
+`cancel_pair` makes a fraction canonical by its gcd; `term_ratio`, the one
+test for a term multiple p = c*x^e*q, spares it and `FieldElement` products
+the gcd where it finds one.  `term_pair` builds the canonical pair of a
+term quotient c*x^e straight from c and the exponent vector e, with no
+product and no gcd, and `pair_term` reads c and e back.
 A `fieldtower.FieldElement` keeps (c, e) as its term view: a term built
 from its view gets its pair from `term_pair` on first read; hashing and
 keys read that pair, and equality does unless both views are known.
@@ -666,19 +668,19 @@ def cancel_pair(num: CPoly, den: CPoly):
     1. content strip: divide both sides by their common monomial content;
     2. single term: a single term divides the other side only through
        monomial content, which is gone now, so the gcd is 1;
-    3. term multiple: num = c*x^a*h and den = x^b*h (`_term_quotient`),
-       so the pair is c*x^a / x^b;
+    3. term multiple: num = c*x^e*den (`term_ratio`), so the pair is
+       `term_pair` of c and e;
     4. rational gcd, when each side is a Q(w) scalar times a rational
        polynomial;
     5. Q(w) gcd otherwise.
 
     `monic_pair` then scales the denominator to lex-leading coefficient 1.
 
-    The term-multiple rule is exact.  There a and b are the min degrees of
-    num and den, so h has no monomial content, and after step 1 no variable
-    divides both x^a and x^b.  So gcd(c*x^a*h, x^b*h) = h*gcd(x^a, x^b) = h,
-    and num/h, den/h is the coprime pair c*x^a, x^b.  The canonical form is
-    unique, so the pair equals the one the gcd route gives.
+    The term-multiple rule is exact.  Write den = x^b*h, b the min degrees
+    of den; then num = c*x^a*h with a = b + e, and after step 1 a = e+ and
+    b = e-.  h has no monomial content, so gcd(num, den) = h, and the
+    coprime pair is c*x^(e+), x^(e-).  The canonical form is unique, so it
+    equals the one the gcd route gives.
     """
     ring_ = num.ring
     if den.is_zero():
@@ -686,9 +688,9 @@ def cancel_pair(num: CPoly, den: CPoly):
     num, den = strip_monomial_content(num, den)
     if num.is_term() or den.is_term():
         return monic_pair(num, den)
-    quotient = _term_quotient(num, den)
-    if quotient is not None:
-        return monic_pair(*quotient)
+    ratio = term_ratio(num, den)
+    if ratio is not None:
+        return term_pair(ring_, *ratio)
     cn = _scalar_core(num)
     cd = _scalar_core(den)
     if cn is not None and cd is not None:
@@ -766,29 +768,36 @@ def pair_term(num: CPoly, den: CPoly):
     return c, tuple(map(sub, a, b))
 
 
-def _term_quotient(num: CPoly, den: CPoly):
-    """The pair (c*x^a, x^b) when num = c*x^a*h and den = x^b*h, else None.
+def term_ratio(p: CPoly, q: CPoly):
+    """(c, e) when p = c*x^e*q with c in Q(w) and e in Z^n, else None.
 
-    a and b are the min degrees of num and den, and c in Q(w) is the ratio of
-    their lex-leading coefficients: a monomial factor keeps the lex order of
-    terms.  The test is O(terms): each part of num (the 1 and the w part) has
-    as many terms as that part of c*den, and its term at m is the term of
-    c*den at m - a + b.  It runs after `strip_monomial_content`, so no
-    variable divides both x^a and x^b and the pair is `term_pair` of c and
-    a - b.
+    q is nonzero.  A monomial factor keeps the lex order of terms, so c and e
+    are the ratio of the lex-leading terms.  The test is O(terms): p must have
+    as many monomials as q, and each part of p (the 1 and the w part) its
+    term at m + e equal to the term of c*q at m.  Two rational sides are
+    compared term by term, with no scaled copy of q.
     """
-    a, b = num.min_degrees(), den.min_degrees()
-    shift = tuple(map(sub, b, a))
-    c = num.leading()[1] * den.leading()[1].inv()
-    scaled = den.mul_scalar(c)
-    for p, q in ((num.pa, scaled.pa), (num.pb, scaled.pb)):
-        p, q = p or {}, q or {}
-        if len(p) != len(q):
+    if _monomial_count(p) != _monomial_count(q):
+        return None
+    (mp, cp), (mq, cq) = p.leading(), q.leading()
+    c = cp * cq.inv()
+    e = tuple(map(sub, mp, mq))
+    if p.pb is None and q.pb is None:
+        parts, ca = ((p.pa, q.pa),), c.a
+    else:
+        s = q.mul_scalar(c)
+        parts, ca = ((p.pa, s.pa), (p.pb or {}, s.pb or {})), _Q1
+    for pp, qq in parts:
+        if len(pp) != len(qq):
             return None
-        for mon, v in p.items():
-            if q.get(tuple(map(add, mon, shift))) != v:
+        for mon, v in qq.items():
+            if pp.get(tuple(map(add, mon, e))) != v * ca:
                 return None
-    return term_pair(num.ring, c, tuple(map(sub, a, b)))
+    return c, e
+
+
+def _monomial_count(p: CPoly):
+    return len(p.pa) if p.pb is None else len(p.pa.keys() | p.pb.keys())
 
 
 def _scalar_core(p: CPoly):

@@ -142,6 +142,11 @@ def _point(scen, name):
     return _named(scen.points, name, "point")
 
 
+def _points_on(scen, spec):
+    """The scenario's points declared on the surface `spec`."""
+    return [p for p in scen.points.values() if p.surface is spec]
+
+
 def _int_arg(value, what):
     """A nonnegative integer command argument."""
     try:
@@ -230,8 +235,7 @@ def _dispatch(scen, state, cmd, emit):
         return
     if op == "rigid":
         spec = _surface(scen, args[0])
-        declared = [p for p in scen.points.values()]
-        res = is_birationally_rigid(spec, declared)
+        res = is_birationally_rigid(spec, _points_on(scen, spec))
         emit(f"rigidity: {res.verdict}")
         if res.reason:
             emit(f"reason: {res.reason}")
@@ -239,8 +243,7 @@ def _dispatch(scen, state, cmd, emit):
         return
     if op == "birational":
         s1, s2 = _surface(scen, args[0]), _surface(scen, args[1])
-        declared = list(scen.points.values())
-        res = are_birational(s1, s2, declared)
+        res = are_birational(s1, s2, _points_on(scen, s1))
         if state["strict"] and res.verdict == "Unknown":
             raise UnknownBlocked("birationality verdict is Unknown")
         emit(f"birational: {res.verdict}")
@@ -255,8 +258,7 @@ def _dispatch(scen, state, cmd, emit):
         spec = _surface(scen, args[0])
         depth = _int_arg(args[1] if len(args) > 1 else state["depth"] or 1,
                          "explore depth")
-        pts = [p for p in scen.points.values()]
-        graph = birgroup.explore_graph(spec, pts, depth=depth)
+        graph = birgroup.explore_graph(spec, _points_on(scen, spec), depth=depth)
         state["graphs"][args[0]] = graph
         emit(f"depth: {depth}")
         emit(graph.summary())
@@ -347,7 +349,7 @@ def _graph(scen, state, name):
     spec = _surface(scen, name)  # checks the name before it is a key
     graph = state["graphs"].get(name)
     if graph is None:
-        graph = birgroup.explore_graph(spec, list(scen.points.values()),
+        graph = birgroup.explore_graph(spec, _points_on(scen, spec),
                                        depth=state["depth"] or 2)
         state["graphs"][name] = graph
     return graph

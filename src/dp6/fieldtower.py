@@ -36,6 +36,7 @@ from ._ratfunc import (
     rational_ring,
     strip_monomial_content,
     term_pair,
+    term_ratio,
 )
 from ._record import Record, field
 
@@ -136,13 +137,19 @@ class FieldElement:
            c1*c2 * x^(e1+e2), or c1/c2 * x^(e1-e2), with no polynomial
            product;
         2. one term side: the common monomial content is the whole gcd (see
-           `monic_pair`);
-        3. general: `cancel_pair`.
+           `monic_pair`); a factor 1, the term (1, 0), gives the other factor
+           (1/o is o.inv());
+        3. cross pairs: write the product as a/b * c/d (for a quotient,
+           a/b * d/c).  When a = t1*d and c = t2*b for terms t1 and t2
+           (`term_ratio`), it is the term t1*t2: no product, no gcd;
+        4. general: `cancel_pair`.
 
-        The term rule is exact.  `term_pair` writes c*x^e as c*x^(e+) over
+        The term rules are exact.  `term_pair` writes c*x^e as c*x^(e+) over
         x^(e-).  The supports of e+ and e- are disjoint, so the pair is
         coprime, and x^(e-) is monic.  The canonical form is unique, so the
-        pair equals the one the gcd route gives.
+        pair equals the one the gcd route gives, here of a*c / (b*d) = t1*t2
+        in case 3.  That is the term case of Henrici's gcd(a*c, b*d) =
+        gcd(a, d) * gcd(c, b) for coprime a/b and c/d.
         """
         s, t = self._term(), o._term()
         if s is not None and t is not None:
@@ -150,10 +157,17 @@ class FieldElement:
             if divide:
                 return _from_term(self.tower, c1 * c2.inv(), tuple(map(sub, e1, e2)))
             return _from_term(self.tower, c1 * c2, tuple(map(add, e1, e2)))
-        if divide:
-            num, den = self.num * o.den, self.den * o.num
-        else:
-            num, den = self.num * o.num, self.den * o.den
+        if t is not None and o.is_one():
+            return self
+        if s is not None and self.is_one():
+            return o.inv() if divide else o
+        c, d = (o.den, o.num) if divide else (o.num, o.den)
+        if s is None and t is None:
+            t1 = term_ratio(self.num, d)
+            t2 = term_ratio(c, self.den) if t1 else None
+            if t2:
+                return _from_term(self.tower, t1[0] * t2[0], tuple(map(add, t1[1], t2[1])))
+        num, den = self.num * c, self.den * d
         if s is not None or t is not None:
             num, den = monic_pair(*strip_monomial_content(num, den))
             return FieldElement(self.tower, num, den, _canonical=True)

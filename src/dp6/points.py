@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import hexagon
-from ._record import Record
+from ._record import Record, field
 from .fieldtower import (
     CompositeElement,
     CompositeGroup,
@@ -40,6 +40,8 @@ class ClosedPointSpec(Record):
     lam2: object
     name: str = "p"
     general_position_declared: bool | None = None  # degree-4 points only
+    # the scenario surface the point is declared on; not part of key()
+    surface: object = field(default=None, compare=False, repr=False)
 
     def coords(self):
         return (self.lam1, self.lam2)

@@ -345,7 +345,8 @@ def _build_point(name, node, scenario):
     if degree == 4:
         return ClosedPointSpec(4, None, None, None, name=name,
                                general_position_declared=bool(
-                                   node.get("general_position", False)))
+                                   node.get("general_position", False)),
+                               surface=spec)
     ext = _named(scenario.extensions, _required(node, "extension", where),
                  f"{where}: extension")
     if ext.tower is not spec.tower:
@@ -376,7 +377,7 @@ def _build_point(name, node, scenario):
         else:
             raise ScenarioError(
                 f"{where}: lambda2_rule: unknown rule {rule!r}")
-    return ClosedPointSpec(degree, ext, lam1, lam2, name=name)
+    return ClosedPointSpec(degree, ext, lam1, lam2, name=name, surface=spec)
 
 
 def _commands(node):

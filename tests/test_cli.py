@@ -435,7 +435,8 @@ def _copied_tower_scenario(tmp_path, edit):
 
 def test_point_over_another_tower_is_semantic_error(tmp_path):
     """A command pairing SZ2 with a point split over FZ's fields names both
-    and the towers; the other commands still run."""
+    and the towers; the other commands still run.  explore SZ2 takes only
+    the points declared on SZ2, none here, so p does not reach it."""
     commands = [["validate", "SZ2", "p"], ["link", "SZ2", "p"],
                 ["explore", "SZ2"], ["validate", "SZ", "p"]]
     code, text = _copied_tower_scenario(
@@ -443,8 +444,10 @@ def test_point_over_another_tower_is_semantic_error(tmp_path):
     assert code == 3
     got = _sections(text)
     want = "error: point p splits over tower FZ, but surface SZ2 is over tower FZ2"
-    for cmd in ("validate SZ2 p", "link SZ2 p", "explore SZ2"):
+    for cmd in ("validate SZ2 p", "link SZ2 p"):
         assert got["== " + cmd] == want
+    assert got["== explore SZ2"] == (
+        "depth: 1\nvertices: 1\n  vertex SZ2 (base)\nedges: 0")
     assert "valid: true" in got["== validate SZ p"]
 
 
@@ -776,19 +779,8 @@ def test_birational_reports_its_chain(tmp_path):
     cannot see it (xi_B/xi_A has no proof), so iso is Unknown.  The conic
     classes are equal, and the declared 2-point p of A splits over K, which is
     B's K: case 2 gives Yes with the link at p as the chain."""
-    def xi(a):
-        return "*".join(f"(x{i}+{a}*y)" for i in (1, 2, 3)) + "/(" + \
-            "*".join(f"(x{i}-{a}*y)" for i in (1, 2, 3)) + ")"
-    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
-    scen.update(name="chain", commands=[["iso", "A", "B"],
-                                        ["birational", "A", "B"]])
-    scen["facts"] = [{"tower": "FZ", "element": xi(a), "generator": "g",
-                      "certificate": f"(x1+{a}*y)/(x1-{a}*y)"} for a in (1, 2)]
-    scen["surfaces"] = {
-        "A": {"gtype": "Z6", "tower": "FZ", "xi": xi(1), "rho": "x1/x2"},
-        "B": {"gtype": "Z6", "tower": "FZ", "xi": xi(2), "rho": "x1^3/x2^3"}}
-    scen["points"] = {"p": {"surface": "A", "degree": 2, "extension": "K",
-                            "lambda1": "(x1-y)/(x1+y)"}}
+    scen = _chain_scenario()
+    scen["commands"] = [["iso", "A", "B"], ["birational", "A", "B"]]
     code, got = _scenario_run(tmp_path, scen)
     assert code == 0
     assert got["== iso A B"] == (
@@ -796,6 +788,41 @@ def test_birational_reports_its_chain(tmp_path):
     assert got["== birational A B"] == (
         "birational: Yes\ncase: 2\nchain: chi[p]\n"
         "reason: 2-point with splitting field K' found")
+
+
+def _chain_scenario():
+    """The scenario of test_birational_reports_its_chain, without commands."""
+    def xi(a):
+        return "*".join(f"(x{i}+{a}*y)" for i in (1, 2, 3)) + "/(" + \
+            "*".join(f"(x{i}-{a}*y)" for i in (1, 2, 3)) + ")"
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["name"] = "chain"
+    scen["facts"] = [{"tower": "FZ", "element": xi(a), "generator": "g",
+                      "certificate": f"(x1+{a}*y)/(x1-{a}*y)"} for a in (1, 2)]
+    scen["surfaces"] = {
+        "A": {"gtype": "Z6", "tower": "FZ", "xi": xi(1), "rho": "x1/x2"},
+        "B": {"gtype": "Z6", "tower": "FZ", "xi": xi(2), "rho": "x1^3/x2^3"}}
+    scen["points"] = {"p": {"surface": "A", "degree": 2, "extension": "K",
+                            "lambda1": "(x1-y)/(x1+y)"}}
+    return scen
+
+
+def test_commands_take_only_the_points_of_their_surface(tmp_path):
+    """rigid, birational and explore about A get only the points declared on
+    A: adding q, a valid 2-point of B that is not a point of A, leaves their
+    reports as they are without q."""
+    scen = _chain_scenario()
+    commands = [["rigid", "A"], ["birational", "A", "B"], ["explore", "A", 1]]
+    scen["commands"] = commands
+    code, want = _scenario_run(tmp_path, scen)
+    assert code == 0
+    scen["points"]["q"] = {"surface": "B", "degree": 2, "extension": "K",
+                           "lambda1": "(x1-2*y)/(x1+2*y)"}
+    scen["commands"] = commands + [["validate", "B", "q"]]
+    code, got = _scenario_run(tmp_path, scen)
+    assert code == 0
+    assert got.pop("== validate B q").startswith("point: q\nvalid: true\n")
+    assert got == want
 
 
 @pytest.mark.parametrize("name", BUNDLED)

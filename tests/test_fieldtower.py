@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from dp6 import fieldtower, hexagon
 from dp6._ratfunc import (
@@ -271,6 +271,77 @@ def test_term_quotient_arithmetic_matches_cancel_pair(z6_tower, s3_tower, d6_tow
                   st.lists(st.sampled_from(UNITS), min_size=4, max_size=4)),
     ))
     assert apply(u, x).key() == cancelled(_substituted(u, x.num), _substituted(u, x.den))
+
+
+@st.composite
+def _binomials(draw, ring):
+    """A rational polynomial of two or three terms, of degree up to 2 in each
+    variable, with no monomial content."""
+    mons = draw(st.lists(st.tuples(*[st.integers(0, 2)] * ring.ngens),
+                         min_size=2, max_size=3, unique=True))
+    p = CPoly.from_terms(ring, {m: draw(_RATIONAL) for m in mons})
+    return p.shift_down(p.min_degrees())
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["planted", "one-pair", "two-ratios"]))
+def test_cross_pairs_match_cancel_pair(z6_tower, s3_tower, d6_tower, data, case):
+    """x = t1*d/b times y = t2*b/d, and x over 1/y, is the term t1*t2: the
+    product is read off the cross pairs (x.num, y.den) and (y.num, x.den), as
+    a term view, and equals the pair cancel_pair gives.  Near misses take the
+    product route and give its pair: y's numerator a term multiple of another
+    polynomial than b, or of b with one coefficient changed (equal supports,
+    two ratios).  A factor 1 gives the other factor, and 1/x the inverse.
+    The terms t1, t2 have Q(w) coefficients and exponents of both signs; b
+    and d are rational, so that every gcd of the product route is rational."""
+    tower = data.draw(st.sampled_from([z6_tower, s3_tower, d6_tower]))
+    ring = tower.ring
+    b, d = data.draw(_binomials(ring)), data.draw(_binomials(ring))
+    t1, t2 = (tower.monomial(data.draw(_TERM_EXPS), data.draw(_TERM_COEFFS))
+              for _ in range(2))
+    c = t2.num * b
+    if case == "one-pair":
+        c = t2.num * data.draw(_binomials(ring))
+    elif case == "two-ratios":
+        m, v = next(iter(b.terms().items()))
+        c = t2.num * (b + CPoly.from_terms(ring, {m: v}))
+    x = FieldElement(tower, t1.num * d, t1.den * b)
+    y = FieldElement(tower, c, t2.den * d)
+    z = FieldElement(tower, y.den, y.num)
+    assume(x._term() is None and y._term() is None)
+    for got, (num, den) in ((x * y, (x.num * y.num, x.den * y.den)),
+                            (y * x, (y.num * x.num, y.den * x.den)),
+                            (x / z, (x.num * z.den, x.den * z.num))):
+        want = FieldElement(tower, num, den)
+        assert type(got._t) is tuple or want._term() is None
+        assert got.key() == want.key()
+        if case == "planted":
+            assert type(got._t) is tuple
+        elif case == "two-ratios":
+            assert want._term() is None
+    one = tower.one()
+    for got in (x * one, one * x, x / one):
+        assert got.key() == x.key()
+    assert (one / x).key() == FieldElement(tower, x.den, x.num).key()
+
+
+def test_cross_pairs_with_a_w_part_take_the_product_route(z6_tower):
+    """A cross pair that would be a term multiple but for w times one term
+    on one side: the product is no term and is the pair cancel_pair gives.
+    The polynomials are linear, as the Q(w) gcd of larger ones is slow."""
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    w = z6_tower.omega()
+    b, d = x1 + 2 * x2, x3 - y
+    t1 = z6_tower.monomial((1, -1, 0, 2), QOmega(1, 1))
+    t2 = z6_tower.monomial((-2, 0, 1, 0), QOmega(3))
+    planted = (t1 * d / b, t2 * b / d)
+    for x, y in ((planted[0], t2 * (b + w * x1) / d),
+                 (t1 * (d + w * x3) / b, planted[1])):
+        got, want = x * y, FieldElement(z6_tower, x.num * y.num, x.den * y.den)
+        assert type(got._t) is not tuple and want._term() is None
+        assert got.key() == want.key()
+    assert type((planted[0] * planted[1])._t) is tuple
 
 
 def test_term_products_form_no_polynomial_product(monkeypatch, z6_tower, d6_tower):

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dp6 import _ratfunc
+from dp6 import _ratfunc, fieldtower, surface
 from dp6._ratfunc import (
     MPQ,
     CPoly,
@@ -22,6 +22,7 @@ from dp6._ratfunc import (
     rational_ring,
     strip_monomial_content,
     term_pair,
+    term_ratio,
 )
 from dp6.fieldtower import apply
 from dp6.surface import make_surface
@@ -140,7 +141,7 @@ def test_term_multiple_matches_gcd_route(g_terms, q, a, b):
     den = CPoly.monomial(R, b) * g
     assert _key(cancel_pair(num, den)) == _key(_gcd_route(num, den))
     if not g.is_term():
-        assert _ratfunc._term_quotient(*strip_monomial_content(num, den)) is not None
+        assert term_ratio(*strip_monomial_content(num, den)) is not None
 
 
 def _count_gcds(monkeypatch):
@@ -162,7 +163,7 @@ def test_same_support_without_one_ratio_takes_the_gcd(monkeypatch):
     x, y = _x(0), _x(1)
     two, three = CPoly.const(R, QOmega(2)), CPoly.const(R, QOmega(3))
     num, den = (x + y) * (x + two * y), (x + y) * (x + three * y)
-    assert _ratfunc._term_quotient(num, den) is None
+    assert term_ratio(num, den) is None
     calls = _count_gcds(monkeypatch)
     n, d = cancel_pair(num, den)
     assert len(calls) == 1
@@ -186,22 +187,49 @@ def _near_misses():
 def test_term_quotient_refuses_near_misses(case):
     """Pairs that agree with a term multiple in all but one condition."""
     num, den = strip_monomial_content(*_near_misses()[case])
-    assert _ratfunc._term_quotient(num, den) is None
+    assert term_ratio(num, den) is None
     n, d = cancel_pair(num, den)
     assert n * den == num * d
 
 
-def test_cocycle_poly_surface_takes_no_gcd(monkeypatch, z6_tower):
-    """A valid Z6 surface with xi = c/h(c), c a g-orbit sum: every relator
-    of the cocycle check ends in a term multiple, so no gcd is taken."""
-    x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
-    g, h = z6_tower.element_named("g"), z6_tower.element_named("h")
-    base = x1 * y * 2 + x2 * 3
-    c = base + apply(g, base) + apply(g * g, base)
-    xi = c / apply(h, c)
+def test_cocycle_poly_surface_takes_no_gcd(monkeypatch, z6_tower, d6_tower):
+    """Valid Z6 and D6 surfaces with xi = c/h(c), c a g-orbit sum (for D6 a
+    <g, f>-orbit sum): every relator of the cocycle check ends in a term
+    multiple, so the Z6 surface takes no gcd, and each general product of
+    verify_cocycle is read off its cross pairs, with no cancel_pair."""
+    def xi_of(tower, words):
+        x1, x2, y = (tower.var(v) for v in ("x1", "x2", "y"))
+        base = x1 * y * 2 + x2 * 3
+        c = tower.zero()
+        for word in words:
+            c = c + apply(tower.element_named(word), base)
+        return c / apply(tower.element_named("h"), c)
+
+    z6_xi = xi_of(z6_tower, ("1", "g", "gg"))
+    d6_xi = xi_of(d6_tower, ("1", "g", "gg", "f", "gf", "ggf"))
+    x1, x2, x3 = (d6_tower.var(v) for v in ("x1", "x2", "x3"))
+    verified, cancels = [], []  # cancels: the count of the open check
+    verify, cancel = surface.verify_cocycle, fieldtower.cancel_pair
+
+    def counted_verify(spec):
+        cancels.append(0)
+        try:
+            return verify(spec)
+        finally:
+            verified.append((spec.gtype, cancels.pop()))
+
+    def counted_cancel(num, den):
+        if cancels:
+            cancels[-1] += 1
+        return cancel(num, den)
+
+    monkeypatch.setattr(surface, "verify_cocycle", counted_verify)
+    monkeypatch.setattr(fieldtower, "cancel_pair", counted_cancel)
     calls = _count_gcds(monkeypatch)
-    make_surface("Z6", z6_tower, xi, x1 / x2)
+    make_surface("Z6", z6_tower, z6_xi, z6_tower.var("x1") / z6_tower.var("x2"))
     assert calls == []
+    make_surface("D6", d6_tower, d6_xi, x1 * x2 / (x3 * x3))
+    assert verified == [("Z6", 0), ("D6", 0)]
 
 
 # the two sides of the slow mixed pair of ROADMAP item 1
