@@ -622,6 +622,23 @@ class CPoly:
         return best, QOmega(self.pa.get(best, _Q0),
                             _Q0 if self.pb is None else self.pb.get(best, _Q0))
 
+    def evaluate(self, point):
+        """The value in Q(w) at a point of integers, one per variable."""
+        if len(point) != self.ring.ngens:
+            raise ValueError(f"point has {len(point)} coordinates, "
+                             f"ring has {self.ring.ngens} variables")
+
+        def value(p):
+            total = _Q0
+            for mon, c in p.items():
+                v = 1
+                for x, e in zip(point, mon):
+                    if e:
+                        v *= x ** e
+                total = total + c * v
+            return total
+        return QOmega(value(self.pa), value(self.pb) if self.pb is not None else _Q0)
+
     def subs_zero(self, index):
         """Substitute 0 for the variable at `index`."""
         def cut(p):

@@ -359,7 +359,10 @@ class Token(Record):
         inv = "^-1" if self.inverse else ""
         if self.kind in ("C", "D") and not isinstance(self.payload, LinkRecord):
             return f"{self.kind}[aut]{inv}"
-        name = getattr(self.payload, "name", str(self.payload))
+        try:
+            name = self.payload.name
+        except AttributeError:  # a tag; a record is never stringified whole
+            name = str(self.payload)
         return f"{self.kind}[{name}]{inv}"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, lru_cache
 from math import gcd
+from operator import mul
 
 from . import hexagon
 from ._record import Record, field
@@ -357,7 +358,7 @@ def _propagate(config, hex_perm, comp_perm):
     by_vec = config.by_vec
     perm = {}
     for v, name in by_vec.items():
-        image = tuple(sum(a * b for a, b in zip(row, v)) for row in mat)
+        image = tuple([sum(map(mul, row, v)) for row in mat])
         if image not in by_vec:
             raise ValueError(
                 f"induced lattice map does not permute the (-1)-classes "

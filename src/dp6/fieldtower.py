@@ -542,17 +542,7 @@ def apply(u, x):
         if isinstance(x, RadElement):
             if x.comp is not u.comp:
                 raise DomainMismatchError("element of a different composite field")
-            # digit i picks up zeta^(i*zexp): a unit times a canonical
-            # numerator over the same monic denominator is canonical
-            digits = []
-            for i, d in enumerate(x.digits):
-                y = apply(u.uf, d)
-                t = i * u.zexp % 6
-                if t:
-                    y = FieldElement(y.tower, y.num.mul_scalar(ZETA_POWERS[t]), y.den,
-                                     _canonical=True)
-                digits.append(y)
-            return RadElement(x.comp, digits)
+            return twist(RadElement(x.comp, [apply(u.uf, d) for d in x.digits]), u.zexp)
         if isinstance(x, FieldElement):
             return apply(u.uf, x)
         raise DomainMismatchError(f"cannot apply composite element to {x!r}")
@@ -573,6 +563,22 @@ def apply(u, x):
             return FieldElement(x.tower, num, den, _canonical=True)
         raise DomainMismatchError(f"cannot apply tower automorphism to {x!r}")
     raise DomainMismatchError(f"not an automorphism: {u!r}")
+
+
+def twist(x, t):
+    """x with digit i multiplied by zeta^(i*t): the image of x under r -> zeta^t*r.
+
+    A unit times a canonical numerator over the same monic denominator is
+    canonical, so no digit is cancelled again.
+    """
+    digits = []
+    for i, d in enumerate(x.digits):
+        s = i * t % 6
+        if s and not d.is_zero():
+            d = FieldElement(d.tower, d.num.mul_scalar(ZETA_POWERS[s]), d.den,
+                             _canonical=True)
+        digits.append(d)
+    return RadElement(x.comp, digits)
 
 
 def element_order(u):
@@ -676,8 +682,14 @@ class ExtensionDescriptor(Record, frozen=True):
         comparisons always decide.  The degree and the order at 0 in each
         variable are homomorphisms v: F* -> Z, and v(c^n) = n*v(c), so a j
         with v(a) - j*v(b) not divisible by n is refused before a/b^j is
-        formed.  A subfield of F equals a radical exactly when the radical's
-        root lies in F with the same fixing group.
+        formed.  So is a j with a(P)/b(P)^j not an n-th power in Q(w), P the
+        `_test_point`, when no numerator or denominator of a or b vanishes
+        at P: evaluation at P is a homomorphism onto Q(w)* from the
+        functions regular and nonzero at P, and the n-th powers among them
+        stay n-th powers.  Neither test implies the other: at P = (2, 3, 5,
+        7), s*t1*t2*t3 / (s*(t1+3)*(t2+3)*(t3+3)) is 1/8, a cube, while its
+        order at 0 in t1 is 1.  A subfield of F equals a radical exactly
+        when the radical's root lies in F with the same fixing group.
         """
         if self.tower is not other.tower:
             if self.tower.field_key() != other.tower.field_key():
@@ -694,8 +706,11 @@ class ExtensionDescriptor(Record, frozen=True):
         n = self.degree
         other_rad = represent(other.radicand, self.tower)
         va, vb = _valuations(self.radicand), _valuations(other_rad)
+        at, bt = _value_at_test_point(self.radicand), _value_at_test_point(other_rad)
         return any(_gcd(j, n) == 1
                    and all((x - j * y) % n == 0 for x, y in zip(va, vb))
+                   and (at is None or bt is None
+                        or qomega_nth_roots(at * bt**-j, n) is not None)
                    and _root_in_base(self.tower, self.radicand / other_rad**j, n)
                    for j in range(1, n))
 
@@ -711,6 +726,27 @@ class ExtensionDescriptor(Record, frozen=True):
             return ("sub", self.tower.field_key(),
                     tuple(sorted(u.key() for u in self.fixing)))
         return ("rad", self.kind, self.tower.field_key(), self.radicand.key())
+
+
+def _test_point(n):
+    """The first n primes: the point at which same_field evaluates radicands."""
+    primes = []
+    p = 2
+    while len(primes) < n:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    return tuple(primes)
+
+
+def _value_at_test_point(x: FieldElement):
+    """x at `_test_point`, or None when its numerator or denominator vanishes
+    there."""
+    point = _test_point(len(x.tower.variables))
+    num, den = x.num.evaluate(point), x.den.evaluate(point)
+    if num.is_zero() or den.is_zero():
+        return None
+    return num * den.inv()
 
 
 def _valuations(x: FieldElement):
@@ -1197,6 +1233,13 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
                     x.key(), u.key(), NOT_NORM, "residue-proof", (tower.variables[i],)
                 )
                 return registry.record(x, u, fact) if registry else fact
+
+    # x = y^n with u(y) = y is the norm of y: its n conjugates are all y
+    root = x.nth_root(n)
+    if root is not None and apply(u, root) == root:
+        fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", (str(root),),
+                         witness=root)
+        return registry.record(x, u, fact) if registry else fact
 
     if registry is not None:
         prior = registry.lookup(x, u)

@@ -21,6 +21,7 @@ from .fieldtower import (
     apply,
     composite_group,
     is_fixed,
+    twist,
 )
 from .surface import SurfaceSpec, index
 
@@ -92,12 +93,25 @@ def _twisted_images(spec: SurfaceSpec, coords, group):
 
     The torus monomials of coords are shared by the whole group.  Raises if
     a coordinate leaves the torus chart (some lambda_i = 0).
+
+    In a composite group, the elements (uf, t) with one tower part uf differ
+    only by the twist r -> zeta^t * r: alpha_u depends on uf alone, and
+    scaling digit i by a unit commutes with multiplying every digit by an
+    element of F.  So the first such element gets the full twisted_apply,
+    and each later one the `twist` of that image by the difference of the
+    zeta exponents.
     """
     for c in coords:
         if c.is_zero():
             raise PointValidationError("coordinate leaves the torus chart")
-    monomials = {}
-    return {u: twisted_apply(spec, u, coords, monomials) for u in group}
+    monomials, first, images = {}, {}, {}
+    for u in group:
+        v = first.setdefault(u.uf, u) if isinstance(u, CompositeElement) else u
+        if v is u:
+            images[u] = twisted_apply(spec, u, coords, monomials)
+        else:
+            images[u] = tuple(twist(c, (u.zexp - v.zexp) % 6) for c in images[v])
+    return images
 
 
 def _number_components(images):
@@ -168,7 +182,7 @@ def _allowed_subfield_cases(spec, degree, fixing):
 
 
 def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
-    """Validate a 2- or 3-point with one twisted application per group element.
+    """Validate a 2- or 3-point with one pass of twisted images over its group.
 
     Returns (images, comp_of, reps, gp) over the point's group: images,
     comp_of and reps as in _twisted_images and _number_components, gp the

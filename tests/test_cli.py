@@ -852,7 +852,10 @@ def test_surfaces_on_two_presentations_of_one_tower(tmp_path):
     as SA against SC, SB's copy on FZ.  Over K both carry xi (NotNorm by the
     assumed fact); over L, (x1+1)/(x2+1) against each rotation of x1/x2 has a
     residue proof (at y = 0 the residue is not a square), so the conic classes
-    differ and case 4 says No.  With xi^2 the index is undecided."""
+    differ and case 4 says No.  SD carries xi^2: the invert move leaves
+    xi^2 / xi^-1 = xi^3 = Norm_g(xi), xi being fixed by g, and x1/x2 is fixed
+    by h, so (x1/x2)^2 = Norm_h(x1/x2) and iso says Yes; the index of SD is
+    undecided."""
     scen = json.loads(open(bundled_path("z6-index6")).read())
     xi = scen["surfaces"]["S6"]["xi"]
     scen["name"] = "two-presentations"
@@ -870,8 +873,9 @@ def test_surfaces_on_two_presentations_of_one_tower(tmp_path):
     for fb, fz in (("SB", "SC"), ("SD", "SE")):
         for op in ("iso", "birational"):
             assert got[f"== {op} SA {fb}"] == got[f"== {op} SA {fz}"]
-        assert got[f"== iso SA {fb}"] == (
-            "isomorphic: Unknown\nreason: norm oracle undecided")
+    assert got["== iso SA SB"] == (
+        "isomorphic: Unknown\nreason: norm oracle undecided")
+    assert got["== iso SA SD"] == "isomorphic: Yes\nmoves: invert, norm-twist"
     assert got["== birational SA SB"] == "\n".join([
         "birational: No", "case: 4", "reason: Amitsur data over K or L differ",
         _FACT_LINE])

@@ -606,15 +606,26 @@ def _kummer_verdict(E, F):
                for j in range(1, n))
 
 
-def test_same_field_valuation_test_is_exact(z6_tower):
-    """The valuation test in same_field refuses only exponents j that the
-    n-th root test refuses too: seeded radicand pairs, and planted equal
-    fields a*c^n and a^j*c^n against a, get the Kummer-theory verdict."""
+def test_same_field_valuation_test_is_exact(z6_tower, s3_tower, monkeypatch):
+    """The valuation and test-point filters in same_field refuse only
+    exponents j that the n-th root test refuses too: seeded radicand pairs,
+    with a factor that vanishes at the test point (2, 3, 5, 7) among them,
+    and planted equal fields a*c^n and a^j*c^n against a, get the
+    Kummer-theory verdict.  example-main's distinct radicals, at its own and
+    at seeded shifts, are told apart with no cancel_pair."""
     x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
     s1, s3 = x1 + x2 + x3, x1 * x2 * x3
+    assert fieldtower._value_at_test_point(s1 - 10) is None
     # elements of k = F^<g,h>, with and without monomial parts
     base = [s1, x1 * x2 + x2 * x3 + x3 * x1, s3, y * y, s1 + 1, s3 + 2,
-            s1 * s1 + y * y, z6_tower.const(QOmega(2)), z6_tower.const(QOmega(-3))]
+            s1 * s1 + y * y, s1 - 10, z6_tower.const(QOmega(2)),
+            z6_tower.const(QOmega(-3))]
+    for kind in ("quadratic", "kummer-cubic"):
+        for p, q in [(s1, s1 - 10), (s1 - 10, s1), (s1, 1 / (s1 - 10)),
+                     (s1 * (s1 - 10) ** 6, s1)]:
+            E = ExtensionDescriptor(kind, z6_tower, radicand=p)
+            F = ExtensionDescriptor(kind, z6_tower, radicand=q)
+            assert E.same_field(F) is _kummer_verdict(E, F), (kind, p, q)
     rng = random.Random(12)
 
     def draw(factors, exponents):
@@ -638,6 +649,21 @@ def test_same_field_valuation_test_is_exact(z6_tower):
                 verdicts.append((k, want))
     assert all(want for k, want in verdicts if k)
     assert any(not want for _, want in verdicts)
+
+    t1, t2, t3, s = vars_of(s3_tower, "t1", "t2", "t3", "s")
+    shifts = [0, 1, 2, 3] + random.Random(24).sample(range(4, 40), 8)
+    exts = [ExtensionDescriptor("kummer-cubic", s3_tower,
+                                radicand=s * (t1 + z) * (t2 + z) * (t3 + z))
+            for z in shifts]
+    calls = []
+    counted = fieldtower.cancel_pair
+    monkeypatch.setattr(fieldtower, "cancel_pair",
+                        lambda *a: calls.append(0) or counted(*a))
+    for E in exts:
+        for F in exts:
+            if E is not F:
+                assert E.same_field(F) is False
+    assert not calls
 
 
 def test_same_field_refuses_by_valuation_first(z6_tower, monkeypatch):
@@ -971,6 +997,18 @@ def test_orbit_product_is_norm(z6_tower):
     assert fact.verdict == "IsNorm"
     fact2 = norm_class(x1 * x2 * x3, g)  # found without a certificate
     assert fact2.verdict == "IsNorm"
+
+
+def test_power_of_a_fixed_element_is_its_norm(z6_tower):
+    """x = y^n with u(y) = y is Norm_u(y), for a non-term y too; a y that u
+    moves gives no such certificate."""
+    g, h = z6_tower.element_named("g"), z6_tower.element_named("h")
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    for u, n, root in ((g, 3, x1 + x2 + x3 + 1), (h, 2, x1 + 1), (h, 2, x1 / (x2 + 3))):
+        fact = norm_class(root**n, u)
+        assert (fact.verdict, fact.provenance) == ("IsNorm", "certificate")
+        assert fact.witness == root and norm(u, fact.witness) == root**n
+    assert norm_class((x1 + 1) ** 3, g).verdict == "Unknown"
 
 
 def test_residue_proof(z6_tower):

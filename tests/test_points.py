@@ -1,6 +1,7 @@
 """Closed-point validation, general position, constructions, twisted orbits."""
 
 import json
+import random
 
 import pytest
 
@@ -268,9 +269,51 @@ def test_example_main_runs_one_pass_per_point(monkeypatch):
     calls = _count_twisted_apply(monkeypatch)
     code, _ = run(bundled_path("example-main"))
     assert code == 0
-    # four Kummer-cubic points over the 18-element composite group, and the
-    # F-split point pF over the 6-element group of F
-    assert len(calls) == 4 * 18 + 6
+    # four Kummer-cubic points over the 18-element composite group, one call
+    # for each of its 6 tower parts (the other two elements of each are
+    # twists of that image), and the F-split point pF over the 6-element
+    # group of F
+    assert len(calls) == 4 * 6 + 6
+
+
+def _assert_images_match(spec, coords, group):
+    got = points._twisted_images(spec, coords, group)
+    want = {u: twisted_apply(spec, u, coords) for u in group}
+    assert list(got) == list(want)
+    for u, img in want.items():
+        assert [c.key() for c in got[u]] == [c.key() for c in img], u
+
+
+def test_twisted_images_twist_one_image_per_tower_part(
+        s3_tower, s3_example, example_points, d6_tower, d6_index2):
+    """_twisted_images, which applies the twisted action once per tower part
+    and twists that image for the other elements, gives every element's
+    full twisted_apply in the group's order: example-main's p0-p3, seeded
+    shifts of them, and a degree-6 radical meeting F in a quadratic
+    subfield, where the first element of a tower part has a nonzero zeta
+    exponent."""
+    for p in example_points:
+        _assert_images_match(s3_example, p.coords(),
+                             composite_for(s3_tower, p.ext).elements)
+    t1, t2, t3, s = (s3_tower.var(v) for v in ("t1", "t2", "t3", "s"))
+    for z in random.Random(24).sample(range(4, 40), 4):
+        E = ExtensionDescriptor("kummer-cubic", s3_tower,
+                                radicand=s * (t1 + z) * (t2 + z) * (t3 + z))
+        cg = composite_for(s3_tower, E)
+        lam = (cg.comp.r() / (t3 + z)).inv()
+        _assert_images_match(s3_example, (lam, lam * apply(cg.generators["g"], lam)),
+                             cg.elements)
+    x1, x2, x3, y = (d6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
+    q = y * (x1 - x2) * (x2 - x3) * (x1 - x3)
+    E = ExtensionDescriptor("kummer-cubic-with-conjugation", d6_tower, radicand=q * q)
+    cg = composite_for(d6_tower, E)
+    assert cg.intersection == "quadratic"
+    firsts = {}
+    for u in cg.elements:
+        firsts.setdefault(u.uf, u)
+    assert any(u.zexp for u in firsts.values())
+    r = cg.comp.r()
+    _assert_images_match(d6_index2, (r + x1, r * r / x2), cg.elements)
 
 
 def test_example_main_inverts_each_coordinate_once_per_pass(monkeypatch):

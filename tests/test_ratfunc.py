@@ -34,6 +34,16 @@ def _x(i):
     return CPoly.variable(R, i)
 
 
+def test_evaluate_takes_one_coordinate_per_variable():
+    x, y, z = _x(0), _x(1), _x(2)
+    w = CPoly.const(R, QOmega.omega())
+    p = x * x * y + w * z - CPoly.const(R, QOmega(MPQ(1, 2)))
+    assert p.evaluate((2, 3, 5)) == QOmega(MPQ(23, 2), 5)
+    for point in ((2, 3), (2, 3, 5, 7)):
+        with pytest.raises(ValueError, match="coordinates"):
+            p.evaluate(point)
+
+
 def test_cancel_basic():
     x, y = _x(0), _x(1)
     num = (x + y) * (x - y)
