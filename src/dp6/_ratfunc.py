@@ -19,9 +19,9 @@ The rational gcd is the heuristic gcd over Z (`_heugcd`).
 
 This is the only module that knows how a polynomial is stored and the only
 one that uses sympy.  sympy is imported inside the few functions that need
-it, through one converter pair (`_to_sympy`, `_from_sympy`): the gcd and the
-squarefree split of polynomials with a w-part, the squarefree split over Q,
-and the gcd over Q when the heuristic gives up.  Nothing else loads it.
+it, through one converter pair (`_to_sympy`, `_from_sympy`): the gcd of
+polynomials with a w-part, and the gcd over Q when the heuristic gives up.
+Nothing else loads it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, neg, sub
 from typing import NamedTuple
 
@@ -961,7 +961,7 @@ def _primitive(f):
 
 
 # ---------------------------------------------------------------------------
-# sympy: the Q(w) gcd, squarefree splits and the PRS fallback
+# sympy: the Q(w) gcd and the PRS fallback
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -1212,51 +1212,50 @@ def _integer_roots(p, q, r):
 def poly_nth_root(p: CPoly, n):
     """An n-th root of p in Q(w)[vars], or None.
 
-    If p = c*q^n, then p's least and greatest degree in each variable are n
-    times q's, so the min degrees of p and the degrees of its core (p with
-    its monomial content stripped) are all divisible by n; a p that fails
-    either test is refused before any squarefree split.  Otherwise uses
-    squarefree multiplicities (valid over any characteristic-0 field) and an
-    exact constant root in Q(w).
+    If p = y^n, then p's least and greatest degree in each variable are n
+    times y's, so a p with a min degree or a degree that n does not divide
+    is refused before any power is formed.  Otherwise y is found term by
+    term in lex order.  Its leading term is the n-th root of p's, the
+    coefficient from `qomega_nth_roots`.  While r = p - y^n is nonzero, the
+    next term is LT(r) / (n*LT(y)^(n-1)), and one outside the degree box
+    [min/n, deg/n] refuses p.  LT(r) falls strictly and the box is finite,
+    so the loop ends.  The powers y^j move by the binomial theorem,
+    (y + t)^j = sum of C(j, i)*y^(j-i)*t^i, so a step multiplies by terms
+    only.
+
+    The n-th roots of p differ by n-th roots of unity, and the leading
+    coefficient picks one: the root whose lex-leading coefficient is
+    `qomega_nth_roots` of p's.
     """
     if p.is_zero():
         return CPoly.zero(p.ring)
-    mins = p.min_degrees()
-    if any(e % n for e in mins):
+    lo = p.min_degrees()
+    if any(e % n for e in lo):
         return None
-    core = p.shift_down(mins)
-    if any(core.degree_in(i) % n for i in range(p.ring.ngens)):
+    hi = tuple(map(p.degree_in, range(p.ring.ngens)))
+    if any(e % n for e in hi):
         return None
-    root_cp = CPoly.one(p.ring)
-    for f, m in _squarefree_factors(core):
-        if m % n:
+    mon, c = p.leading()
+    c = qomega_nth_roots(c, n)
+    if c is None:
+        return None
+    ring_ = p.ring
+
+    def term(k, e, coeff):  # coeff*x^(k*e)
+        return CPoly.from_terms(ring_, {tuple(k * v for v in e): coeff})
+
+    lead = tuple(e // n for e in mon)
+    ys = [term(j, lead, c ** j) for j in range(n + 1)]  # y^j
+    step = (c ** (n - 1) * QOmega(n)).inv()  # 1 / LC(n*LT(y)^(n-1))
+    r = p - ys[n]
+    while not r.is_zero():
+        mon, cr = r.leading()
+        e = tuple(a - (n - 1) * b for a, b in zip(mon, lead))
+        if any(n * v < a or n * v > b for v, a, b in zip(e, lo, hi)):
             return None
-        root_cp = root_cp * f ** (m // n)
-    c_rel = _ground_ratio(core, root_cp**n)
-    if c_rel is None:
-        return None
-    root_c = qomega_nth_roots(c_rel, n)
-    if root_c is None:
-        return None
-    cand = root_cp.mul_scalar(root_c)
-    if any(mins):
-        cand = cand * CPoly.from_terms(p.ring, {tuple(e // n for e in mins): _ONE})
-    return cand if cand**n == p else None
-
-
-def _squarefree_factors(p: CPoly):
-    """[(f, m)]: p is a constant times the product of the f^m, the f squarefree
-    and pairwise coprime (sympy's `sqf_list`, over Q or Q(w))."""
-    if p.is_ground():
-        return []
-    factors = _to_sympy(p.ring.ngens, p.pa, p.pb).sqf_list()[1]
-    return [(CPoly(p.ring, *_from_sympy(f)), m) for f, m in factors]
-
-
-def _ground_ratio(p: CPoly, q: CPoly):
-    """Constant c with p = c*q, or None (assumes p, q proportional candidates)."""
-    m, cq = q.leading()
-    terms = p.terms()
-    if m not in terms:
-        return None
-    return terms[m] * cq.inv()
+        ct = cr * step
+        for j in range(n, 0, -1):  # downwards, so each y^(j-i) read is the old one
+            for i in range(1, j + 1):
+                ys[j] = ys[j] + ys[j - i] * term(i, e, ct ** i * QOmega(comb(j, i)))
+        r = p - ys[n]
+    return ys[1]

@@ -20,7 +20,6 @@ from operator import add, neg, sub
 from . import hexagon
 from ._ratfunc import (
     UNIT_EXPONENTS,
-    UNITS,
     ZETA_EXPONENT,
     ZETA_KEYS,
     ZETA_POWERS,
@@ -268,7 +267,8 @@ class FieldElement:
         rd = poly_nth_root(self.den, n)
         if rd is None:
             return None
-        return FieldElement(self.tower, rn, rd)
+        # roots of a coprime pair are coprime, and of a monic den monic
+        return FieldElement(self.tower, rn, rd, _canonical=True)
 
     def __repr__(self):
         if self.den == CPoly.one(self.tower.ring):
@@ -763,13 +763,11 @@ def _gcd(a, b):
 
 
 def _root_in_base(tower, a, n):
+    """a has an n-th root fixed by the tower group.  The n-th roots of a are
+    zeta*y for one root y, and every tower automorphism fixes Q(w), so
+    u(zeta*y) = zeta*u(y): zeta*y is fixed exactly when y is."""
     root = a.nth_root(n)
-    if root is None:
-        return False
-    for unit in UNITS:
-        if is_fixed(root * tower.const(unit), tower.generators.values()):
-            return True
-    return False
+    return root is not None and is_fixed(root, tower.generators.values())
 
 
 class CompositeElement:
@@ -1184,12 +1182,17 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
         raise TowerError("norm class of zero is undefined")
     n = element_order(u)
 
+    def settle(fact):
+        return registry.record(x, u, fact) if registry else fact
+
+    def certified(witness):
+        return settle(ClassFact(x.key(), u.key(), IS_NORM, "certificate",
+                                (str(witness),), witness=witness))
+
     if cert is not None:
         if norm(u, cert) != x:
             raise CertificateError("certificate does not have the stated norm")
-        fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", (str(cert),),
-                         witness=cert)
-        return registry.record(x, u, fact) if registry else fact
+        return certified(cert)
 
     if registry is not None:
         prior = registry.lookup(x, u)
@@ -1197,17 +1200,12 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
             return prior
 
     if x.is_one():
-        one = x.tower.one()
-        fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", ("1",),
-                         witness=one)
-        return registry.record(x, u, fact) if registry else fact
+        return certified(x.tower.one())
 
     # monomial certificate search
     found = _monomial_norm_preimage(x, u, n)
     if found is not None:
-        fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", (str(found),),
-                         witness=found)
-        return registry.record(x, u, fact) if registry else fact
+        return certified(found)
 
     # valuation proof on a distinguished variable
     tower = x.tower
@@ -1217,10 +1215,8 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
             continue
         d = x.num.degree_in(i) - x.den.degree_in(i)
         if d % n != 0:
-            fact = ClassFact(
-                x.key(), u.key(), NOT_NORM, "valuation-proof", (vname, d % n)
-            )
-            return registry.record(x, u, fact) if registry else fact
+            return settle(ClassFact(x.key(), u.key(), NOT_NORM, "valuation-proof",
+                                    (vname, d % n)))
 
     # quadratic residue proof
     if n == 2:
@@ -1229,17 +1225,13 @@ def norm_class(x: FieldElement, u, cert=None, registry: FactRegistry | None = No
                 continue
             verdict = _residue_test(x, i)
             if verdict is False:
-                fact = ClassFact(
-                    x.key(), u.key(), NOT_NORM, "residue-proof", (tower.variables[i],)
-                )
-                return registry.record(x, u, fact) if registry else fact
+                return settle(ClassFact(x.key(), u.key(), NOT_NORM, "residue-proof",
+                                        (tower.variables[i],)))
 
     # x = y^n with u(y) = y is the norm of y: its n conjugates are all y
     root = x.nth_root(n)
     if root is not None and apply(u, root) == root:
-        fact = ClassFact(x.key(), u.key(), IS_NORM, "certificate", (str(root),),
-                         witness=root)
-        return registry.record(x, u, fact) if registry else fact
+        return certified(root)
 
     if registry is not None:
         prior = registry.lookup(x, u)

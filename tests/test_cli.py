@@ -22,6 +22,7 @@ from dp6.scenario import (
     load_scenario,
     parse_element,
 )
+from test_ratfunc import _modules_after
 
 
 def test_parse_element(s3_tower):
@@ -881,6 +882,25 @@ def test_surfaces_on_two_presentations_of_one_tower(tmp_path):
         _FACT_LINE])
     assert got["== birational SA SD"].startswith(
         "birational: Unknown\ncase: 0\nreason: index undecided\n")
+
+
+def test_a_root_certificate_loads_no_sympy(tmp_path):
+    """SA against SE of the test above, alone: the invert move leaves xi^3
+    and (x1/x2)^2, which the norm oracle certifies by their roots xi and
+    x1/x2.  The roots are found term by term, so the run loads no sympy."""
+    scen = json.loads(open(bundled_path("z6-index6")).read())
+    xi = scen["surfaces"]["S6"]["xi"]
+    scen["name"] = "root-certificate"
+    scen["surfaces"] = {
+        "SA": {"gtype": "Z6", "tower": "FZ", "xi": xi, "rho": "x1/x2"},
+        "SE": {"gtype": "Z6", "tower": "FZ", "xi": f"({xi})^2", "rho": "x1/x2"}}
+    scen["commands"] = [["iso", "SA", "SE"]]
+    path = tmp_path / "root-certificate.json"
+    path.write_text(json.dumps(scen))
+    code = (f"import dp6.cli\ncode, text = dp6.cli.run({str(path)!r})\n"
+            "assert text.endswith('== iso SA SE\\nisomorphic: Yes\\n"
+            "moves: invert, norm-twist\\n'), text\n")
+    assert _modules_after(code) == "[]"
 
 
 def _python_m_dp6(*args):

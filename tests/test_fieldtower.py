@@ -684,6 +684,41 @@ def test_same_field_refuses_by_valuation_first(z6_tower, monkeypatch):
         assert E.same_field(F) is False and F.same_field(E) is False
 
 
+def _six_unit_root_in_base(tower, a, n):
+    """The root test as it was: some unit multiple of a's n-th root is
+    fixed by the tower group."""
+    root = a.nth_root(n)
+    return root is not None and any(
+        is_fixed(root * tower.const(unit), tower.generators.values())
+        for unit in UNITS)
+
+
+@pytest.mark.parametrize("tower_name", ["z6_tower", "s3_tower", "d6_tower"])
+def test_root_in_base_tests_one_root(request, tower_name):
+    """_root_in_base, which tests one root, agrees with the test of all six
+    unit multiples of it, on seeded a = k*(unit*y)^n: y a term plus a
+    constant, which the group moves, or the group's trace of a term, which
+    it fixes, and k a constant that is or is not an n-th power."""
+    tower = request.getfixturevalue(tower_name)
+    rng = random.Random(f"root:{tower_name}")
+    verdicts = []
+    for c, e in _seeded_terms(tower, rng, 12):
+        z = tower.monomial(e, c)
+        trace = tower.zero()
+        for u in tower.elements:
+            trace = trace + apply(u, z)
+        for y in (z + 1, trace):
+            if y.is_zero():
+                continue
+            n = rng.choice((2, 3) if y is trace else (2, 3, 6))
+            k = tower.const(QOmega(rng.choice((1, 2, -3, 4, 8, 64))))
+            a = k * (y * tower.const(rng.choice(UNITS))) ** n
+            want = _six_unit_root_in_base(tower, a, n)
+            assert _root_in_base(tower, a, n) is want, (a, n)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_d6_composite_generator_pairs(d6_tower):
     # degree-6 E with E cap F = F^<g,h>: generators (g,id),(id,w),(h,id),(f,t)
     x1, x2, x3, y = vars_of(d6_tower, "x1", "x2", "x3", "y")

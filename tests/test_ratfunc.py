@@ -3,6 +3,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -290,8 +291,8 @@ for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
 
 def test_import_does_not_build_the_algebraic_domain():
     """Importing dp6 loads no sympy module at all: the polynomial layer is
-    dp6's own, and sympy is imported only where a Q(w) gcd, a squarefree
-    split or the PRS gcd is needed."""
+    dp6's own, and sympy is imported only where a Q(w) gcd or the PRS gcd
+    is needed."""
     assert _modules_after("import dp6, dp6.cli") == "[]"
 
 
@@ -340,8 +341,7 @@ _SMALL_POLYS = st.dictionaries(
        st.integers(0, 2), st.integers(1, 2))
 def test_poly_nth_root_of_scaled_power(n, terms, d, var, k):
     """c*q^n with c = d^n has a root; one more factor (1 + x_var^k) with
-    k < n makes var's degree in the core prime to n, and the degree test
-    refuses it before any squarefree split."""
+    k < n makes var's degree prime to n, and the degree test refuses it."""
     q = CPoly.from_terms(R, {m: QOmega(c) for m, c in terms.items()})
     p = q ** n * CPoly.const(R, QOmega(d) ** n)
     root = poly_nth_root(p, n)
@@ -363,8 +363,7 @@ _MIXED = st.builds(lambda a, b, d: QOmega(MPQ(a, d), MPQ(b, d)), st.integers(-6,
 def test_mixed_roots_roundtrip(c, c2, k, monoms):
     """Roots with a w-part: the cube root of c^3 for c = a + b*w, b != 0 (the
     rational roots of a cubic), and the k-th root of p^k for p of one or two
-    terms with such coefficients (a squarefree split over Q(w) when p has
-    two terms)."""
+    terms with such coefficients."""
     cube = c ** 3
     r = qomega_nth_roots(cube, 3)
     assert r is not None and r ** 3 == cube
@@ -374,22 +373,28 @@ def test_mixed_roots_roundtrip(c, c2, k, monoms):
 
 
 def test_poly_nth_root_degree_test_comes_first(monkeypatch):
-    """A core whose degree in some variable is prime to n never reaches the
-    squarefree split, over Q or over Q(w)."""
+    """A polynomial with a degree or a min degree that n does not divide is
+    refused before the root of its leading coefficient is sought or any
+    product is formed, over Q or over Q(w)."""
     x, y = _x(0), _x(1)
     w = CPoly.const(R, QOmega.omega())
     rational = (x + y) ** 2 * (x + CPoly.one(R))   # x-degree 3
     mixed = (x + w * y) ** 2 * (y + w)             # y-degree 3
+    content = x * x * y ** 3                       # min y-degree 3
+    shifted = x * x * (x * x + w * x)              # min x-degree 3, degree 4
     assert poly_nth_root(rational, 2) is None
     assert poly_nth_root(mixed, 2) is None
 
     def refused(*_):
-        raise AssertionError("squarefree split reached")
+        raise AssertionError("degree tests passed")
 
-    monkeypatch.setattr(_ratfunc, "_squarefree_factors", refused)
+    monkeypatch.setattr(_ratfunc, "qomega_nth_roots", refused)
+    monkeypatch.setattr(CPoly, "__mul__", refused)
     assert poly_nth_root(rational, 2) is None
     assert poly_nth_root(mixed, 2) is None
-    assert poly_nth_root(x * x * y ** 3, 3) is None  # min degrees, as before
+    assert poly_nth_root(content, 2) is None
+    assert poly_nth_root(content, 3) is None
+    assert poly_nth_root(shifted, 2) is None
 
 
 def test_poly_nth_root_negative_cases():
@@ -541,6 +546,78 @@ def test_rational_gcd_where_sympy_gives_up(monkeypatch):
         _check_gcd_against_sympy(ring_, f, g)
     monkeypatch.setattr(_ratfunc, "_heugcd", lambda f, g: None)
     _check_gcd_against_sympy(ring_, num * h, den * h)
+
+
+def _sqf_nth_root(p, n):
+    """The n-th root of p by sympy's squarefree split: with p = x^m * core and
+    core = c * prod f^k, the f lex-monic, the root is x^(m/n) * c^(1/n) *
+    prod f^(k/n), kept when its n-th power is p."""
+    ring_ = p.ring
+    mins = p.min_degrees()
+    if any(e % n for e in mins):
+        return None
+    core = p.shift_down(mins)
+    root = CPoly.one(ring_)
+    if not core.is_ground():
+        split = _ratfunc._to_sympy(ring_.ngens, core.pa, core.pb).sqf_list()[1]
+        for f, k in split:
+            if k % n:
+                return None
+            root = root * CPoly(ring_, *_ratfunc._from_sympy(f)) ** (k // n)
+    mon, lc = (root ** n).leading()
+    c = core.terms().get(mon)
+    c = None if c is None else qomega_nth_roots(c * lc.inv(), n)
+    if c is None:
+        return None
+    root = root.mul_scalar(c) * CPoly.monomial(ring_, [e // n for e in mins])
+    return root if root ** n == p else None
+
+
+def _nth_root_cases(rng, count):
+    """(n, p): powers q^n, also with monomial content or a constant factor
+    that is or is not an n-th power, near-powers q^n + t with t inside the
+    degree box, and non-powers q^n * f; half with mixed Q(w) coefficients."""
+    def coeff(mixed):
+        c = QOmega(MPQ(rng.randint(-4, 4), rng.randint(1, 3)),
+                   MPQ(rng.randint(-4, 4), rng.randint(1, 3)) if mixed else 0)
+        return c if not c.is_zero() else QOmega.one()
+
+    def poly(terms, mixed, top=2, step=1):
+        return CPoly.from_terms(R, {tuple(step * rng.randint(0, top) for _ in range(3)):
+                                    coeff(mixed) for _ in range(terms)})
+
+    for _ in range(count):
+        n = rng.choice([1, 2, 3, 6])
+        mixed = rng.random() < 0.5
+        p = poly(rng.randint(1, 2 if mixed or n == 6 else 3), mixed) ** n
+        kind = rng.choice(["power", "content", "scaled", "near", "non"])
+        if kind == "content":
+            p = p * CPoly.monomial(R, [rng.randint(0, n) for _ in range(3)])
+        elif kind == "scaled":
+            c = coeff(mixed)
+            p = p.mul_scalar(c ** n if rng.random() < 0.5 else c)
+        elif kind == "near":
+            p = p + poly(1, mixed, step=n)
+        elif kind == "non":
+            p = p * poly(2, mixed)
+        yield n, p
+
+
+def test_poly_nth_root_matches_the_squarefree_split():
+    """The term-by-term root against the root from sympy's squarefree split,
+    on seeded powers and non-powers for n in 1, 2, 3 and 6: the same
+    refusals, and found roots literally equal."""
+    found = refused = 0
+    for n, p in _nth_root_cases(random.Random(25), 200):
+        root, want = poly_nth_root(p, n), _sqf_nth_root(p, n)
+        if want is None:
+            assert root is None, (n, p)
+            refused += 1
+        else:
+            assert root is not None and root.key() == want.key(), (n, p)
+            assert repr(root) == repr(want)
+            found += 1
+    assert found > 50 and refused > 50
 
 
 @seed(18)
