@@ -445,15 +445,18 @@ class CPoly:
     """Polynomial over Q(w): pair (pa, pb) of rational polynomials, pa + w*pb.
 
     pa is a dict from exponent tuples to nonzero `MPQ`s (empty for zero), and
-    pb is one too, or None when the polynomial is rational.
+    pb is one too, or None when the polynomial is rational.  Only `__init__`
+    sets them, and no dict is changed once it is handed over, so `key` is
+    made once per polynomial.
     """
 
-    __slots__ = ("ring", "pa", "pb")
+    __slots__ = ("ring", "pa", "pb", "_key")
 
     def __init__(self, ring_, pa, pb=None):
         self.ring = ring_
         self.pa = pa
         self.pb = pb or None
+        self._key = None
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -488,14 +491,6 @@ class CPoly:
                 db[mon] = db.get(mon, _Q0) + c.b
         return cls(ring_, {m: v for m, v in da.items() if v},
                    {m: v for m, v in db.items() if v})
-
-    def terms(self):
-        out = {mon: QOmega(c) for mon, c in self.pa.items()}
-        if self.pb is not None:
-            for mon, c in self.pb.items():
-                prev = out.get(mon, _ZERO)
-                out[mon] = QOmega(prev.a, prev.b + c)
-        return out
 
     # -- predicates ------------------------------------------------------
     def is_zero(self):
@@ -594,10 +589,13 @@ class CPoly:
         return hash(self.key())
 
     def key(self):
-        return (
-            tuple(sorted(self.pa.items())),
-            tuple(sorted(self.pb.items())) if self.pb is not None else (),
-        )
+        k = self._key
+        if k is None:
+            k = self._key = (
+                tuple(sorted(self.pa.items())),
+                tuple(sorted(self.pb.items())) if self.pb is not None else (),
+            )
+        return k
 
     # -- structure -------------------------------------------------------
     def degree_in(self, index):

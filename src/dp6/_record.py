@@ -53,7 +53,19 @@ def field(*, default=_MISSING, default_factory=_MISSING, init=True, repr=True,
 
 
 def replace(obj, **changes):
-    """A copy of a record with some fields changed, built by `__init__`."""
+    """A copy of a record with some fields changed, built by `__init__`.
+
+    A change confined to the class's `__unchecked__` fields, which its
+    `__post_init__` does not read, copies the fields one by one instead: the
+    checks passed for `obj` hold for the copy, and fields filled on first use
+    keep their values.
+    """
+    cls = obj.__class__
+    if changes and changes.keys() <= cls.__unchecked__:
+        new = object.__new__(cls)
+        for f in obj.__record_fields__:
+            object.__setattr__(new, f.name, changes.get(f.name, getattr(obj, f.name)))
+        return new
     for f in obj.__record_fields__:
         if not f.init:
             if f.name in changes:
@@ -146,6 +158,7 @@ class Record:
     """Base of the record classes; see the module docstring."""
 
     __record_fields__ = ()
+    __unchecked__ = frozenset()  # see `replace`
 
     def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)

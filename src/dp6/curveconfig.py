@@ -291,12 +291,37 @@ def config(n):
     return CurveConfig.build(n)
 
 
+#: the classes a d-link contracts, one per component of the point; the
+#: inverse point's components are numbered by their places here
+CONTRACTED = {2: ("C", "L45"), 3: ("C1", "C2", "C3")}
+
+
 # the domain is finite: d in {2, 3}, one of the 12 hexagon symmetries and
 # one of the d! component permutations, so at most 12*2 + 12*6 = 96 keys
 @cache
 def propagate_pair(d, hex_perm, comp_perm):
-    """(full label permutation, relabeled new-hexagon perm) for one action pair."""
-    full = _propagate(config(3 + d), hex_perm, comp_perm)
+    """(full label permutation, relabeled new-hexagon perm) for one action pair.
+
+    Only a pure pair, whose hexagon or component perm is the identity, is
+    propagated through the lattice.  A mixed pair composes its two pure
+    factors: full(hp, cp)[lab] = full(hp, id)[full(id, cp)[lab]].  This is
+    exact.  In `_lattice_map`, M(id, cp) fixes H = F1+E2+E3 and E1..E3 and
+    sends E_(4+i) to E_(4+cp[i]), while M(hp, id) moves H and E1..E3 as hp
+    does and fixes E4..En.  So M(hp, id)*M(id, cp) sends H and E1..E3 where
+    hp does and E_(4+i) to E_(4+cp[i]): column by column it is M(hp, cp).
+    The two factors act on the complementary blocks <H, E1, E2, E3> and
+    <E4..En>, so they commute, and either order gives the same map.
+    The label map of a product of matrices is the composite of their label
+    maps, and a composite of two bijections of the (-1)-classes that keep
+    adjacency is again one, so the checks of `_propagate` hold for it.
+    """
+    ident = tuple(range(d))
+    if hex_perm == hexagon.IDENTITY or comp_perm == ident:
+        full = _propagate(config(3 + d), hex_perm, comp_perm)
+    else:
+        outer = propagate_pair(d, hex_perm, ident)[0]
+        inner = propagate_pair(d, hexagon.IDENTITY, comp_perm)[0]
+        full = {lab: outer[img] for lab, img in inner.items()}
     back = {v: k for k, v in NEW_HEX[d].items()}
     perm = [0] * 6
     for i, lab in enumerate(hexagon.LABELS):
@@ -304,13 +329,20 @@ def propagate_pair(d, hex_perm, comp_perm):
     return full, tuple(perm)
 
 
-def fixes_sigma_prime(d, full):
-    """Whether a full label permutation fixes every label of Sigma'.
+# one entry per key of propagate_pair, so at most 96 of them
+@cache
+def link_entry(d, hex_perm, comp_perm):
+    """What a d-link reads of one action pair: (new-hexagon perm, the
+    inverse point's component perm, whether the pair fixes Sigma').
 
-    The action pairs doing so form the kernel H of the action on the new
-    hexagon.
+    The component perm lists, for each class of CONTRACTED[d], the place of
+    its image there.  The pairs fixing every label of Sigma' form the kernel
+    H of the action on the new hexagon.
     """
-    return all(full[a] == a for a in SIGMA_PRIME[d])
+    full, new_hex = propagate_pair(d, hex_perm, comp_perm)
+    contracted = CONTRACTED[d]
+    return (new_hex, tuple(contracted.index(full[c]) for c in contracted),
+            all(full[a] == a for a in SIGMA_PRIME[d]))
 
 
 def induced_sigma_prime_action(d, generators):
@@ -336,8 +368,7 @@ def induced_sigma_prime_action(d, generators):
     for key, ghp, gcp in gen_list:
         full[key], new_hex[key] = propagate_pair(d, ghp, gcp)
 
-    kernel = frozenset(pair for pair in pairs
-                       if fixes_sigma_prime(d, propagate_pair(d, *pair)[0]))
+    kernel = frozenset(pair for pair in pairs if link_entry(d, *pair)[2])
     return InducedAction(
         d=d,
         config=config(3 + d),

@@ -15,6 +15,8 @@ Q(w) value zeta_6^t.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import gcd
 from operator import add, neg, sub
 
 from . import hexagon
@@ -312,9 +314,10 @@ class VarAutomorphism:
     scalar powers mod 6.  Any other scalar raises TowerError.
     """
 
-    __slots__ = ("perm", "zexp")
+    __slots__ = ("perm", "zexp", "_hash")
 
     def __init__(self, perm, scal):
+        self._hash = None
         self.perm = tuple(perm)
         scal = tuple(scal)
         if len(self.perm) != len(scal):
@@ -330,7 +333,7 @@ class VarAutomorphism:
     @classmethod
     def _from_zexp(cls, perm, zexp):
         u = cls.__new__(cls)
-        u.perm, u.zexp = tuple(perm), tuple(zexp)
+        u.perm, u.zexp, u._hash = tuple(perm), tuple(zexp), None
         return u
 
     @classmethod
@@ -368,7 +371,11 @@ class VarAutomorphism:
         )
 
     def __hash__(self):
-        return hash((self.perm, self.zexp))
+        # perm and zexp are set once, by the constructors
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.perm, self.zexp))
+        return h
 
     def key(self):
         return (self.perm, tuple(ZETA_KEYS[t] for t in self.zexp))
@@ -619,8 +626,13 @@ class ExtensionDescriptor(Record, frozen=True):
     radicand: FieldElement | None = None
     fixing: frozenset | None = None
     name: str = "E"
+    # the radicand's invariants for same_field (see stored_invariants)
+    invariants: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     KINDS = ("subfield", "kummer-cubic", "quadratic", "kummer-cubic-with-conjugation")
+    # no check of __post_init__ reads the name: a renamed copy is not checked
+    __unchecked__ = frozenset({"name"})
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -704,15 +716,28 @@ class ExtensionDescriptor(Record, frozen=True):
         if self.kind == "subfield":
             return self.fixing == other.fixing
         n = self.degree
+        va, at = self.stored_invariants()
         other_rad = represent(other.radicand, self.tower)
-        va, vb = _valuations(self.radicand), _valuations(other_rad)
-        at, bt = _value_at_test_point(self.radicand), _value_at_test_point(other_rad)
-        return any(_gcd(j, n) == 1
+        # other's stored invariants index the variables of other.tower, so
+        # they are read on this tower only
+        vb, bt = (other.stored_invariants() if other.tower is self.tower
+                  else _radicand_invariants(other_rad))
+        return any(gcd(j, n) == 1
                    and all((x - j * y) % n == 0 for x, y in zip(va, vb))
                    and (at is None or bt is None
                         or qomega_nth_roots(at * bt**-j, n) is not None)
                    and _root_in_base(self.tower, self.radicand / other_rad**j, n)
                    for j in range(1, n))
+
+    def stored_invariants(self):
+        """`_radicand_invariants` of the radicand, made on first use and kept
+        on the descriptor: a copy by `replace` that changes only the name
+        keeps them too."""
+        inv = self.invariants
+        if inv is None:
+            inv = _radicand_invariants(self.radicand)
+            object.__setattr__(self, "invariants", inv)
+        return inv
 
     def key(self):
         if self.kind == "subfield":
@@ -728,6 +753,7 @@ class ExtensionDescriptor(Record, frozen=True):
         return ("rad", self.kind, self.tower.field_key(), self.radicand.key())
 
 
+@lru_cache(maxsize=4)
 def _test_point(n):
     """The first n primes: the point at which same_field evaluates radicands."""
     primes = []
@@ -739,27 +765,16 @@ def _test_point(n):
     return tuple(primes)
 
 
-def _value_at_test_point(x: FieldElement):
-    """x at `_test_point`, or None when its numerator or denominator vanishes
-    there."""
-    point = _test_point(len(x.tower.variables))
-    num, den = x.num.evaluate(point), x.den.evaluate(point)
-    if num.is_zero() or den.is_zero():
-        return None
-    return num * den.inv()
-
-
-def _valuations(x: FieldElement):
-    """The degree and the order at 0 of x in each variable."""
+def _radicand_invariants(x: FieldElement):
+    """What same_field compares of a radicand x: the degree and the order at 0
+    of x in each variable, and x at `_test_point` (None when its numerator or
+    denominator vanishes there)."""
     num, den = x.num, x.den
-    return ([num.degree_in(i) - den.degree_in(i) for i in range(len(x.tower.variables))]
+    vals = ([num.degree_in(i) - den.degree_in(i) for i in range(len(x.tower.variables))]
             + [a - b for a, b in zip(num.min_degrees(), den.min_degrees())])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    point = _test_point(len(x.tower.variables))
+    num, den = num.evaluate(point), den.evaluate(point)
+    return vals, None if num.is_zero() or den.is_zero() else num * den.inv()
 
 
 def _root_in_base(tower, a, n):

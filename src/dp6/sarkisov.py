@@ -314,22 +314,18 @@ def link(source, p, name=None):
     new_action = {}
     inv_comp = {}
     kernel, kernel_pairs = [], set()
-    contracted = ("C", "L45") if d == 2 else ("C1", "C2", "C3")
     for (u, zs), hp in src.action.items():
         for z in zetas:
             cp = comp(u, zs, z)
-            fullmap, newhex = curveconfig.propagate_pair(d, hp, cp)
             new_key = (u, zs if contained else zs + (z,))
-            new_action[new_key] = newhex
-            images = [fullmap[c] for c in contracted]
-            inv_comp[new_key] = tuple(contracted.index(i) for i in images)
-            if curveconfig.fixes_sigma_prime(d, fullmap):
+            new_action[new_key], inv_comp[new_key], fixes = \
+                curveconfig.link_entry(d, hp, cp)
+            if fixes:
                 kernel.append(new_key)
                 kernel_pairs.add((hp, cp))
 
     radicals_full = src.radicals if contained else src.radicals + (handle.fld,)
-    inv_field, inv_slot = _stabilizer_field(src, radicals_full, inv_comp,
-                                            contracted)
+    inv_field, inv_slot = _stabilizer_field(src, radicals_full, inv_comp, d)
     new_action, new_radicals = _drop_killed_radicals(new_action, radicals_full)
     inv_table = _reduce_inverse_table(inv_comp, inv_slot)
     new_gtype = classify_perm_group(set(new_action.values()))
@@ -448,13 +444,13 @@ def _reduce_inverse_table(inv_comp, slot):
     return out
 
 
-def _stabilizer_field(src, radicals, inv_comp, contracted):
+def _stabilizer_field(src, radicals, inv_comp, d):
     """Splitting field of the inverse base point, from component stabilizers.
 
     Returns the field and the index of its radical in `radicals` (None for a
     subfield of F).
     """
-    triv = tuple(range(len(contracted)))
+    triv = tuple(range(d))
     fixers = {k for k, p in inv_comp.items() if p == triv}
     # subfield-of-F shape: fixers = everything over a subgroup of G
     moved = {u for (u, _), p in inv_comp.items() if p != triv}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from dp6 import fieldtower, hexagon
+from dp6._record import replace
 from dp6._ratfunc import (
     MPQ,
     UNITS,
@@ -34,6 +35,7 @@ from dp6.fieldtower import (
     is_fixed,
     norm,
     norm_class,
+    represent,
 )
 from dp6.points import composite_for
 
@@ -107,11 +109,13 @@ def _substituted(u, p):
     images = [CPoly.variable(ring, u.perm[i]).mul_scalar(ZETA_POWERS[u.zexp[i]])
               for i in range(ring.ngens)]
     out = CPoly.zero(ring)
-    for mon, c in p.terms().items():
-        term = CPoly.const(ring, c)
-        for img, e in zip(images, mon):
-            term = term * img**e
-        out = out + term
+    # key() lists the rational part's terms, then the w part's
+    for part, unit in zip(p.key(), (QOmega.one(), QOmega.omega())):
+        for mon, c in part:
+            term = CPoly.const(ring, QOmega(c) * unit)
+            for img, e in zip(images, mon):
+                term = term * img**e
+            out = out + term
     return out
 
 
@@ -304,7 +308,7 @@ def test_cross_pairs_match_cancel_pair(z6_tower, s3_tower, d6_tower, data, case)
     if case == "one-pair":
         c = t2.num * data.draw(_binomials(ring))
     elif case == "two-ratios":
-        m, v = next(iter(b.terms().items()))
+        m, v = b.leading()
         c = t2.num * (b + CPoly.from_terms(ring, {m: v}))
     x = FieldElement(tower, t1.num * d, t1.den * b)
     y = FieldElement(tower, c, t2.den * d)
@@ -615,7 +619,7 @@ def test_same_field_valuation_test_is_exact(z6_tower, s3_tower, monkeypatch):
     at seeded shifts, are told apart with no cancel_pair."""
     x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
     s1, s3 = x1 + x2 + x3, x1 * x2 * x3
-    assert fieldtower._value_at_test_point(s1 - 10) is None
+    assert fieldtower._radicand_invariants(s1 - 10)[1] is None
     # elements of k = F^<g,h>, with and without monomial parts
     base = [s1, x1 * x2 + x2 * x3 + x3 * x1, s3, y * y, s1 + 1, s3 + 2,
             s1 * s1 + y * y, s1 - 10, z6_tower.const(QOmega(2)),
@@ -664,6 +668,82 @@ def test_same_field_valuation_test_is_exact(z6_tower, s3_tower, monkeypatch):
             if E is not F:
                 assert E.same_field(F) is False
     assert not calls
+
+
+def test_same_field_reads_stored_invariants(z6_tower, monkeypatch):
+    """Verdicts from the invariants stored on long-lived descriptors equal
+    those of fresh descriptors and of Kummer theory, on seeded radicand
+    pairs (planted equal fields a*c^n against a, and a^2*c^3 against a for
+    cubics, among them), on renamed copies, and across
+    two towers declared alike.  A renamed copy is not checked again and
+    shares the stored invariants; a copy with a new radicand gets none.
+    Across towers the other side's stored invariants are not read, so
+    corrupting them leaves every verdict as it was."""
+    x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
+    s1, s3 = x1 + x2 + x3, x1 * x2 * x3
+    base = [s1, x1 * x2 + x2 * x3 + x3 * x1, s3, y * y, s1 + 1, s3 + 2,
+            s1 - 10, z6_tower.const(QOmega(2))]
+    alike = GaloisTower(z6_tower.variables, dict(z6_tower.generators),
+                        name="FZ'")
+    assert alike is not z6_tower and alike.field_key() == z6_tower.field_key()
+    rng = random.Random(26)
+
+    def draw(factors=2):
+        out = z6_tower.one()
+        for _ in range(factors):
+            out = out * rng.choice(base) ** rng.choice((-1, 1))
+        return out
+
+    def fresh(kind, a, tower=z6_tower):
+        return ExtensionDescriptor(kind, tower, radicand=represent(a, tower))
+
+    cases = []
+    for kind in ("quadratic", "kummer-cubic", "kummer-cubic-with-conjugation"):
+        n = fresh(kind, s1).degree
+        for _ in range(4):
+            a, c = draw(), draw()
+            cases += [(kind, a, draw()), (kind, a * c**n, a)]
+            if n == 3:  # j = 2 is the one exponent the filters must pass
+                p = draw(1)
+                cases.append((kind, p * p * draw(1) ** 3, p))
+    kept = {}
+
+    def stored(kind, a, tower=z6_tower):
+        key = (kind, a.key(), tower.name)
+        if key not in kept:
+            kept[key] = fresh(kind, a, tower)
+        return kept[key]
+
+    verdicts = []
+    for _ in range(2):  # the second round reads only stored invariants
+        for kind, a, b in cases:
+            want = _kummer_verdict(fresh(kind, a), fresh(kind, b))
+            assert fresh(kind, a).same_field(fresh(kind, b)) is want
+            E, F = stored(kind, a), stored(kind, b)
+            E2 = replace(F, name="E(ind)")
+            F2 = stored(kind, b, alike)
+            for x, y_ in ((E, F), (F, E), (E, E2), (E2, E), (E, F2), (F2, E)):
+                assert x.same_field(y_) is want, (kind, a, b, x.name, y_.name)
+            verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+    E = fresh("quadratic", s1)
+    assert E.invariants is None
+    assert E.same_field(E) is True and E.invariants is not None
+    monkeypatch.setattr(ExtensionDescriptor, "__post_init__",
+                        lambda self: pytest.fail("a renamed copy was checked"))
+    E2 = replace(E, name="E(ind)")
+    assert E2.name == "E(ind)" and replace(E2, name=E.name) == E
+    assert E2.invariants is E.invariants
+    monkeypatch.undo()
+    assert replace(E, radicand=s1 * 4).invariants is None
+
+    # corrupted invariants on the alike tower: a verdict True by Kummer
+    # theory would turn False if they were read
+    F = fresh("quadratic", s1 * (s3 + 2) ** 2, alike)
+    vals, at = F.stored_invariants()
+    object.__setattr__(F, "invariants", ([v + 1 for v in vals], at))
+    assert E.same_field(F) is True
 
 
 def test_same_field_refuses_by_valuation_first(z6_tower, monkeypatch):

@@ -565,8 +565,8 @@ def _sqf_nth_root(p, n):
                 return None
             root = root * CPoly(ring_, *_ratfunc._from_sympy(f)) ** (k // n)
     mon, lc = (root ** n).leading()
-    c = core.terms().get(mon)
-    c = None if c is None else qomega_nth_roots(c * lc.inv(), n)
+    c = QOmega(*(dict(part).get(mon, 0) for part in core.key()))
+    c = None if c.is_zero() else qomega_nth_roots(c * lc.inv(), n)
     if c is None:
         return None
     root = root.mul_scalar(c) * CPoly.monomial(ring_, [e // n for e in mins])
