@@ -314,10 +314,10 @@ class VarAutomorphism:
     scalar powers mod 6.  Any other scalar raises TowerError.
     """
 
-    __slots__ = ("perm", "zexp", "_hash")
+    __slots__ = ("perm", "zexp", "_hash", "_key")
 
     def __init__(self, perm, scal):
-        self._hash = None
+        self._hash = self._key = None
         self.perm = tuple(perm)
         scal = tuple(scal)
         if len(self.perm) != len(scal):
@@ -333,7 +333,7 @@ class VarAutomorphism:
     @classmethod
     def _from_zexp(cls, perm, zexp):
         u = cls.__new__(cls)
-        u.perm, u.zexp, u._hash = tuple(perm), tuple(zexp), None
+        u.perm, u.zexp, u._hash, u._key = tuple(perm), tuple(zexp), None, None
         return u
 
     @classmethod
@@ -371,14 +371,18 @@ class VarAutomorphism:
         )
 
     def __hash__(self):
-        # perm and zexp are set once, by the constructors
+        # perm and zexp are set once, by the constructors, so the hash and
+        # the key are computed once per object
         h = self._hash
         if h is None:
             h = self._hash = hash((self.perm, self.zexp))
         return h
 
     def key(self):
-        return (self.perm, tuple(ZETA_KEYS[t] for t in self.zexp))
+        k = self._key
+        if k is None:
+            k = self._key = (self.perm, tuple(ZETA_KEYS[t] for t in self.zexp))
+        return k
 
     def __repr__(self):
         return f"VarAut(perm={self.perm}, scal={[str(ZETA_POWERS[t]) for t in self.zexp]})"
@@ -409,6 +413,17 @@ class GaloisTower:
 
     Generators are named g, h, f (a subset, per the group type); the embedding
     into the hexagon symmetry group D6 is stored explicitly and never inferred.
+
+    `memo(key, build)` keeps values that depend only on the key and on the
+    group data that `__init__` alone assigns (`variables`, `generators`,
+    `elements`, `embed_map`), so callers with equal keys share them:
+      ("element", word)         element_named(word);
+      ("subgroup", words)       subgroup(words), a frozenset;
+      ("subgroup?", fixing)     True: the frozenset passed _check_subgroup;
+      ("composite", ext.key())  the CompositeGroup of points.composite_for;
+      ("sb-fields",)            (K, L, L_i) of surface._tower_fields.
+    No caller changes a value.  A build that raises stores nothing, so an
+    unknown generator or a set that is not a subgroup raises on every call.
     """
 
     def __init__(self, variables, generators, embedding=None, name=None):
@@ -422,6 +437,7 @@ class GaloisTower:
         self.embedding = dict(embedding) if embedding else {
             n: DEFAULT_EMBEDDING[n] for n in self.generators
         }
+        self._memo = {}
         # the entry of _PRESENTATIONS the generators satisfy; verify_cocycle
         # checks a surface's cocycle on the same relations
         self.gtype = self._check_presentation()
@@ -436,8 +452,14 @@ class GaloisTower:
             self.variables,
             tuple(sorted((n, u.key()) for n, u in self.generators.items())),
             tuple(sorted((n, self.embed_map[u]) for n, u in self.generators.items())))
-        self.composites = {}  # ext.key() -> CompositeGroup, see points.composite_for
-        self.sb_fields = None  # (K, L, L_i), see surface._tower_fields
+
+    def memo(self, key, build):
+        """build() for key, computed on the first call and kept on the tower."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- group structure ---------------------------------------------------
     def _check_presentation(self):
@@ -471,6 +493,9 @@ class GaloisTower:
 
     def element_named(self, word):
         """Group element for a word like "g", "gh", "gf", "s"."""
+        return self.memo(("element", word), lambda: self._word_product(word))
+
+    def _word_product(self, word):
         if word == "s":
             word = "hf"
         u = VarAutomorphism.identity(len(self.variables))
@@ -484,9 +509,23 @@ class GaloisTower:
 
     def subgroup(self, words):
         """Subgroup generated by the given words, as a frozenset of elements."""
+        words = tuple(words)
+        return self.memo(("subgroup", words), lambda: self._closure(words))
+
+    def _closure(self, words):
         gens = {i: self.element_named(w) for i, w in enumerate(words)}
         idn = VarAutomorphism.identity(len(self.variables))
         return frozenset(hexagon.closure(idn, gens, VarAutomorphism.__mul__, 12))
+
+    def _check_subgroup(self, fixing):
+        """True if `fixing` lies inside the group and is closed under
+        products; raises TowerError otherwise."""
+        if not fixing <= set(self.elements):
+            raise TowerError("fixing set is not inside the tower group")
+        for a, b in itertools.product(fixing, repeat=2):
+            if a * b not in fixing:
+                raise TowerError("fixing set is not a subgroup")
+        return True
 
     # -- elements ----------------------------------------------------------
     def var_index(self, name):
@@ -640,13 +679,9 @@ class ExtensionDescriptor(Record, frozen=True):
         if self.kind == "subfield":
             if self.fixing is None:
                 raise TowerError("subfield extension needs a fixing subgroup")
-            group = set(self.tower.elements)
-            if not set(self.fixing) <= group:
-                raise TowerError("fixing set is not inside the tower group")
-            # subgroup check
-            for a, b in itertools.product(self.fixing, repeat=2):
-                if a * b not in self.fixing:
-                    raise TowerError("fixing set is not a subgroup")
+            fixing = frozenset(self.fixing)
+            self.tower.memo(("subgroup?", fixing),
+                            lambda: self.tower._check_subgroup(fixing))
         else:
             a = self.radicand
             if a is None or a.is_zero():

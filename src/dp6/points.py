@@ -57,13 +57,11 @@ class ClosedPointSpec(Record):
 def composite_for(tower, ext) -> CompositeGroup:
     """The composite group of ext, built once per tower object.
 
-    The group lives on the tower, not in a table keyed by content: composite
-    elements check that they belong to the very same tower object.
+    The group lives in the tower's memo, not in a table keyed by content
+    alone: composite elements check that they belong to the very same tower
+    object.
     """
-    key = ext.key()
-    if key not in tower.composites:
-        tower.composites[key] = composite_group(tower, ext)
-    return tower.composites[key]
+    return tower.memo(("composite", ext.key()), lambda: composite_group(tower, ext))
 
 
 # ---------------------------------------------------------------------------

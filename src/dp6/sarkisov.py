@@ -10,6 +10,8 @@ as full surfaces only when the fixed field is again a supported tower.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import curveconfig, hexagon
 from ._ratfunc import ZETA_KEYS
 from ._record import Record, field, replace
@@ -135,6 +137,13 @@ def classify_perm_group(perms):
     """The type, Z6, S3 or D6, of the subgroup of D6 generated by hexagon
     permutations.  A surface of Picard rank 1, such as a link target, has one
     of these three; any other subgroup is refused."""
+    return _perm_group_type(frozenset(perms))
+
+
+# keyed by the generating set: the group it generates does not depend on the
+# order of the generators, and a refusal raises, so it is never cached
+@lru_cache(maxsize=32)
+def _perm_group_type(perms):
     elems = hexagon.closure(hexagon.IDENTITY, dict(enumerate(perms)),
                             hexagon.compose, 12)
     n = len(elems)

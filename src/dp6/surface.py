@@ -412,11 +412,14 @@ def l_fixing_subgroup(tower):
 def _tower_fields(tower):
     """(K, L, L_i) of every surface on `tower`: subfields of F that depend on
     the tower alone (L is None for S3, L_i empty unless D6).  They are built
-    on the first call and kept on the tower, whose type make_surface checks
-    equals the surface's; the descriptors are frozen, so surfaces share them.
+    on the first call and kept in the tower's memo; make_surface checks that
+    the tower's type equals the surface's, and the descriptors are frozen,
+    so surfaces share them.
     """
-    if tower.sb_fields is not None:
-        return tower.sb_fields
+    return tower.memo(("sb-fields",), lambda: _build_tower_fields(tower))
+
+
+def _build_tower_fields(tower):
     K = subfield(tower, k_fixing_subgroup(tower), "K")
     L = None
     L_i = ()
@@ -435,8 +438,7 @@ def _tower_fields(tower):
                 kleins.append(frozenset([idn, h, u, h * u]))
         L_i = tuple(subfield(tower, v, f"L{i+1}")
                     for i, v in enumerate(dict.fromkeys(kleins)))
-    tower.sb_fields = (K, L, L_i)
-    return tower.sb_fields
+    return (K, L, L_i)
 
 
 def severi_brauer_data(spec: SurfaceSpec) -> SeveriBrauerData:

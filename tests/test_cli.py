@@ -52,22 +52,37 @@ def test_bundled_scenarios_run(name):
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden")
 
 
-@pytest.mark.parametrize("name,strict", [
+GOLDEN_CASES = [
     ("z6-index2-hex", False), ("z6-index2-hex", True),
     ("z6-index6", False), ("z6-index6", True),
     ("d6-swap", False), ("d6-swap", True),
     ("example-main", False),
-])
-def test_golden_reports(name, strict):
+]
+
+
+def _golden(name, strict):
     case = name + ("--strict" if strict else "")
     with open(os.path.join(GOLDEN_DIR, "exit_codes.json"), encoding="utf-8") as fh:
         want_code = json.load(fh)[case]
     with open(os.path.join(GOLDEN_DIR, case + ".out"), encoding="utf-8",
               newline="") as fh:
-        want_text = fh.read()
+        return fh.read(), want_code
+
+
+@pytest.mark.parametrize("name,strict", GOLDEN_CASES)
+def test_golden_reports(name, strict):
+    want_text, want_code = _golden(name, strict)
     code, text = run(bundled_path(name), strict=strict)
     assert text == want_text
     assert code == want_code
+
+
+def test_golden_reports_twice_in_one_process():
+    """Each run builds its own towers, so runs share only the module-level
+    caches; a second pass in reversed order must give the same reports."""
+    for name, strict in GOLDEN_CASES + GOLDEN_CASES[::-1]:
+        want_text, want_code = _golden(name, strict)
+        assert run(bundled_path(name), strict=strict) == (want_code, want_text)
 
 
 def test_example_main_strict_report():

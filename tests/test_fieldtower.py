@@ -1,6 +1,8 @@
 """Tower arithmetic, Galois actions, composites, and the norm-class oracle."""
 
+import importlib.util
 import math
+import pathlib
 import random
 
 import pytest
@@ -37,7 +39,9 @@ from dp6.fieldtower import (
     norm_class,
     represent,
 )
+from dp6.cli import bundled_path
 from dp6.points import composite_for
+from dp6.scenario import load_scenario
 
 
 def vars_of(tower, *names):
@@ -533,6 +537,113 @@ def test_is_fixed(s3_tower):
     assert is_fixed(s, [g, f])
     assert not is_fixed(t1, [g])
     assert is_fixed(t1 / t2 + t2 / t1, [gf])
+
+
+# ---------------------------------------------------------------------------
+# the tower's memo of group structure
+# ---------------------------------------------------------------------------
+
+BENCH_WORKLOADS = (pathlib.Path(__file__).resolve().parent.parent
+                   / "bench" / "workloads.py")
+
+
+def _fresh_towers(source):
+    """New tower objects, so each memo starts empty: those of a bundled
+    scenario, or the three tower shapes of the benchmark's workloads."""
+    if source != "bench":
+        return list(load_scenario(bundled_path(source)).towers.values())
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return list(workloads.build_towers(load_scenario).values())
+
+
+def _ref_element(tower, word):
+    u = VarAutomorphism.identity(len(tower.variables))
+    for ch in ("hf" if word == "s" else word).replace("1", ""):
+        u = u * tower.generators[ch]
+    return u
+
+
+def _ref_closure(tower, gens):
+    """The group generated by gens, grown from the identity to a fixed point."""
+    group = {VarAutomorphism.identity(len(tower.variables))}
+    while True:
+        grown = group | {a * b for a in group for b in gens}
+        if grown == group:
+            return frozenset(group)
+        group = grown
+
+
+def _ref_verdict(tower, fixing):
+    return fixing <= set(tower.elements) and all(
+        a * b in fixing for a in fixing for b in fixing)
+
+
+MEMO_WORDS = ("1", "g", "s", "gf", "ggf", "hg", "gf", "s", "x")
+
+
+@pytest.mark.parametrize("source", ["example-main", "z6-index2-hex",
+                                    "z6-index6", "d6-swap", "bench"])
+def test_tower_memo_matches_fresh_computation(source):
+    for tower in _fresh_towers(source):
+        known = [w for w in MEMO_WORDS
+                 if set("hf" if w == "s" else w) <= set(tower.generators) | {"1"}]
+        for word in MEMO_WORDS:
+            if word in known:
+                assert tower.element_named(word) == _ref_element(tower, word)
+                assert tower.subgroup([word]) == _ref_closure(
+                    tower, [_ref_element(tower, word)])
+            else:
+                for _ in range(2):  # a raise is never kept as a value
+                    with pytest.raises(TowerError, match="unknown generator"):
+                        tower.element_named(word)
+                    with pytest.raises(TowerError, match="unknown generator"):
+                        tower.subgroup(["g", word])
+        assert tower.subgroup(known) == _ref_closure(
+            tower, [_ref_element(tower, w) for w in known])
+        idn = VarAutomorphism.identity(len(tower.variables))
+        assert tower.subgroup([]) == frozenset([idn])
+        # every subgroup (each is generated by two elements), each with one
+        # element added and one taken away: subgroups and non-subgroups in turn
+        subgroups = {_ref_closure(tower, [a, b])
+                     for a in tower.elements for b in tower.elements}
+        for sub in sorted(subgroups, key=len):
+            others = [u for u in tower.elements if u not in sub]
+            for fixing in [sub] + [sub | {u} for u in others] + [
+                    sub - {u} for u in sub if u != idn]:
+                want = _ref_verdict(tower, fixing)
+                for _ in range(2):
+                    if want:
+                        ExtensionDescriptor("subfield", tower, fixing=fixing)
+                    else:
+                        with pytest.raises(TowerError, match="not a subgroup"):
+                            ExtensionDescriptor("subfield", tower, fixing=fixing)
+                if want:  # the verdict is kept, under the set's own key
+                    assert tower.memo(("subgroup?", fixing),
+                                      lambda: pytest.fail("not memoised"))
+
+
+def test_subfield_check_raises_on_every_build(s3_tower):
+    ones = [QOmega.one()] * 4
+    g = VarAutomorphism([1, 2, 0, 3], ones)
+    h = VarAutomorphism([0, 1, 2, 3], ones[:3] + [-QOmega.one()])
+    tower = GaloisTower(["x1", "x2", "x3", "y"], {"g": g, "h": h}, name="FZ")
+    idn = tower.element_named("1")
+    for _ in range(2):
+        with pytest.raises(TowerError, match="fixing set is not a subgroup"):
+            ExtensionDescriptor("subfield", tower, fixing=frozenset([idn, g]))
+    K = ExtensionDescriptor("subfield", tower, fixing=tower.subgroup(["g"]))
+    assert K.degree == 2
+    for _ in range(2):
+        with pytest.raises(TowerError, match="fixing set is not a subgroup"):
+            ExtensionDescriptor("subfield", tower, fixing=frozenset([idn, g]))
+    # the transposition (t2 t3) of the S3 tower is no element of this Z6
+    f = s3_tower.element_named("f")
+    for _ in range(2):
+        with pytest.raises(TowerError, match="not inside the tower group"):
+            ExtensionDescriptor("subfield", tower, fixing=frozenset([idn, f]))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,37 @@ def test_a_group_of_picard_rank_above_one_is_refused():
             sarkisov.classify_perm_group(perms)
 
 
+def _ref_perm_group_type(elems):
+    """Uncached: the type of a subgroup of D6 given as its set of elements."""
+    if len(elems) == 12:
+        return "D6"
+    if len(elems) != 6:
+        return None
+    abelian = all(hexagon.compose(a, b) == hexagon.compose(b, a)
+                  for a in elems for b in elems)
+    return "Z6" if abelian else "S3"
+
+
+def test_classify_perm_group_on_every_subgroup_of_d6():
+    d6 = list(hexagon.d6_elements())
+    gensets = {}  # subgroup -> the pairs that generate it
+    for a in d6:
+        for b in d6:
+            sub = frozenset(hexagon.closure(hexagon.IDENTITY, {0: a, 1: b},
+                                            hexagon.compose, 12))
+            gensets.setdefault(sub, []).append([a, b])
+    assert len(gensets) == 16
+    for sub, pairs in gensets.items():
+        want = _ref_perm_group_type(sub)
+        for perms in pairs + [sorted(sub)]:
+            for _ in range(2):  # a refusal is never cached
+                if want is None:
+                    with pytest.raises(LinkError, match=f"of order {len(sub)}:"):
+                        sarkisov.classify_perm_group(perms)
+                else:
+                    assert sarkisov.classify_perm_group(perms) == want
+
+
 def test_birational_undecided_equal_and_rational(z6_tower, z6_hex, z6_index6,
                                                  s3_tower):
     x1, x2, x3, y = (z6_tower.var(v) for v in ("x1", "x2", "x3", "y"))
