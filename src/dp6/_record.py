@@ -16,7 +16,8 @@ instances of the same class over the `compare` fields, `__repr__` as
 dataclass's `hash((f1, ..., fn))` over the `compare` fields.  Mutable
 records are unhashable.  A method written in the class body wins.  Equal
 hashes and reprs keep set orders and reports as they were under
-`@dataclass`.
+`@dataclass`.  `memo` is dp6's one cache of values derived from a tower or
+a surface; functions of a small finite domain use `functools.cache`.
 
 Why not `@dataclass`: measured on a 2-core x86-64 VM with Python 3.11.7,
 importing its module also loads `inspect`, `ast` and `dis` (6-8 ms), and
@@ -53,19 +54,8 @@ def field(*, default=_MISSING, default_factory=_MISSING, init=True, repr=True,
 
 
 def replace(obj, **changes):
-    """A copy of a record with some fields changed, built by `__init__`.
-
-    A change confined to the class's `__unchecked__` fields, which its
-    `__post_init__` does not read, copies the fields one by one instead: the
-    checks passed for `obj` hold for the copy, and fields filled on first use
-    keep their values.
-    """
-    cls = obj.__class__
-    if changes and changes.keys() <= cls.__unchecked__:
-        new = object.__new__(cls)
-        for f in obj.__record_fields__:
-            object.__setattr__(new, f.name, changes.get(f.name, getattr(obj, f.name)))
-        return new
+    """A copy of a record with some fields changed, built and checked by
+    `__init__`; a costly check keeps its verdict in a `memo`."""
     for f in obj.__record_fields__:
         if not f.init:
             if f.name in changes:
@@ -74,6 +64,16 @@ def replace(obj, **changes):
         elif f.name not in changes:
             changes[f.name] = getattr(obj, f.name)
     return obj.__class__(**changes)
+
+
+def memo(table, key, build):
+    """build() for key, computed on the first call and kept in `table`, the
+    owner's dict.  A build that raises stores nothing."""
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = build()
+        return value
 
 
 def _getter(names):
@@ -158,7 +158,6 @@ class Record:
     """Base of the record classes; see the module docstring."""
 
     __record_fields__ = ()
-    __unchecked__ = frozenset()  # see `replace`
 
     def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)

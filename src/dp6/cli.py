@@ -30,7 +30,7 @@ from .sarkisov import (
     is_birationally_rigid,
     link,
 )
-from .scenario import ScenarioError, load_scenario, section
+from .scenario import ScenarioError, integer, load_scenario, section
 from .surface import (
     SurfaceConditionError,
     automorphism_description,
@@ -150,7 +150,7 @@ def _points_on(scen, spec):
 def _int_arg(value, what):
     """A nonnegative integer command argument."""
     try:
-        n = int(value)
+        n = integer(value)
     except (TypeError, ValueError):
         raise CommandError(f"{what} must be an integer, got {value!r}") from None
     if n < 0:

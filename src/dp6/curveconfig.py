@@ -300,7 +300,13 @@ CONTRACTED = {2: ("C", "L45"), 3: ("C1", "C2", "C3")}
 # one of the d! component permutations, so at most 12*2 + 12*6 = 96 keys
 @cache
 def propagate_pair(d, hex_perm, comp_perm):
-    """(full label permutation, relabeled new-hexagon perm) for one action pair.
+    """What a d-link reads of one action pair: (full label permutation,
+    relabeled new-hexagon perm, the inverse point's component perm, whether
+    the pair fixes Sigma').
+
+    The component perm lists, for each class of CONTRACTED[d], the place of
+    its image there.  The pairs fixing every label of Sigma' form the kernel
+    H of the action on the new hexagon.
 
     Only a pure pair, whose hexagon or component perm is the identity, is
     propagated through the lattice.  A mixed pair composes its two pure
@@ -326,22 +332,8 @@ def propagate_pair(d, hex_perm, comp_perm):
     perm = [0] * 6
     for i, lab in enumerate(hexagon.LABELS):
         perm[i] = hexagon.INDEX[back[full[NEW_HEX[d][lab]]]]
-    return full, tuple(perm)
-
-
-# one entry per key of propagate_pair, so at most 96 of them
-@cache
-def link_entry(d, hex_perm, comp_perm):
-    """What a d-link reads of one action pair: (new-hexagon perm, the
-    inverse point's component perm, whether the pair fixes Sigma').
-
-    The component perm lists, for each class of CONTRACTED[d], the place of
-    its image there.  The pairs fixing every label of Sigma' form the kernel
-    H of the action on the new hexagon.
-    """
-    full, new_hex = propagate_pair(d, hex_perm, comp_perm)
     contracted = CONTRACTED[d]
-    return (new_hex, tuple(contracted.index(full[c]) for c in contracted),
+    return (full, tuple(perm), tuple(contracted.index(full[c]) for c in contracted),
             all(full[a] == a for a in SIGMA_PRIME[d]))
 
 
@@ -366,9 +358,9 @@ def induced_sigma_prime_action(d, generators):
 
     full, new_hex = {}, {}
     for key, ghp, gcp in gen_list:
-        full[key], new_hex[key] = propagate_pair(d, ghp, gcp)
+        full[key], new_hex[key] = propagate_pair(d, ghp, gcp)[:2]
 
-    kernel = frozenset(pair for pair in pairs if link_entry(d, *pair)[2])
+    kernel = frozenset(pair for pair in pairs if propagate_pair(d, *pair)[3])
     return InducedAction(
         d=d,
         config=config(3 + d),

@@ -39,7 +39,7 @@ from ._ratfunc import (
     term_pair,
     term_ratio,
 )
-from ._record import Record, field
+from ._record import Record, field, memo
 
 
 class DomainMismatchError(ValueError):
@@ -311,7 +311,9 @@ class VarAutomorphism:
 
     The constructor takes the scalars as roots of unity in Q(w) and keeps
     their exponents, so products, inverses and the Galois action reduce
-    scalar powers mod 6.  Any other scalar raises TowerError.
+    scalar powers mod 6.  Any other scalar, or a perm that is not a
+    permutation of range(n), raises TowerError.  `_from_zexp` makes only
+    identities, products and inverses, which are permutations already.
     """
 
     __slots__ = ("perm", "zexp", "_hash", "_key")
@@ -319,6 +321,8 @@ class VarAutomorphism:
     def __init__(self, perm, scal):
         self._hash = self._key = None
         self.perm = tuple(perm)
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise TowerError(f"{list(self.perm)} is not a permutation of the variables")
         scal = tuple(scal)
         if len(self.perm) != len(scal):
             raise ValueError("perm/scal length mismatch")
@@ -420,6 +424,8 @@ class GaloisTower:
       ("element", word)         element_named(word);
       ("subgroup", words)       subgroup(words), a frozenset;
       ("subgroup?", fixing)     True: the frozenset passed _check_subgroup;
+      ("in k", a.key())         whether a is fixed by the whole group;
+      ("invariants", a.key())   _radicand_invariants(a) for same_field;
       ("composite", ext.key())  the CompositeGroup of points.composite_for;
       ("sb-fields",)            (K, L, L_i) of surface._tower_fields.
     No caller changes a value.  A build that raises stores nothing, so an
@@ -455,11 +461,7 @@ class GaloisTower:
 
     def memo(self, key, build):
         """build() for key, computed on the first call and kept on the tower."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
+        return memo(self._memo, key, build)
 
     # -- group structure ---------------------------------------------------
     def _check_presentation(self):
@@ -665,13 +667,8 @@ class ExtensionDescriptor(Record, frozen=True):
     radicand: FieldElement | None = None
     fixing: frozenset | None = None
     name: str = "E"
-    # the radicand's invariants for same_field (see stored_invariants)
-    invariants: tuple | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     KINDS = ("subfield", "kummer-cubic", "quadratic", "kummer-cubic-with-conjugation")
-    # no check of __post_init__ reads the name: a renamed copy is not checked
-    __unchecked__ = frozenset({"name"})
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -686,7 +683,8 @@ class ExtensionDescriptor(Record, frozen=True):
             a = self.radicand
             if a is None or a.is_zero():
                 raise TowerError("radical extension needs a nonzero radicand")
-            if not self.tower.in_base_field(a):
+            tower = self.tower
+            if not tower.memo(("in k", a.key()), lambda: tower.in_base_field(a)):
                 raise TowerError("radicand is not fixed by the tower group")
 
     @property
@@ -750,29 +748,16 @@ class ExtensionDescriptor(Record, frozen=True):
             return None
         if self.kind == "subfield":
             return self.fixing == other.fixing
-        n = self.degree
-        va, at = self.stored_invariants()
-        other_rad = represent(other.radicand, self.tower)
-        # other's stored invariants index the variables of other.tower, so
-        # they are read on this tower only
-        vb, bt = (other.stored_invariants() if other.tower is self.tower
-                  else _radicand_invariants(other_rad))
+        n, tower = self.degree, self.tower
+        a, b = self.radicand, represent(other.radicand, tower)
+        va, at = tower.memo(("invariants", a.key()), lambda: _radicand_invariants(a))
+        vb, bt = tower.memo(("invariants", b.key()), lambda: _radicand_invariants(b))
         return any(gcd(j, n) == 1
                    and all((x - j * y) % n == 0 for x, y in zip(va, vb))
                    and (at is None or bt is None
                         or qomega_nth_roots(at * bt**-j, n) is not None)
-                   and _root_in_base(self.tower, self.radicand / other_rad**j, n)
+                   and _root_in_base(tower, a / b**j, n)
                    for j in range(1, n))
-
-    def stored_invariants(self):
-        """`_radicand_invariants` of the radicand, made on first use and kept
-        on the descriptor: a copy by `replace` that changes only the name
-        keeps them too."""
-        inv = self.invariants
-        if inv is None:
-            inv = _radicand_invariants(self.radicand)
-            object.__setattr__(self, "invariants", inv)
-        return inv
 
     def key(self):
         if self.kind == "subfield":

@@ -7,6 +7,8 @@ the 2x2 integer matrix acting on exponent vectors of (lambda_1, lambda_2).
 
 from __future__ import annotations
 
+from functools import cache
+
 LABELS = ("E1", "E2", "E3", "F1", "F2", "F3")
 INDEX = {lab: i for i, lab in enumerate(LABELS)}
 
@@ -76,22 +78,18 @@ def closure(identity, gens, mul, limit):
     return words
 
 
-_D6 = None
-
-
+@cache
 def d6_elements():
     """All twelve symmetries with their torus matrices: dict perm -> matrix."""
-    global _D6
-    if _D6 is None:
-        words = closure(IDENTITY, {p: p for p in _GEN_MATRICES}, compose, 12)
-        _D6 = {}
-        for p, word in words.items():
-            mat = ((1, 0), (0, 1))
-            for gen in word:
-                mat = _mat_mul(mat, _GEN_MATRICES[gen])
-            _D6[p] = mat
-        assert len(_D6) == 12
-    return _D6
+    words = closure(IDENTITY, {p: p for p in _GEN_MATRICES}, compose, 12)
+    out = {}
+    for p, word in words.items():
+        mat = ((1, 0), (0, 1))
+        for gen in word:
+            mat = _mat_mul(mat, _GEN_MATRICES[gen])
+        out[p] = mat
+    assert len(out) == 12
+    return out
 
 
 def torus_act(p, a, b, monomials=None):

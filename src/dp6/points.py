@@ -182,21 +182,28 @@ def _allowed_subfield_cases(spec, degree, fixing):
 def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
     """Validate a 2- or 3-point with one pass of twisted images over its group.
 
-    Returns (images, comp_of, reps, gp) over the point's group: images,
-    comp_of and reps as in _twisted_images and _number_components, gp the
-    general-position verdict.  Validation, general position, the component
-    list and the component permutations all read this one pass.  It is kept
-    on the surface, keyed by the point's content, so it runs once per surface
-    and point; a point that fails is not kept and raises on every call.
+    Returns (images, reps, perms, gp) over the point's group: images and reps
+    as in _twisted_images and _number_components, perms[u] the permutation
+    of the component list that u induces, and gp the general-position
+    verdict.  Validation, general position, the component list and the
+    component permutations all read this one pass.  It is kept in the
+    surface's memo under the point's content, so it runs once per surface
+    and point; a point that fails is not kept and raises on every call.  The
+    key holds the tower's content, not the tower object, so the point's
+    tower is compared with the surface's on every call.
     """
+    if p.ext is not None and p.ext.tower is not spec.tower:
+        raise PointCaseError(
+            f"point {p.name} splits over tower {p.ext.tower.name}, but surface "
+            f"{spec.name} is over tower {spec.tower.name}")
+    return spec.memo(("pass", p.key()), lambda: _build_pass(spec, p))
+
+
+def _build_pass(spec, p):
     if p.degree not in (2, 3):
         raise PointCaseError(f"unsupported degree {p.degree}")
     if spec.gtype == "S3" and p.degree == 2:
         raise PointCaseError(_EXCLUSIONS[("S3", 2)])
-    if p.ext.tower is not spec.tower:
-        raise PointCaseError(
-            f"point {p.name} splits over tower {p.ext.tower.name}, but surface "
-            f"{spec.name} is over tower {spec.tower.name}")
 
     cg = composite_for(spec.tower, p.ext)
     contained = cg.intersection == "contained"
@@ -222,9 +229,6 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         # E = k(r), so (u, t) is the identity on E exactly when it fixes r
         fixes = lambda u: not u.zexp  # noqa: E731
 
-    key = p.key()
-    if key in spec.point_passes:
-        return spec.point_passes[key]
     images = _twisted_images(spec, coords, group)
     # every element acting trivially on E must fix the first component
     for u in group:
@@ -239,8 +243,9 @@ def _twisted_pass(spec: SurfaceSpec, p: ClosedPointSpec):
         )
     # 2-points, and 3-points not split over F, are always in general position
     gp = p.degree == 2 or not contained or _general_position_conditions(spec, p)
-    spec.point_passes[key] = images, comp_of, reps, gp
-    return spec.point_passes[key]
+    # u sends the component v(p) to (u*v)(p)
+    perms = {u: tuple(comp_of[u * v] for v in reps) for u in comp_of}
+    return images, reps, perms, gp
 
 
 def validate_point(spec: SurfaceSpec, p: ClosedPointSpec):
@@ -260,7 +265,7 @@ def _expected_degrees(d):
 
 
 def components(spec: SurfaceSpec, p: ClosedPointSpec):
-    images, _, reps, _ = _twisted_pass(spec, p)
+    images, reps, _, _ = _twisted_pass(spec, p)
     return [images[u] for u in reps]
 
 
@@ -271,8 +276,7 @@ def component_permutations(spec: SurfaceSpec, p: ClosedPointSpec):
     action because alpha is a cocycle, which make_surface checks with
     verify_cocycle.
     """
-    images, comp_of, reps, _ = _twisted_pass(spec, p)
-    perms = {u: tuple(comp_of[u * v] for v in reps) for u in comp_of}
+    images, reps, perms, _ = _twisted_pass(spec, p)
     return [images[u] for u in reps], perms
 
 
@@ -332,7 +336,6 @@ def construct_3point(spec: SurfaceSpec):
         raise PointCaseError(f"construct_3point requires index 3, found {idx}")
     tower = spec.tower
     g = tower.element_named("g")
-    one = tower.one()
 
     if spec.gtype == "S3":
         ext = ExtensionDescriptor("subfield", tower, fixing=frozenset(

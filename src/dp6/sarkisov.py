@@ -327,8 +327,8 @@ def link(source, p, name=None):
         for z in zetas:
             cp = comp(u, zs, z)
             new_key = (u, zs if contained else zs + (z,))
-            new_action[new_key], inv_comp[new_key], fixes = \
-                curveconfig.link_entry(d, hp, cp)
+            _, new_action[new_key], inv_comp[new_key], fixes = \
+                curveconfig.propagate_pair(d, hp, cp)
             if fixes:
                 kernel.append(new_key)
                 kernel_pairs.add((hp, cp))

@@ -233,6 +233,13 @@ def section(value, kind, what):
     return value
 
 
+def integer(value):
+    """int(value), refusing a JSON boolean or a number with a fraction part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _word(value, what):
     """value if it is a JSON string (a name or a generator word like "hf")."""
     if not isinstance(value, str):
@@ -338,15 +345,17 @@ def _build_point(name, node, scenario):
                   f"{where}: surface")
     degree = _required(node, "degree", where)
     try:
-        degree = int(degree)
+        degree = integer(degree)
     except (TypeError, ValueError):
         raise ScenarioError(
             f"{where}: degree must be an integer, got {degree!r}") from None
     if degree == 4:
+        gp = node.get("general_position", False)
+        if not isinstance(gp, bool):
+            raise ScenarioError(
+                f"{where}: general_position must be true or false, got {gp!r}")
         return ClosedPointSpec(4, None, None, None, name=name,
-                               general_position_declared=bool(
-                                   node.get("general_position", False)),
-                               surface=spec)
+                               general_position_declared=gp, surface=spec)
     ext = _named(scenario.extensions, _required(node, "extension", where),
                  f"{where}: extension")
     if ext.tower is not spec.tower:

@@ -9,7 +9,7 @@ verified on construction.
 from __future__ import annotations
 
 from . import hexagon
-from ._record import Record, field
+from ._record import Record, field, memo
 from .fieldtower import (
     ExtensionDescriptor,
     FactRegistry,
@@ -177,6 +177,10 @@ class SeveriBrauerData(Record):
 # ---------------------------------------------------------------------------
 
 class SurfaceSpec(Record):
+    """A surface as make_surface builds it.  `memo(key, build)` keeps what
+    depends only on the key and the twist data make_surface sets once:
+    ("pass", p.key()) -> points._twisted_pass(p).  A raise stores nothing."""
+
     gtype: str
     tower: GaloisTower
     xi: FieldElement
@@ -185,13 +189,15 @@ class SurfaceSpec(Record):
     name: str = "S"
     cocycle: dict = field(default_factory=dict)
     sbdata: SeveriBrauerData | None = None
-    # point.key() -> the point's twisted pass, filled by points._twisted_pass
-    point_passes: dict = field(default_factory=dict, init=False, compare=False,
-                               repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
     # (tower, copy of cocycle) as verify_cocycle last accepted them, () before;
     # a later call on the same tower object and an equal table only compares
     verified_table: tuple = field(default=(), init=False, compare=False,
                                   repr=False)
+
+    def memo(self, key, build):
+        return memo(self._memo, key, build)
 
     def alpha(self, u):
         """Cocycle value on a group element (the table verify_cocycle built)."""

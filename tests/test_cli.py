@@ -243,6 +243,9 @@ def test_degree4_point_has_no_links(tmp_path):
 @pytest.mark.parametrize("command,message", [
     (["explore", "SZ", "x"], "explore depth must be an integer, got 'x'"),
     (["explore", "SZ", "-1"], "explore depth must be nonnegative, got -1"),
+    (["explore", "SZ", True], "explore depth must be an integer, got True"),
+    (["explore", "SZ", 1.5], "explore depth must be an integer, got 1.5"),
+    (["dump-config", True], "point count must be an integer, got True"),
     (["dump-config", 9], "unsupported point count 9"),
     ([], "empty command"),
     (["validate"], "validate needs at least 1 argument(s), got 0"),
@@ -256,7 +259,8 @@ def test_degree4_point_has_no_links(tmp_path):
     (["classify", ["SZ"]], "unknown surface ['SZ']"),
     (["validate", "SZ", {"p": 1}], "unknown point {'p': 1}"),
     (["dump-config", 3, ["FZ"]], "unknown tower ['FZ']"),
-], ids=["explore-word", "explore-negative", "dump-config-9", "empty",
+], ids=["explore-word", "explore-negative", "explore-bool", "explore-fraction",
+        "dump-config-bool", "dump-config-9", "empty",
         "validate-bare", "construct-point-7", "psi-number", "classify-extra",
         "hexagonal-extra", "list-command", "dict-command", "list-surface",
         "dict-point", "list-tower"])
@@ -277,11 +281,46 @@ def test_point_degree_not_an_integer(tmp_path):
     assert text == "load-error: point b: degree must be an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("degree", [3.7, True, 2.5])
+def test_point_degree_bool_or_fraction(tmp_path, degree):
+    """A JSON boolean or a number with a fraction part is no degree, though
+    int() would read it as 1 or round it toward zero."""
+    bad = {"b": {"surface": "SZ", "degree": degree, "extension": "K",
+                 "lambda1": "x1"}}
+    code, text = _hex_scenario(tmp_path, "degree", bad, [])
+    assert code == 2
+    assert text == f"load-error: point b: degree must be an integer, got {degree!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["false", 0, [], None])
+def test_general_position_flag_must_be_boolean(tmp_path, flag):
+    """The declared flag of a degree-4 point is a JSON true or false; the
+    string "false" would read as true under bool()."""
+    q4 = {"q4": {"surface": "SZ", "degree": 4, "general_position": flag}}
+    code, text = _hex_scenario(tmp_path, "q4", q4, [["validate", "SZ", "q4"]])
+    assert code == 2
+    assert text == ("load-error: point q4: general_position must be true or "
+                    f"false, got {flag!r}\n")
+
+
 @pytest.mark.parametrize("commands", [5, [5], ["rigid SZ"]])
 def test_commands_not_lists_is_load_error(tmp_path, commands):
     code, text = _hex_scenario(tmp_path, "commands", {}, commands)
     assert code == 2
     assert text == "load-error: commands must be a list of lists\n"
+
+
+def test_generator_perm_not_a_bijection_is_tower_error(tmp_path):
+    """A generator perm that sends two variables to one is refused at load
+    as a tower error (exit 3), not later as an order beyond 12."""
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["towers"]["FZ"]["generators"]["g"]["perm"] = {"x1": "x2"}
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps(scen))
+    code, text = run(str(path))
+    assert code == 3
+    assert text == ("load-error: [1, 1, 2, 3] is not a permutation of the "
+                    "variables\n")
 
 
 def _set(path, value):

@@ -26,7 +26,6 @@ from dp6.curveconfig import (
     induced_sigma_prime_action,
     intersection,
     invariant_picard_rank,
-    link_entry,
     minus_one_classes,
     propagate_pair,
 )
@@ -208,8 +207,7 @@ def _pairs(*items):
 def _group_structure(act):
     perms = set()
     for hp, cp in act.group_pairs:
-        _, newhex = propagate_pair(act.d, hp, cp)
-        perms.add(newhex)
+        perms.add(propagate_pair(act.d, hp, cp)[1])
     return classify_perm_group(perms)
 
 
@@ -319,23 +317,23 @@ def _outcome(f, *args):
 
 
 def _direct_pair(d, hp, cp):
-    """propagate_pair and link_entry of one pair from `_propagate` of the
-    pair itself, with no composition and no cache."""
+    """propagate_pair of one pair from `_propagate` of the pair itself, with
+    no composition and no cache."""
     full = _propagate(config(3 + d), hp, cp)
     back = {v: k for k, v in NEW_HEX[d].items()}
     new_hex = tuple(hexagon.INDEX[back[full[NEW_HEX[d][lab]]]]
                     for lab in hexagon.LABELS)
     contracted = CONTRACTED[d]
     inv = tuple(contracted.index(full[c]) for c in contracted)
-    return (full, new_hex), (new_hex, inv, all(full[a] == a for a in SIGMA_PRIME[d]))
+    return full, new_hex, inv, all(full[a] == a for a in SIGMA_PRIME[d])
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_composed_pairs_match_direct_propagation(d):
     """For each of the 12 hexagon symmetries and every component perm, the
-    composed propagate_pair and the cached link_entry equal the lattice
-    route applied to the pair itself, or both raise.  None raises, and the
-    kernel flag is set on some pairs and not on others.  The two pure
+    composed and cached propagate_pair equals the lattice route applied to
+    the pair itself, or both raise.  None raises, and the kernel flag is set
+    on some pairs and not on others.  The two pure
     factors commute, so either order of composition gives the direct map."""
     ident = tuple(range(d))
     pairs = [(hp, cp) for hp in hexagon.d6_elements()
@@ -344,13 +342,13 @@ def test_composed_pairs_match_direct_propagation(d):
     flags = []
     for hp, cp in pairs:
         want = _outcome(_direct_pair, d, hp, cp)
-        got = _outcome(lambda *k: (propagate_pair(*k), link_entry(*k)), d, hp, cp)
+        got = _outcome(propagate_pair, d, hp, cp)
         assert got == want, (hp, cp)
         if not isinstance(want, type):
-            flags.append(want[1][2])
+            flags.append(want[3])
             outer = propagate_pair(d, hp, ident)[0]
             inner = propagate_pair(d, hexagon.IDENTITY, cp)[0]
-            assert {lab: inner[outer[lab]] for lab in outer} == want[0][0]
+            assert {lab: inner[outer[lab]] for lab in outer} == want[0]
     assert len(flags) == len(pairs) and any(flags) and not all(flags)
 
 

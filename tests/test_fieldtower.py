@@ -782,14 +782,14 @@ def test_same_field_valuation_test_is_exact(z6_tower, s3_tower, monkeypatch):
 
 
 def test_same_field_reads_stored_invariants(z6_tower, monkeypatch):
-    """Verdicts from the invariants stored on long-lived descriptors equal
-    those of fresh descriptors and of Kummer theory, on seeded radicand
-    pairs (planted equal fields a*c^n against a, and a^2*c^3 against a for
-    cubics, among them), on renamed copies, and across
-    two towers declared alike.  A renamed copy is not checked again and
-    shares the stored invariants; a copy with a new radicand gets none.
-    Across towers the other side's stored invariants are not read, so
-    corrupting them leaves every verdict as it was."""
+    """Verdicts from the radicand invariants kept in the tower's memo equal
+    those of Kummer theory on seeded radicand pairs (planted equal fields
+    a*c^n against a, and a^2*c^3 against a for cubics, among them), on
+    renamed copies and across two towers declared alike.  Each kept entry
+    equals a fresh `_radicand_invariants` of its radicand.  A renamed copy is
+    checked again, by a memo lookup that adds no entry.  A descriptor reads
+    both sides' invariants on its own tower, so entries of the other tower,
+    even corrupted ones, leave its verdict as it was."""
     x1, x2, x3, y = vars_of(z6_tower, "x1", "x2", "x3", "y")
     s1, s3 = x1 + x2 + x3, x1 * x2 * x3
     base = [s1, x1 * x2 + x2 * x3 + x3 * x1, s3, y * y, s1 + 1, s3 + 2,
@@ -817,44 +817,62 @@ def test_same_field_reads_stored_invariants(z6_tower, monkeypatch):
             if n == 3:  # j = 2 is the one exponent the filters must pass
                 p = draw(1)
                 cases.append((kind, p * p * draw(1) ** 3, p))
-    kept = {}
 
-    def stored(kind, a, tower=z6_tower):
-        key = (kind, a.key(), tower.name)
-        if key not in kept:
-            kept[key] = fresh(kind, a, tower)
-        return kept[key]
+    def kept(tower, a):
+        return tower.memo(("invariants", a.key()),
+                          lambda: pytest.fail("invariants not kept"))
 
     verdicts = []
-    for _ in range(2):  # the second round reads only stored invariants
+    for _ in range(2):  # the second round reads only kept invariants
         for kind, a, b in cases:
-            want = _kummer_verdict(fresh(kind, a), fresh(kind, b))
-            assert fresh(kind, a).same_field(fresh(kind, b)) is want
-            E, F = stored(kind, a), stored(kind, b)
+            E, F = fresh(kind, a), fresh(kind, b)
+            want = _kummer_verdict(E, F)
             E2 = replace(F, name="E(ind)")
-            F2 = stored(kind, b, alike)
+            F2 = fresh(kind, b, alike)
             for x, y_ in ((E, F), (F, E), (E, E2), (E2, E), (E, F2), (F2, E)):
                 assert x.same_field(y_) is want, (kind, a, b, x.name, y_.name)
+            for tower in (z6_tower, alike):
+                for r in (a, b):
+                    r = represent(r, tower)
+                    assert kept(tower, r) == fieldtower._radicand_invariants(r)
             verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
 
-    E = fresh("quadratic", s1)
-    assert E.invariants is None
-    assert E.same_field(E) is True and E.invariants is not None
-    monkeypatch.setattr(ExtensionDescriptor, "__post_init__",
-                        lambda self: pytest.fail("a renamed copy was checked"))
+    E = fresh("quadratic", s1 * s3)
+    E.same_field(E)
+    entries = dict(z6_tower._memo)
+    monkeypatch.setattr(GaloisTower, "in_base_field",
+                        lambda *_: pytest.fail("a renamed copy was checked anew"))
+    monkeypatch.setattr(fieldtower, "_radicand_invariants",
+                        lambda *_: pytest.fail("invariants computed anew"))
     E2 = replace(E, name="E(ind)")
     assert E2.name == "E(ind)" and replace(E2, name=E.name) == E
-    assert E2.invariants is E.invariants
+    assert E2.same_field(E) is True and E.same_field(E2) is True
+    assert z6_tower._memo == entries
     monkeypatch.undo()
-    assert replace(E, radicand=s1 * 4).invariants is None
 
     # corrupted invariants on the alike tower: a verdict True by Kummer
     # theory would turn False if they were read
-    F = fresh("quadratic", s1 * (s3 + 2) ** 2, alike)
-    vals, at = F.stored_invariants()
-    object.__setattr__(F, "invariants", ([v + 1 for v in vals], at))
+    F = fresh("quadratic", s1 * s3 * (s3 + 2) ** 2, alike)
+    vals, at = fieldtower._radicand_invariants(F.radicand)
+    alike._memo[("invariants", F.radicand.key())] = ([v + 1 for v in vals], at)
     assert E.same_field(F) is True
+
+
+def test_radicand_check_raises_on_every_build(z6_tower):
+    """The verdict of the radicand check is kept in the tower's memo, a
+    False one too, so a radicand outside k raises on every build."""
+    x1, x2 = vars_of(z6_tower, "x1", "x2")
+    tower = GaloisTower(z6_tower.variables, dict(z6_tower.generators))
+    for a, ok in ((x1, False), (x1 + x2, False), (tower.const(QOmega(5)), True)):
+        a = represent(a, tower)
+        for _ in range(2):
+            if ok:
+                ExtensionDescriptor("quadratic", tower, radicand=a)
+            else:
+                with pytest.raises(TowerError, match="not fixed by the tower"):
+                    ExtensionDescriptor("quadratic", tower, radicand=a)
+        assert tower.memo(("in k", a.key()), lambda: pytest.fail("not kept")) is ok
 
 
 def test_same_field_refuses_by_valuation_first(z6_tower, monkeypatch):
@@ -1319,6 +1337,16 @@ def test_unsupported_generator_set(d6_tower):
     gens = {n: d6_tower.generators[n] for n in ("h", "f")}
     with pytest.raises(TowerError, match=r"unsupported generator set \['f', 'h'\]"):
         GaloisTower(d6_tower.variables, gens)
+
+
+@pytest.mark.parametrize("perm", [(1, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, -1),
+                                  (1, 2)])
+def test_automorphism_perm_must_be_a_permutation(perm):
+    """A perm that is not a bijection of the variables is refused when the
+    automorphism is made, not later by the order bound."""
+    with pytest.raises(TowerError, match="is not a permutation of the variables"):
+        VarAutomorphism(perm, [QOmega.one()] * len(perm))
+    assert VarAutomorphism((1, 2, 0, 3), [QOmega.one()] * 4).perm == (1, 2, 0, 3)
 
 
 @pytest.mark.parametrize("tower_name", ["z6_tower", "s3_tower", "d6_tower"])

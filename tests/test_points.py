@@ -409,6 +409,9 @@ def test_point_pass_keyed_by_content(monkeypatch, z6_tower):
         with pytest.raises(PointValidationError):
             validate_point(spec, bad)
         assert len(calls) == n  # a failing point is not kept
+    assert set(spec._memo) == {("pass", p.key()), ("pass", q.key())}
+    # the component permutations are made once, in the pass
+    assert component_permutations(spec, p)[1] is component_permutations(spec, p)[1]
 
 
 @pytest.mark.parametrize("lambda1,valid", [(None, True), ("t1", False)],

@@ -183,3 +183,25 @@ def test_defaults_are_class_attributes():
             assert (hasattr(REC[name], attr) == hasattr(DC[name], attr)), (name, attr)
             if hasattr(DC[name], attr):
                 assert getattr(REC[name], attr) == getattr(DC[name], attr)
+
+
+def test_memo_keeps_values_and_no_raise():
+    """memo builds once per key; a build that raises stores nothing, so it
+    is built, and raises, again on the next call."""
+    table, calls = {}, []
+
+    def build(value):
+        calls.append(value)
+        if value is None:
+            raise ValueError("no value")
+        return value
+
+    assert _record.memo(table, "a", lambda: build(1)) == 1
+    assert _record.memo(table, "a", lambda: build(2)) == 1
+    assert _record.memo(table, "b", lambda: build(False)) is False
+    assert _record.memo(table, "b", lambda: build(3)) is False
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            _record.memo(table, "c", lambda: build(None))
+    assert table == {"a": 1, "b": False} and calls == [1, False, None, None]
+    assert _record.memo(table, "c", lambda: build(4)) == 4

@@ -120,3 +120,29 @@ def test_every_defined_function_is_loaded():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in loaded)
     assert not dead, f"functions nothing loads: {dead}"
+
+
+def _attribute_path(node):
+    """"a.b.c" for an attribute chain of names, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_state_or_frozen_writes(path):
+    """Derived values live in their owner's memo or in a `functools.cache`
+    table: no module rebinds a global, and only `_record`, which builds
+    frozen records, writes past a frozen record's `__setattr__`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Global):
+            found.append((node.lineno, "global " + ", ".join(node.names)))
+        elif (path.name != "_record.py" and isinstance(node, ast.Attribute)
+              and _attribute_path(node) == "object.__setattr__"):
+            found.append((node.lineno, "object.__setattr__"))
+    assert not found, f"{path.name}: {found}"
