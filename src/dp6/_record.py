@@ -17,7 +17,9 @@ dataclass's `hash((f1, ..., fn))` over the `compare` fields.  Mutable
 records are unhashable.  A method written in the class body wins.  Equal
 hashes and reprs keep set orders and reports as they were under
 `@dataclass`.  `memo` is dp6's one cache of values derived from a tower or
-a surface; functions of a small finite domain use `functools.cache`.
+a surface; functions of a small finite domain use `functools.cache`.  `Key`
+is the content key that such tables and the model graph look up over and
+over: a tuple that computes its hash once.
 
 Why not `@dataclass`: measured on a 2-core x86-64 VM with Python 3.11.7,
 importing its module also loads `inspect`, `ast` and `dis` (6-8 ms), and
@@ -74,6 +76,29 @@ def memo(table, key, build):
     except KeyError:
         value = table[key] = build()
         return value
+
+
+class Key(tuple):
+    """A tuple that keeps its hash.
+
+    A content key nests tower, radical and class data down to `MPQ` leaves,
+    and a plain tuple rehashes every leaf on each dict lookup.  A `Key`
+    computes `tuple.__hash__` on first use and keeps it, so its hash,
+    equality and repr are those of the plain tuple: a dict keyed by one
+    finds the other, and set orders stay as they were.  Pickle and copy
+    build a new `Key` from the items and drop the kept hash, which a string
+    leaf makes differ between interpreters.
+    """
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = tuple.__hash__(self)
+            return h
+
+    def __reduce__(self):
+        return Key, (tuple(self),)
 
 
 def _getter(names):

@@ -152,8 +152,7 @@ class BirGraph(Record):
         """Edge-per-line text dump with vertex-key comments."""
         lines = []
         names = {}
-        for i, (key, v) in enumerate(sorted(self.vertices.items(),
-                                            key=lambda kv: kv[1].name)):
+        for key, v in sorted(self.vertices.items(), key=lambda kv: kv[1].name):
             names[key] = v.name
             lines.append(f"# vertex {v.name}: key {_short(key)}"
                          + (" (base)" if key == self.base_key else ""))
@@ -493,17 +492,34 @@ class QuotientImage(Record):
         return " * ".join(parts)
 
 
-def _canonical_repr(obj):
-    if isinstance(obj, (frozenset, set)):
-        return "{" + ",".join(sorted(_canonical_repr(x) for x in obj)) + "}"
-    if isinstance(obj, tuple):
-        return "(" + ",".join(_canonical_repr(x) for x in obj) + ")"
-    if isinstance(obj, dict):
-        items = sorted((
-            _canonical_repr(k) + ":" + _canonical_repr(v) for k, v in obj.items()
-        ))
-        return "{" + ",".join(items) + "}"
-    return repr(obj)
+def _canonical_repr(key):
+    """A string of the key's content that does not depend on set or dict
+    order: the members of a set and the items of a dict are sorted by their
+    strings.
+
+    A key shares its subobjects (one tower key in every field id, one point
+    key in every handle of a chain), so each distinct subobject's string is
+    built once per call, keyed by `id`.  The key keeps every subobject
+    alive during the call, so no id is reused by another object.
+    """
+    done = {}
+
+    def text(obj):
+        s = done.get(id(obj))
+        if s is None:
+            if isinstance(obj, (frozenset, set)):
+                s = "{" + ",".join(sorted(map(text, obj))) + "}"
+            elif isinstance(obj, tuple):
+                s = "(" + ",".join(map(text, obj)) + ")"
+            elif isinstance(obj, dict):
+                s = "{" + ",".join(sorted(
+                    text(k) + ":" + text(v) for k, v in obj.items())) + "}"
+            else:
+                s = repr(obj)
+            done[id(obj)] = s
+        return s
+
+    return text(key)
 
 
 def _short(key):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import hexagon
-from ._record import Record, field
+from ._record import Key, Record, field
 from .fieldtower import (
     CompositeElement,
     CompositeGroup,
@@ -43,15 +43,21 @@ class ClosedPointSpec(Record):
     general_position_declared: bool | None = None  # degree-4 points only
     # the scenario surface the point is declared on; not part of key()
     surface: object = field(default=None, compare=False, repr=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lk = (self.lam1.key(), self.lam2.key()) if self.lam1 is not None else None
+        self._key = Key((self.degree, self.ext.key() if self.ext is not None else None,
+                         lk))
 
     def coords(self):
         return (self.lam1, self.lam2)
 
     def key(self):
-        lk = None
-        if self.lam1 is not None:
-            lk = (self.lam1.key(), self.lam2.key())
-        return (self.degree, self.ext.key() if self.ext is not None else None, lk)
+        """Content key: degree, splitting field and coordinates.  It is
+        derived once, when the point is built; `name` and `surface` are not
+        part of it."""
+        return self._key
 
 
 def composite_for(tower, ext) -> CompositeGroup:
@@ -120,7 +126,7 @@ def _number_components(images):
     """
     comp_of, reps, number = {}, [], {}
     for u, img in images.items():
-        k = (img[0].key(), img[1].key())
+        k = Key((img[0].key(), img[1].key()))
         if k not in number:
             number[k] = len(reps)
             reps.append(u)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import curveconfig, hexagon
 from ._ratfunc import ZETA_KEYS
-from ._record import Record, field, replace
+from ._record import Key, Record, field, replace
 from .fieldtower import (
     CompositeElement,
     ExtensionDescriptor,
@@ -111,9 +111,9 @@ class DataSurface(Record):
         rads = tuple(r.key() for r in self.radicals)
         kernel = frozenset((u.key(), tuple(ZETA_KEYS[t] for t in zs))
                            for u, zs in self.kernel())
-        self._key = (self.tower.field_key(), rads, kernel, self.gtype,
-                     self.K.field_id(), sb,
-                     self.L.field_id() if self.L else None, conic)
+        self._key = Key((self.tower.field_key(), rads, kernel, self.gtype,
+                         self.K.field_id(), sb,
+                         self.L.field_id() if self.L else None, conic))
 
     def vertex_key(self):
         """Canonical key: F' (tower + radicals + kernel), K', classes, L', conic.
@@ -375,7 +375,7 @@ def link(source, p, name=None):
     if target.spec is not None:
         target.name = target.spec.name
 
-    edge_id = (src.vertex_key(), target.vertex_key(), handle.identity_key())
+    edge_id = Key((src.vertex_key(), target.vertex_key(), handle.identity_key()))
     inv_handle = PointHandle(
         name=f"ind({name or 'chi'})^-1",
         degree=d,

@@ -374,7 +374,7 @@ def are_cohomologous(s1: SurfaceSpec, s2: SurfaceSpec, beta: TwistedAutomorphism
     """Whether beta realizes alpha'_u = beta * alpha_u * u(beta^-1) on generators."""
     if s1.tower is not s2.tower or s1.gtype != s2.gtype:
         return False
-    for name, u in s1.tower.generators.items():
+    for u in s1.tower.generators.values():
         lhs = s2.alpha(u)
         rhs = beta * s1.alpha(u) * beta.inverse().galois(u)
         if lhs != rhs:
@@ -623,7 +623,7 @@ def equivalence_move(spec: SurfaceSpec, move, element=None):
 
 def is_automorphism(spec: SurfaceSpec, psi: TwistedAutomorphism):
     """Exact membership test: u(psi) = alpha_u^-1 * psi * alpha_u for all u."""
-    for name, u in spec.tower.generators.items():
+    for u in spec.tower.generators.values():
         au = spec.alpha(u)
         if psi.galois(u) != au.inverse() * psi * au:
             return False

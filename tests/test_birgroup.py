@@ -1,5 +1,7 @@
 """Graph exploration, generator words, the quotient map, relation checking."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,9 @@ from dp6.birgroup import (
     GraphError,
     QuotientImage,
     Token,
+    _canonical_repr,
     _reduce_letters,
+    _short,
     _status_match,
     check_relation,
     classify_edge,
@@ -16,6 +20,8 @@ from dp6.birgroup import (
     psi_image,
     word_to_generators,
 )
+from dp6._ratfunc import MPQ
+from dp6._record import Key
 from dp6.fieldtower import TowerError, apply
 from dp6.points import ClosedPointSpec, construct_2point, construct_3point, validate_point
 from dp6.sarkisov import link
@@ -300,6 +306,77 @@ def test_explored_vertices_have_rank_one(name):
     for graph in _explore_all(_bundled(name)):
         for v in graph.vertices.values():
             assert _invariant_rank(v.data) == 1, v.name
+
+
+# -- canonical key strings ----------------------------------------------------
+
+def _plain_canonical_repr(obj):
+    """The plain recursive canonical string, every subobject printed anew:
+    the reference for `_canonical_repr`."""
+    if isinstance(obj, (frozenset, set)):
+        return "{" + ",".join(sorted(_plain_canonical_repr(x) for x in obj)) + "}"
+    if isinstance(obj, tuple):
+        return "(" + ",".join(_plain_canonical_repr(x) for x in obj) + ")"
+    if isinstance(obj, dict):
+        items = sorted((
+            _plain_canonical_repr(k) + ":" + _plain_canonical_repr(v)
+            for k, v in obj.items()
+        ))
+        return "{" + ",".join(items) + "}"
+    return repr(obj)
+
+
+def _plain_short(key):
+    return hashlib.sha1(_plain_canonical_repr(key).encode()).hexdigest()[:6]
+
+
+def _graph_keys(graph):
+    """Every vertex key, pair id and edge id of the graph."""
+    keys = list(graph.vertices)
+    for edge in graph.edges.values():
+        keys.append(edge.pair_id)
+        keys.extend(edge.records)
+    return keys
+
+
+@pytest.mark.parametrize("name", ["example-main", "z6-index2-hex"])
+def test_canonical_repr_matches_plain_on_graph_keys(name):
+    keys = [k for graph in _explore_all(_bundled(name)) for k in _graph_keys(graph)]
+    assert keys
+    for key in keys:
+        assert _canonical_repr(key) == _plain_canonical_repr(key)
+        assert _short(key) == _plain_short(key)
+
+
+def test_canonical_repr_matches_plain_on_nested_keys():
+    """Equal subobjects that print differently (1, True, 1.0, MPQ(1)) are
+    printed each as itself, shared ones once; sets and dicts are sorted by
+    their members' strings, whatever their iteration order."""
+    one = MPQ(1)
+    pair = frozenset({(1, "a"), (2, "b")})
+    keys = [
+        (1, True, 1.0, one, one, MPQ(1)),
+        (pair, pair, frozenset({(1, "a"), (2, "b")}), (pair, (pair,))),
+        frozenset({10, 2, 33, 4, 17}),
+        {"b": (1, True), "a": frozenset({1.0, 3}), 1: {True: one, 2.0: (one,)}},
+        (Key((1, one)), (True, MPQ(1)), Key((1, one)), {frozenset({1}), 2}),
+        frozenset({(1, frozenset({True})), (True, frozenset({1.0}))}),
+    ]
+    for key in keys:
+        assert _canonical_repr(key) == _plain_canonical_repr(key)
+        assert _short(key) == _plain_short(key)
+    # the plain reference tells these subobjects apart
+    assert _plain_canonical_repr(keys[0]) == "(1,True,1.0,MPQ(1,1),MPQ(1,1),MPQ(1,1))"
+
+
+def test_graph_keys_keep_their_hash_and_set_order(example_graph):
+    """Vertex keys and pair ids are `Key`s with the plain tuples' hashes,
+    so a set of them iterates as the set of the plain tuples does."""
+    keys = list(example_graph.vertices) + [e.pair_id for e in _distinct_edges(example_graph)]
+    assert all(type(k) is Key for k in keys)
+    plain = [tuple(k) for k in keys]
+    assert [tuple(k) for k in set(keys)] == list(set(plain))
+    assert [hash(k) for k in keys] == [hash(t) for t in plain]
 
 
 def test_point_over_an_adjoined_radical():

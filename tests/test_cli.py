@@ -104,6 +104,26 @@ def test_reports_deterministic():
     assert (code1, text1) == (code2, text2)
 
 
+def test_example_main_hashes_few_rationals(monkeypatch):
+    """Graph, point and image keys keep their hashes, so a warm example-main
+    run hashes few `MPQ` leaves (about 1.9k; 7.7k when every lookup rehashed
+    its whole key)."""
+    from dp6._ratfunc import MPQ
+
+    path = bundled_path("example-main")
+    want = run(path)
+    calls = []
+    plain_hash = MPQ.__hash__
+
+    def counted(self):
+        calls.append(None)
+        return plain_hash(self)
+
+    monkeypatch.setattr(MPQ, "__hash__", counted)
+    assert run(path) == want
+    assert 0 < len(calls) < 2000
+
+
 def test_example_main_report_contents():
     code, text = run(bundled_path("example-main"))
     assert code == 0

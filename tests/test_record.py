@@ -1,10 +1,16 @@
 """`dp6._record` against the standard `@dataclass` on the same declarations."""
 
+import copy
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
 from dp6 import _record
+from dp6._ratfunc import MPQ
 
 
 def _repr_note(self):
@@ -205,3 +211,32 @@ def test_memo_keeps_values_and_no_raise():
             _record.memo(table, "c", lambda: build(None))
     assert table == {"a": 1, "b": False} and calls == [1, False, None, None]
     assert _record.memo(table, "c", lambda: build(4)) == 4
+
+
+_KEY_ITEMS = (1, ("a", MPQ(1, 3)), frozenset({2, "b"}), None, ())
+
+
+def test_key_is_the_tuple_with_its_hash_kept():
+    t = _KEY_ITEMS
+    k = _record.Key(t)
+    assert hash(k) == hash(t) and hash(k) == hash(t)  # computed, then kept
+    assert k == t and t == k and not (k != t)
+    assert {k: 1}[t] == 1 and {t: 1}[k] == 1
+    assert repr(k) == repr(t) and str(k) == str(t)
+    for again in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert type(again) is _record.Key
+        assert again == t and repr(again) == repr(t) and hash(again) == hash(t)
+
+
+def test_pickled_key_hashes_anew():
+    """A string hashes differently under another hash seed, so a kept hash
+    must not travel: the unpickled key hashes as the plain tuple there."""
+    k = _record.Key(("a", ("b", 1)))
+    hash(k)
+    code = ("import pickle, sys; k = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(k) == hash(tuple(k)), 'stale hash'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for seed in ("12345", "54321"):
+        env["PYTHONHASHSEED"] = seed
+        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(k),
+                       env=env, check=True)
