@@ -88,13 +88,13 @@ def main(argv=None):
                and e.target_key != graph.base_key and not e.self_loop]
     if a_edges:
         e1 = a_edges[0]
-        rec1 = e1.records[e1.positive_id]
+        rec1 = e1.records[e1.pair_id]
         follow = [e for e in a_edges
                   if e.source_key == rec1.target.vertex_key()
                   and e.target_key not in (graph.base_key,
                                            rec1.source.vertex_key())]
         if follow:
-            rec2 = follow[0].records[follow[0].positive_id]
+            rec2 = follow[0].records[follow[0].pair_id]
             tour = [graph.reference_record(rec1.source.vertex_key()), rec1,
                     rec2,
                     graph.reference_record(rec2.target.vertex_key()).reversed()]

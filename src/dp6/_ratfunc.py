@@ -27,7 +27,7 @@ Nothing else loads it.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, isqrt, lcm
@@ -687,7 +687,8 @@ def cancel_pair(num: CPoly, den: CPoly):
        `term_pair` of c and e;
     4. rational gcd, when each side is a Q(w) scalar times a rational
        polynomial;
-    5. Q(w) gcd otherwise.
+    5. norm filter: the sides are coprime when their norms are (`_qnorm`);
+    6. Q(w) gcd otherwise.
 
     `monic_pair` then scales the denominator to lex-leading coefficient 1.
 
@@ -712,9 +713,22 @@ def cancel_pair(num: CPoly, den: CPoly):
         _, qn, qd = _rational_gcd(cn[1], cd[1])
         num = _with_scalar(ring_, cn[0], qn)
         den = _with_scalar(ring_, cd[0], qd)
-    else:
+    elif any(chain.from_iterable(_rational_gcd(_qnorm(num), _qnorm(den))[0])):
+        # the norms share a nonconstant factor, so num and den may not be coprime
         num, den = _algebraic_cancel(num, den)
     return monic_pair(num, den)
+
+
+def _qnorm(p: CPoly):
+    """N(p) = pa^2 - pa*pb + pb^2, the product of p = pa + w*pb and its
+    conjugate pa + w^2*pb: a nonzero rational polynomial for nonzero p.
+
+    N is multiplicative, so a common factor d of num and den over Q(w) that
+    is not constant puts the nonconstant N(d) in both N(num) and N(den).  A
+    constant rational gcd of the two norms therefore proves num and den
+    coprime, with no gcd over Q(w)."""
+    pa, pb = p.pa, p.pb or {}
+    return _psub(_padd(_pmul(pa, pa), _pmul(pb, pb)), _pmul(pa, pb))
 
 
 def strip_monomial_content(num: CPoly, den: CPoly):
@@ -962,7 +976,7 @@ def _primitive(f):
 # sympy: the Q(w) gcd and the PRS fallback
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cache
 def _qomega_domain():
     """sympy's QQ(w), built on first use: evaluating the expression for w
     loads sympy's tensor and combinatorics modules, which nothing else

@@ -40,8 +40,9 @@ class Vertex(Record):
 
 
 class EdgeClass(Record):
+    # chi's own edge id: the record with this id, chi and not chi^-1, is the
+    # positive orientation of the edge
     pair_id: tuple
-    positive_id: tuple
     records: dict                  # edge_id -> LinkRecord
     source_key: tuple
     target_key: tuple
@@ -96,7 +97,6 @@ class BirGraph(Record):
         if edge is None:
             edge = EdgeClass(
                 pair_id=pid,
-                positive_id=pid,
                 records={rec.edge_id: rec},
                 source_key=rec.source.vertex_key(),
                 target_key=rec.target.vertex_key(),
@@ -117,7 +117,7 @@ class BirGraph(Record):
         if v.ref_edge is None:
             raise GraphError(f"no reference link materialized for {v.name}")
         edge = self.edges[v.ref_edge]
-        rec = edge.records[edge.positive_id]
+        rec = edge.records[edge.pair_id]
         if rec.source.vertex_key() != self.base_key:
             rec = rec.reversed()
         return rec
@@ -342,7 +342,7 @@ def classify_edge(graph: BirGraph, rec: LinkRecord, aut_witnesses=()):
         return "almost-involution"
     if edge.in_RE:
         return "positive"
-    return "positive" if rec.edge_id == edge.positive_id else "negative"
+    return "positive" if rec.edge_id == edge.pair_id else "negative"
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +582,7 @@ def _token_letters(graph, tok: Token, mode):
         )
     if edge.almost_involution:
         return [(("Z2", edge.pair_id), 1)]
-    sign = 1 if rec.edge_id == edge.positive_id else -1
+    sign = 1 if rec.edge_id == edge.pair_id else -1
     if tok.inverse:
         sign = -sign
     return [(("Z", edge.pair_id), sign)]

@@ -11,7 +11,7 @@ bounded lattice search `minus_one_classes` is the tests' reference for them.
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd
 from operator import mul
 
@@ -117,7 +117,6 @@ def _labels(n):
 class CurveConfig(Record):
     """Labeled set of (-1)-classes with the intersection adjacency."""
 
-    n: int
     labels: dict  # label -> CurveClass
     # the adjacency relation: ordered label pairs (a, b) with intersection >= 1
     edges: frozenset = field(init=False, repr=False)
@@ -142,7 +141,7 @@ class CurveConfig(Record):
         expected = {3: 6, 5: 16, 6: 27}[n]
         if len(lab) != expected or len({c.vector() for c in lab.values()}) != expected:
             raise AssertionError("label dictionary does not cover the classes")
-        return cls(n, lab)
+        return cls(lab)
 
     def class_of(self, label):
         return self.labels[label]
@@ -286,7 +285,8 @@ class InducedAction(Record):
     group_pairs: frozenset    # all (hex_perm, comp_perm) pairs of the closure
 
 
-@lru_cache(maxsize=8)
+# the domain is finite: n in POINT_COUNTS = (3, 5, 6); any other n raises
+@cache
 def config(n):
     return CurveConfig.build(n)
 

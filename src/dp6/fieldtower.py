@@ -15,7 +15,6 @@ Q(w) value zeta_6^t.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd
 from operator import add, neg, sub
 
@@ -773,7 +772,6 @@ class ExtensionDescriptor(Record, frozen=True):
         return ("rad", self.kind, self.tower.field_key(), self.radicand.key())
 
 
-@lru_cache(maxsize=4)
 def _test_point(n):
     """The first n primes: the point at which same_field evaluates radicands."""
     primes = []
@@ -987,12 +985,9 @@ class RadElement:
         # general: x^-1 = prod_{j>0} s_j(x) / N(x), where s_j fixes F and
         # sends r to zeta_m^j * r; the norm N(x) = x * prod_{j>0} s_j(x) is
         # fixed by every s_j, so it lies in F (digit 0)
-        idn = VarAutomorphism.identity(len(self.comp.tower.variables))
-        conj = None
-        for j in range(1, m):
-            s_j = CompositeElement(self.comp, idn, j * 6 // m)
-            y = apply(s_j, self)
-            conj = y if conj is None else conj * y
+        conj = twist(self, 6 // m)
+        for j in range(2, m):
+            conj = conj * twist(self, j * 6 // m)
         return conj * (self * conj).digits[0].inv()
 
     def __truediv__(self, other):

@@ -336,78 +336,54 @@ def _scan_candidates(tower):
 
 
 def construct_3point(spec: SurfaceSpec):
-    """A 3-point in general position split inside F, per the existence recipes."""
+    """A 3-point in general position split inside F, per the existence recipes.
+
+    Each surface type streams its candidate coordinates (lambda1, lambda2);
+    the first candidate in general position is the point.
+    """
     idx = index(spec)
     if idx != 3:
         raise PointCaseError(f"construct_3point requires index 3, found {idx}")
     tower = spec.tower
     g = tower.element_named("g")
-
+    xi_inv = spec.xi.inv()
     if spec.gtype == "S3":
         ext = ExtensionDescriptor("subfield", tower, fixing=frozenset(
             [tower.element_named("1")]), name="F")
-        f = tower.element_named("f")
-        gf = tower.element_named("gf")
-        for lam in _monomials_of_bounded_degree(tower):
-            if apply(gf, lam) == lam:
-                continue
-            lam2 = apply(f, lam.inv()) * spec.xi.inv()
-            p = ClosedPointSpec(3, ext, lam, lam2, name="p3")
-            try:
-                if general_position(spec, p):
-                    return p
-            except (PointValidationError, PointCaseError):
-                continue
-        raise PointValidationError(
-            "monomial scan found no 3-point; supply coordinates explicitly"
-        )
-
-    h = tower.element_named("h")
-    if spec.rho is None or not spec.rho.is_one():
-        raise PointValidationError(
-            "the 3-point recipe needs the normalized parametrization rho = 1; "
-            "apply a norm twist with a certificate for rho first"
-        )
-    ext = ExtensionDescriptor("subfield", tower, fixing=tower.subgroup(["h"]), name="L")
+        lams = _monomials_of_bounded_degree(tower)
+    else:
+        h = tower.element_named("h")
+        if spec.rho is None or not spec.rho.is_one():
+            raise PointValidationError(
+                "the 3-point recipe needs the normalized parametrization rho = 1; "
+                "apply a norm twist with a certificate for rho first"
+            )
+        ext = ExtensionDescriptor("subfield", tower, fixing=tower.subgroup(["h"]),
+                                  name="L")
     if spec.gtype == "Z6":
-        xi_inv = spec.xi.inv()
-        for b in _monomials_of_bounded_degree(tower):
-            if not is_fixed(b, [g]):
-                continue
-            lam1 = b / apply(h, b)
-            if lam1.is_one():
-                continue  # b in F^h
-            if lam1 == xi_inv or lam1 * lam1 == xi_inv:
-                continue
-            p = ClosedPointSpec(3, ext, lam1, xi_inv, name="p3")
-            try:
-                if general_position(spec, p):
-                    return p
-            except (PointValidationError, PointCaseError):
-                continue
-        raise PointValidationError(
-            "monomial scan found no 3-point; for non-monomial xi supply the "
-            "Hilbert-90 element a with a/h(a) = xi^-1 as scenario data"
-        )
-    # D6: lambda = a/h(a), a outside F^h and F^gf
-    f = tower.element_named("f")
-    gf = tower.element_named("gf")
-    for a in _scan_candidates(tower):
-        if apply(h, a) == a or apply(gf, a) == a:
-            continue
-        lam = a / apply(h, a)
-        if apply(gf, lam) == lam:
-            continue
-        lam2 = apply(f, lam.inv()) * spec.xi.inv()
-        p = ClosedPointSpec(3, ext, lam, lam2, name="p3")
+        hint = ("for non-monomial xi supply the Hilbert-90 element a with "
+                "a/h(a) = xi^-1 as scenario data")
+        lams = (b / apply(h, b) for b in _monomials_of_bounded_degree(tower)
+                if is_fixed(b, [g]))
+        # lambda1 = 1 means b in F^h
+        pairs = ((lam, xi_inv) for lam in lams
+                 if not lam.is_one() and lam != xi_inv and lam * lam != xi_inv)
+    else:  # S3 and D6: lambda1 outside F^gf, lambda2 = f(lambda1)^-1 * xi^-1
+        hint = "supply coordinates explicitly"
+        f, gf = tower.element_named("f"), tower.element_named("gf")
+        if spec.gtype == "D6":  # lambda1 = a/h(a), a outside F^h and F^gf
+            lams = (a / apply(h, a) for a in _scan_candidates(tower)
+                    if apply(h, a) != a and apply(gf, a) != a)
+        pairs = ((lam, apply(f, lam.inv()) * xi_inv) for lam in lams
+                 if apply(gf, lam) != lam)
+    for lam1, lam2 in pairs:
+        p = ClosedPointSpec(3, ext, lam1, lam2, name="p3")
         try:
             if general_position(spec, p):
                 return p
         except (PointValidationError, PointCaseError):
             continue
-    raise PointValidationError(
-        "monomial scan found no 3-point; supply coordinates explicitly"
-    )
+    raise PointValidationError("monomial scan found no 3-point; " + hint)
 
 
 def construct_2point(spec: SurfaceSpec):

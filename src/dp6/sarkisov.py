@@ -10,7 +10,7 @@ as full surfaces only when the fixed field is again a supported tower.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from . import curveconfig, hexagon
 from ._ratfunc import ZETA_KEYS
@@ -140,9 +140,10 @@ def classify_perm_group(perms):
     return _perm_group_type(frozenset(perms))
 
 
-# keyed by the generating set: the group it generates does not depend on the
-# order of the generators, and a refusal raises, so it is never cached
-@lru_cache(maxsize=32)
+# keyed by the generating set, a subset of D6's 12 symmetries: the group it
+# generates does not depend on the order of the generators, and a refusal
+# raises, so it is never cached
+@cache
 def _perm_group_type(perms):
     elems = hexagon.closure(hexagon.IDENTITY, dict(enumerate(perms)),
                             hexagon.compose, 12)
@@ -253,7 +254,6 @@ class LinkRecord(Record):
     kernel_pairs: frozenset
     h_description: str
     edge_id: tuple
-    orientation: str = "unknown"
 
     def reversed(self):
         name = self.name[:-3] if self.name.endswith("^-1") else self.name + "^-1"
@@ -268,7 +268,6 @@ class LinkRecord(Record):
             kernel_pairs=self.kernel_pairs,
             h_description=self.h_description,
             edge_id=("inv", pid) if pid == self.edge_id else pid,
-            orientation=self.orientation,
         )
 
     def is_self_link(self):
@@ -336,7 +335,10 @@ def link(source, p, name=None):
     radicals_full = src.radicals if contained else src.radicals + (handle.fld,)
     inv_field, inv_slot = _stabilizer_field(src, radicals_full, inv_comp, d)
     new_action, new_radicals = _drop_killed_radicals(new_action, radicals_full)
-    inv_table = _reduce_inverse_table(inv_comp, inv_slot)
+    # the inverse point's table: (u, zeta exponent on its field's radical
+    # inv_slot), or (u, 0) when it splits inside F
+    inv_table = _project(inv_comp, lambda zs: 0 if inv_slot is None else zs[inv_slot],
+                         "inverse-point transport data is inconsistent")
     new_gtype = classify_perm_group(set(new_action.values()))
 
     # Severi-Brauer data transport per the link corollaries
@@ -432,24 +434,18 @@ def _drop_killed_radicals(action, radicals):
     keep = [i for i in range(len(radicals)) if not _pure_factor_trivial(action, i)]
     if len(keep) == len(radicals):
         return action, radicals
-    new_action = {}
-    for (u, zs), perm in action.items():
-        nk = (u, tuple(zs[i] for i in keep))
-        if new_action.setdefault(nk, perm) != perm:
-            raise LinkError("radical drop produced an inconsistent action")
-    return new_action, tuple(radicals[i] for i in keep)
+    return (_project(action, lambda zs: tuple(zs[i] for i in keep),
+                     "radical drop produced an inconsistent action"),
+            tuple(radicals[i] for i in keep))
 
 
-def _reduce_inverse_table(inv_comp, slot):
-    """The inverse point's table: (u, zeta exponent on its field's radical `slot`).
-
-    With no slot the inverse point splits inside F and the exponent is 0.
-    """
+def _project(table, project, error):
+    """The table re-keyed from (u, zs) to (u, project(zs)); a table that is not
+    constant on the fibres of the projection is refused with `error`."""
     out = {}
-    for (u, zs), perm in inv_comp.items():
-        key = (u, 0 if slot is None else zs[slot])
-        if out.setdefault(key, perm) != perm:
-            raise LinkError("inverse-point transport data is inconsistent")
+    for (u, zs), value in table.items():
+        if out.setdefault((u, project(zs)), value) != value:
+            raise LinkError(error)
     return out
 
 

@@ -90,14 +90,14 @@ class TwistedAutomorphism:
 class ClassHandle(Record, frozen=True):
     """A Severi-Brauer or conic class, carried as data.
 
-    Either an explicit field element with its norm-generator word, or an
-    opaque transported class identified only by its key.  The status is a
-    norm-class verdict; a foreign one is refused when the handle is built.
+    Either an explicit field element, with its norm-generator word in the
+    key, or an opaque transported class identified only by its key.  The
+    status is a norm-class verdict; a foreign one is refused when the handle
+    is built.
     """
 
     key: tuple
     element: FieldElement | None = None
-    gen_word: str = ""
     status: str = UNKNOWN
     assumed: bool = False
 
@@ -114,7 +114,6 @@ class ClassHandle(Record, frozen=True):
         return cls(
             key=("elt", element.key(), gen_word),
             element=element,
-            gen_word=gen_word,
             status=fact.verdict,
             assumed=fact.assumed,
         )
@@ -217,42 +216,31 @@ def make_surface(gtype, tower, xi, rho=None, registry=None, name="S"):
     if xi.is_zero() or (rho is not None and rho.is_zero()):
         raise SurfaceConditionError("twist parameters must be nonzero")
     g = tower.element_named("g")
-    if gtype == "Z6":
-        if rho is None:
-            raise SurfaceConditionError("Z6 surfaces need the parameter rho")
-        h = tower.element_named("h")
-        if not is_fixed(xi, [g]):
-            raise SurfaceConditionError("condition fails: xi in F^g")
-        if not is_fixed(rho, [h]):
-            raise SurfaceConditionError("condition fails: rho in F^h")
-        if not (norm(h, xi) * norm(g, rho)).is_one():
-            raise SurfaceConditionError(
-                "condition fails: Norm_h(xi) * Norm_g(rho) = 1"
-            )
-    elif gtype == "S3":
+    if gtype == "S3":
         if rho is not None:
             raise SurfaceConditionError("S3 surfaces carry no parameter rho")
         if not tower.in_base_field(xi):
             raise SurfaceConditionError("condition fails: xi in k*")
-    elif gtype == "D6":
+    else:  # Z6 and D6; D6 adds f to the fixers of xi and a third identity
         if rho is None:
-            raise SurfaceConditionError("D6 surfaces need the parameter rho")
+            raise SurfaceConditionError(f"{gtype} surfaces need the parameter rho")
         h = tower.element_named("h")
-        f = tower.element_named("f")
-        if not is_fixed(xi, [g, f]):
-            raise SurfaceConditionError("condition fails: xi in F^<g,f>")
+        fixers, where = (([g], "F^g") if gtype == "Z6"
+                         else ([g, tower.element_named("f")], "F^<g,f>"))
+        if not is_fixed(xi, fixers):
+            raise SurfaceConditionError(f"condition fails: xi in {where}")
         if not is_fixed(rho, [h]):
             raise SurfaceConditionError("condition fails: rho in F^h")
-        if not (norm(h, xi) * norm(g, rho)).is_one():
+        norm_h_xi = norm(h, xi)
+        if not (norm_h_xi * norm(g, rho)).is_one():
             raise SurfaceConditionError(
                 "condition fails: Norm_h(xi) * Norm_g(rho) = 1"
             )
-        if not (apply(g, rho) * norm(f, rho) * norm(h, xi)).is_one():
+        if gtype == "D6" and not (apply(g, rho) * norm(fixers[1], rho)
+                                  * norm_h_xi).is_one():
             raise SurfaceConditionError(
                 "condition fails: g(rho) * Norm_f(rho) * Norm_h(xi) = 1"
             )
-    else:
-        raise SurfaceConditionError(f"unknown surface type {gtype!r}")
 
     spec = SurfaceSpec(gtype, tower, xi, rho, registry or FactRegistry(), name)
     spec.cocycle = _base_cocycle(spec)
@@ -583,38 +571,27 @@ def equivalence_move(spec: SurfaceSpec, move, element=None):
     if move == "invert":
         xi = spec.xi.inv()
         rho = spec.rho.inv() if spec.rho is not None else None
-        return make_surface(spec.gtype, tower, xi, rho, spec.registry,
-                            name=spec.name + "'")
-    if move == "rotate":
+    elif move == "rotate":
         if spec.gtype != "Z6":
             raise SurfaceConditionError("rho-rotation is a Z6 move")
-        return make_surface(spec.gtype, tower, spec.xi, apply(g, spec.rho),
-                            spec.registry, name=spec.name + "'")
-    if move == "twist":
+        xi, rho = spec.xi, apply(g, spec.rho)
+    elif move == "twist":
         lam = element
         if lam is None or lam.is_zero():
             raise SurfaceConditionError("norm twist needs a nonzero element")
-        if spec.gtype == "Z6":
-            h = tower.element_named("h")
-            xi = spec.xi * norm(g, lam.inv())
-            rho = spec.rho * norm(h, lam)
-            return make_surface("Z6", tower, xi, rho, spec.registry,
-                                name=spec.name + "'")
         if spec.gtype == "S3":
-            f = tower.element_named("f")
-            if not is_fixed(lam, [f]):
+            if not is_fixed(lam, [tower.element_named("f")]):
                 raise SurfaceConditionError("S3 twist element must lie in F^f")
-            return make_surface("S3", tower, spec.xi * norm(g, lam), None,
-                                spec.registry, name=spec.name + "'")
-        gf = tower.element_named("gf")
-        if not is_fixed(lam, [gf]):
-            raise SurfaceConditionError("D6 twist element must lie in F^gf")
-        h = tower.element_named("h")
-        xi = spec.xi * norm(g, lam.inv())
-        rho = spec.rho * norm(h, lam)
-        return make_surface("D6", tower, xi, rho, spec.registry,
-                            name=spec.name + "'")
-    raise SurfaceConditionError(f"unknown move {move!r}")
+            xi, rho = spec.xi * norm(g, lam), None
+        else:  # Z6 and D6; D6 asks lam in F^gf
+            if spec.gtype == "D6" and not is_fixed(lam, [tower.element_named("gf")]):
+                raise SurfaceConditionError("D6 twist element must lie in F^gf")
+            xi = spec.xi * norm(g, lam.inv())
+            rho = spec.rho * norm(tower.element_named("h"), lam)
+    else:
+        raise SurfaceConditionError(f"unknown move {move!r}")
+    return make_surface(spec.gtype, tower, xi, rho, spec.registry,
+                        name=spec.name + "'")
 
 
 # ---------------------------------------------------------------------------

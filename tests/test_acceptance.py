@@ -223,10 +223,10 @@ def test_acceptance_5_example_reproduction(s3_example, example_points):
     a_edges = [e for e in edges if e.source_key != g2.base_key
                and e.target_key != g2.base_key and not e.self_loop]
     e1 = a_edges[0]
-    rec1 = e1.records[e1.positive_id]
+    rec1 = e1.records[e1.pair_id]
     e2 = [e for e in a_edges if e.source_key == rec1.target.vertex_key()
           and e.target_key not in (g2.base_key, rec1.source.vertex_key())][0]
-    rec2 = e2.records[e2.positive_id]
+    rec2 = e2.records[e2.pair_id]
     tour = [g2.reference_record(rec1.source.vertex_key()), rec1, rec2,
             g2.reference_record(rec2.target.vertex_key()).reversed()]
     word = word_to_generators(g2, tour)
@@ -265,7 +265,7 @@ def test_acceptance_6_relation_kill(s3_example, example_points, z6_hex):
     edges = {id(e): e for e in graph.edges.values()}.values()
     a_edges = [e for e in edges if e.source_key != graph.base_key
                and e.target_key != graph.base_key and not e.self_loop]
-    rec = a_edges[0].records[a_edges[0].positive_id]
+    rec = a_edges[0].records[a_edges[0].pair_id]
     ru = graph.reference_record(rec.source.vertex_key())
     rv = graph.reference_record(rec.target.vertex_key())
     assert killed(word_to_generators(

@@ -18,12 +18,20 @@ from dp6.birgroup import (
     explore_graph,
     hexagonal_graph,
     psi_image,
+    same_vertex,
     word_to_generators,
 )
+from dp6 import hexagon
 from dp6._ratfunc import MPQ
-from dp6._record import Key
-from dp6.fieldtower import TowerError, apply
-from dp6.points import ClosedPointSpec, construct_2point, construct_3point, validate_point
+from dp6._record import Key, replace
+from dp6.fieldtower import ExtensionDescriptor, TowerError, apply
+from dp6.points import (
+    ClosedPointSpec,
+    composite_for,
+    construct_2point,
+    construct_3point,
+    validate_point,
+)
 from dp6.sarkisov import link
 from dp6.surface import is_automorphism, torus_member
 
@@ -53,6 +61,43 @@ def test_depth2_a_edges(example_graph):
     assert len(example_graph.vertices) == 5
 
 
+@pytest.fixture(scope="module")
+def p0_over_mu_squared(s3_tower):
+    """example-main's p0, t3/r with r^3 = mu, written over E0 with radicand
+    mu^2: there r' = r^2, so t3/r = t3*r'/mu."""
+    t1, t2, t3, s = (s3_tower.var(v) for v in ("t1", "t2", "t3", "s"))
+    mu = s * t1 * t2 * t3
+    E = ExtensionDescriptor("kummer-cubic", s3_tower, radicand=mu * mu, name="E0'")
+    cg = composite_for(s3_tower, E)
+    lam = t3 * cg.comp.r() / mu
+    return ClosedPointSpec(3, E, lam, lam * apply(cg.generators["g"], lam), name="p0'")
+
+
+def test_one_field_two_radicands_merge(s3_example, example_points,
+                                       p0_over_mu_squared):
+    """The targets of p0 over E0 written with radicands mu and mu^2 have
+    different keys; `same_vertex` finds them one model, so the graph keeps
+    one vertex for both."""
+    a = link(s3_example, example_points[0]).target
+    b = link(s3_example, p0_over_mu_squared).target
+    assert a.vertex_key() != b.vertex_key()
+    assert same_vertex(a, b) is True
+    g = explore_graph(s3_example, [example_points[0], p0_over_mu_squared], depth=1)
+    assert len(g.vertices) == 2
+    assert not g.unknown_merges
+
+
+def test_merge_refused_on_the_kernel_alone(s3_example, p0_over_mu_squared):
+    """The mu^2 target with one kernel element moved off the identity: the
+    fields, the group type and the classes are unchanged, so only the
+    kernels tell the two apart."""
+    b = link(s3_example, p0_over_mu_squared).target
+    moved = next(k for k in b.kernel() if not k[0].is_identity())
+    other = next(p for p in hexagon.d6_elements() if p != hexagon.IDENTITY)
+    c = replace(b, action={**b.action, moved: other})
+    assert same_vertex(b, c) is False
+
+
 def test_super_rigid_graph(z6_index6):
     g = explore_graph(z6_index6, [], depth=2)
     assert len(g.vertices) == 1
@@ -74,7 +119,7 @@ def _a_tour(graph):
         and not e.self_loop
     ]
     e = a_edges[0]
-    rec = e.records[e.positive_id]
+    rec = e.records[e.pair_id]
     ref_u = graph.reference_record(rec.source.vertex_key())
     ref_v = graph.reference_record(rec.target.vertex_key())
     return ref_u, rec, ref_v
@@ -99,7 +144,7 @@ def test_word_through_two_targets(example_graph):
         and e.target_key not in (example_graph.base_key, rec.source.vertex_key())
     ]
     e2 = nxt[0]
-    rec2 = e2.records[e2.positive_id]
+    rec2 = e2.records[e2.pair_id]
     ref_w = example_graph.reference_record(rec2.target.vertex_key())
     word = word_to_generators(
         example_graph, [ref_u, rec, rec2, ref_w.reversed()])

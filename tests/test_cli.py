@@ -607,6 +607,26 @@ def test_oversized_power_is_load_error(tmp_path, rho, message):
                                f"{message}\n")
 
 
+#: a coprime pair n/d with mixed Q(w) coefficients whose gcd over Q(w) is
+#: slow: at the fourth power it took over a minute
+_SLOW_N = "((10/7*x1*x2^2*y^2 - x2^2*y^3) + w*(2/7*x1*x2^2*y^2 - x2^2*y^3))"
+_SLOW_D = "((x1^4*x3^4 - 10/7*x1^3*x3^3) + w*(-2/7*x1^3*x3^3))"
+
+
+def test_mixed_power_rho_ends_quickly(tmp_path):
+    """rho = x1/x2 * (n/d)^4 is a 600-byte file: the norm filter of
+    `cancel_pair` proves n^4 and d^4 coprime, so the file ends in its
+    load-error without the gcd over Q(w)."""
+    scen = json.loads(open(bundled_path("z6-index2-hex")).read())
+    scen["surfaces"]["SZ"]["rho"] = f"x1/x2*{_SLOW_N}^4/{_SLOW_D}^4"
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(scen))
+    t0 = time.perf_counter()
+    code, text = run(str(path))
+    assert time.perf_counter() - t0 < 10
+    assert (code, text) == (3, "load-error: condition fails: rho in F^h\n")
+
+
 def test_oversized_power_is_refused_unexpanded(s3_tower):
     """(t1+t2+t3+1)^40 has 12341 terms and took seconds to build; its
     prediction refuses it at once."""

@@ -267,6 +267,72 @@ def test_mixed_term_multiple_skips_the_algebraic_gcd(monkeypatch, f):
     assert _key(cancel_pair(f * t1, f * t2)) == _key(want)
 
 
+_ALGEBRAIC_CANCEL = _ratfunc._algebraic_cancel
+
+
+def _poly(*terms):
+    """A polynomial of R from (exponents, a, b) terms, each a + b*w."""
+    return CPoly.from_terms(R, {e: QOmega(a, b) for e, a, b in terms})
+
+
+# a and b have mixed Q(w) coefficients and are coprime; the planted factors
+# are rational, split over Q(w) (x - w*y, whose conjugate is x - w^2*y), and
+# a square
+_A = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 0, 1), ((0, 0, 0), 1, 0))
+_B = _poly(((2, 0, 0), 1, 0), ((0, 0, 1), 0, -1), ((0, 1, 0), 1, 0))
+_RATIONAL = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 2, 0), ((0, 0, 0), -3, 0))
+_SPLIT = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 0, -1))
+_CONJUGATE = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 1, 1))
+
+_COPRIME = {
+    "a/b": (_A, _B),
+    "slow-pair": (_MIXED_NUM, _MIXED_DEN),
+    "slow-pair-squared": (_MIXED_NUM ** 2, _MIXED_DEN ** 2),
+    # coprime, but both norms have the factor x^2 + x*y + y^2
+    "conjugate-factors": (_SPLIT * _A, _CONJUGATE * _B),
+}
+_PLANTED = {
+    "rational": (_RATIONAL * _A, _RATIONAL * _B),
+    "split": (_SPLIT * _A, _SPLIT * _B),
+    "repeated": (_SPLIT * _SPLIT * _A, _SPLIT * _B),
+    "repeated-both": (_SPLIT * _SPLIT * _A, _SPLIT * _SPLIT * _B),
+}
+
+
+def _count_algebraic_cancel(monkeypatch):
+    calls = []
+
+    def counted(num, den):
+        calls.append((num, den))
+        return _ALGEBRAIC_CANCEL(num, den)
+
+    monkeypatch.setattr(_ratfunc, "_algebraic_cancel", counted)
+    return calls
+
+
+def _by_algebraic_gcd(num, den):
+    """The canonical pair by the gcd over Q(w) alone, with no norm filter."""
+    return monic_pair(*_ALGEBRAIC_CANCEL(*strip_monomial_content(num, den)))
+
+
+@pytest.mark.parametrize("name", sorted(_COPRIME) + sorted(_PLANTED))
+def test_norm_filter_matches_the_algebraic_gcd(monkeypatch, name):
+    """The norm filter of `cancel_pair` answers coprime only on coprime pairs:
+    the result always equals the gcd over Q(w)'s, and a pair with a planted
+    common factor always reaches that gcd.  A coprime pair whose norms share
+    no factor never does."""
+    num, den = _COPRIME.get(name) or _PLANTED[name]
+    want = _by_algebraic_gcd(num, den)
+    calls = _count_algebraic_cancel(monkeypatch)
+    assert _key(cancel_pair(num, den)) == _key(want)
+    if name in _PLANTED:
+        assert want[1].degree_in(0) < den.degree_in(0)  # the factor cancels
+        assert len(calls) == 1
+    else:
+        assert _key(want) == _key(monic_pair(num, den))
+        assert len(calls) == (name == "conjugate-factors")
+
+
 def _modules_after(code, packages=("sympy",)):
     """The modules of `packages` loaded once `code` has run in a fresh
     interpreter, as the printed sorted list."""

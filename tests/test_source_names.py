@@ -146,3 +146,18 @@ def test_no_global_state_or_frozen_writes(path):
               and _attribute_path(node) == "object.__setattr__"):
             found.append((node.lineno, "object.__setattr__"))
     assert not found, f"{path.name}: {found}"
+
+
+def test_no_module_imports_lru_cache():
+    """One cache mechanism: derived values live in their owner's memo or in
+    an unbounded `functools.cache` over a finite domain, so no module of
+    `src/dp6` imports `lru_cache`, by name or as `functools.lru_cache`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "lru_cache" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    ]
+    assert not found, f"lru_cache imported or used: {found}"
