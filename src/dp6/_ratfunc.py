@@ -15,19 +15,18 @@ product and no gcd, and `pair_term` reads c and e back.
 A `fieldtower.FieldElement` keeps (c, e) as its term view: a term built
 from its view gets its pair from `term_pair` on first read; hashing and
 keys read that pair, and equality does unless both views are known.
-The rational gcd is the heuristic gcd over Z (`_heugcd`).
+The rational gcd is the heuristic gcd over Z (`_heugcd`).  The gcd over
+Q(w), `_gcd`, is the subresultant PRS with exact divisions (`CPoly.exquo`);
+it decides pairs with a w-part whose norms share a factor, and rational
+pairs on which the heuristic gives up.
 
-This is the only module that knows how a polynomial is stored and the only
-one that uses sympy.  sympy is imported inside the few functions that need
-it, through one converter pair (`_to_sympy`, `_from_sympy`): the gcd of
-polynomials with a w-part, and the gcd over Q when the heuristic gives up.
-Nothing else loads it.
+This is the only module that knows how a polynomial is stored.  It uses no
+library beyond Python's own: sympy is the tests' reference only.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, isqrt, lcm
@@ -552,25 +551,32 @@ class CPoly:
         """c * self, one ground multiplication per part and no product."""
         a, b, pa, pb = c.a, c.b, self.pa, self.pb
         if pb is None:
-            return _with_scalar(self.ring, c, pa)
+            return CPoly(self.ring, _pscale(pa, a) if a else {},
+                         _pscale(pa, b) if b else None)
         # (pa + w pb)(a + b w) = (a pa - b pb) + w (b pa + (a - b) pb)
         return CPoly(self.ring, _psub(_pscale(pa, a) if a else {},
                                       _pscale(pb, b) if b else {}),
                      _padd(_pscale(pa, b) if b else {},
                            _pscale(pb, a - b) if a != b else {}))
 
-    def exquo_rational(self, q: CPoly):
-        """self / q when the rational polynomial q divides self, else None.
+    def exquo(self, q: CPoly):
+        """self / q when q divides self, else None (q nonzero).
 
-        One division by a single polynomial: its remainder is zero exactly
-        when q divides, so no gcd is taken.
+        One long division by a rational polynomial: its remainder is zero
+        exactly when it divides, so no gcd is taken.  A q with a w-part
+        divides self exactly when its norm N(q) = q * conj(q), a rational
+        polynomial, divides self * conj(q), and the quotients are equal.
         """
-        qa = _pexquo(self.pa, q.pa, _qdiv)
+        p = self
+        if q.pb is not None:
+            p = self * CPoly(self.ring, _psub(q.pa, q.pb), _pneg(q.pb))
+            q = CPoly(self.ring, _qnorm(q))
+        qa = _pexquo(p.pa, q.pa, _qdiv)
         if qa is None:
             return None
         qb = None
-        if self.pb is not None:
-            qb = _pexquo(self.pb, q.pa, _qdiv)
+        if p.pb is not None:
+            qb = _pexquo(p.pb, q.pa, _qdiv)
             if qb is None:
                 return None
         return CPoly(self.ring, qa, qb)
@@ -685,10 +691,10 @@ def cancel_pair(num: CPoly, den: CPoly):
        monomial content, which is gone now, so the gcd is 1;
     3. term multiple: num = c*x^e*den (`term_ratio`), so the pair is
        `term_pair` of c and e;
-    4. rational gcd, when each side is a Q(w) scalar times a rational
-       polynomial;
+    4. rational gcd, when both sides are rational (`_rational_gcd`);
     5. norm filter: the sides are coprime when their norms are (`_qnorm`);
-    6. Q(w) gcd otherwise.
+    6. Q(w) gcd otherwise: both sides divided by h = `_gcd(num, _gcd(den, d))`,
+       d the gcd of the norms.
 
     `monic_pair` then scales the denominator to lex-leading coefficient 1.
 
@@ -707,15 +713,14 @@ def cancel_pair(num: CPoly, den: CPoly):
     ratio = term_ratio(num, den)
     if ratio is not None:
         return term_pair(ring_, *ratio)
-    cn = _scalar_core(num)
-    cd = _scalar_core(den)
-    if cn is not None and cd is not None:
-        _, qn, qd = _rational_gcd(cn[1], cd[1])
-        num = _with_scalar(ring_, cn[0], qn)
-        den = _with_scalar(ring_, cd[0], qd)
-    elif any(chain.from_iterable(_rational_gcd(_qnorm(num), _qnorm(den))[0])):
-        # the norms share a nonconstant factor, so num and den may not be coprime
-        num, den = _algebraic_cancel(num, den)
+    if num.pb is None and den.pb is None:
+        _, qn, qd = _rational_gcd(num.pa, den.pa)
+        num, den = CPoly(ring_, qn), CPoly(ring_, qd)
+    else:
+        d = CPoly(ring_, _rational_gcd(_qnorm(num), _qnorm(den))[0])
+        if not d.is_ground():  # num and den may share a factor, which divides d
+            h = _gcd(num, _gcd(den, d))
+            num, den = num.exquo(h), den.exquo(h)
     return monic_pair(num, den)
 
 
@@ -723,10 +728,13 @@ def _qnorm(p: CPoly):
     """N(p) = pa^2 - pa*pb + pb^2, the product of p = pa + w*pb and its
     conjugate pa + w^2*pb: a nonzero rational polynomial for nonzero p.
 
-    N is multiplicative, so a common factor d of num and den over Q(w) that
-    is not constant puts the nonconstant N(d) in both N(num) and N(den).  A
-    constant rational gcd of the two norms therefore proves num and den
-    coprime, with no gcd over Q(w)."""
+    N is multiplicative, so a common factor e of num and den over Q(w) that
+    is not constant puts the nonconstant N(e) in both N(num) and N(den).  A
+    constant rational gcd d of the two norms therefore proves num and den
+    coprime, with no gcd over Q(w).  Otherwise h = gcd(num, den) has
+    N(h) = h * conj(h) dividing d, so h divides d and h = gcd(num, gcd(den,
+    d)): the Q(w) gcds run against a divisor of d, often far smaller than
+    num and den."""
     pa, pb = p.pa, p.pb or {}
     return _psub(_padd(_pmul(pa, pa), _pmul(pb, pb)), _pmul(pa, pb))
 
@@ -829,32 +837,6 @@ def _monomial_count(p: CPoly):
     return len(p.pa) if p.pb is None else len(p.pa.keys() | p.pb.keys())
 
 
-def _scalar_core(p: CPoly):
-    """Write p = c * q with c in Q(w) and q rational, when possible.
-
-    Covers the common case of rational polynomials twisted by a root of unity,
-    keeping gcds in the fast rational path.
-    """
-    if p.pb is None:
-        return (QOmega.one(), p.pa)
-    if not p.pa:
-        return (QOmega.omega(), p.pb)
-    ta, tb = p.pa, p.pb
-    if ta.keys() != tb.keys():
-        return None
-    mon0 = next(iter(ta))
-    q = tb[mon0] / ta[mon0]
-    for mon, ca in ta.items():
-        if tb[mon] != q * ca:
-            return None
-    return (QOmega(1, q), p.pa)
-
-
-def _with_scalar(ring_, c: QOmega, q):
-    return CPoly(ring_, _pscale(q, c.a) if c.a else {},
-                 _pscale(q, c.b) if c.b else None)
-
-
 # ---------------------------------------------------------------------------
 # the gcd over Q: heuristic gcd over Z, checked by exact division
 # ---------------------------------------------------------------------------
@@ -868,13 +850,16 @@ def _rational_gcd(f, g):
 
     Denominators are cleared, so f = F/cf and g = G/cg with F and G over Z;
     then h = gcd(F, G) and f/h = (F/h)/cf.  When the heuristic gcd gives up,
-    the subresultant PRS gcd over Q decides.
+    `_gcd` decides: a rational pair is its case with no w-part.
     """
     F, cf = _clear_denominators(f)
     G, cg = _clear_denominators(g)
     found = _heugcd(F, G)
     if found is None:
-        return _prs_gcd(f, g)
+        ring_ = rational_ring(range(len(next(iter(f)))))
+        f, g = CPoly(ring_, f), CPoly(ring_, g)
+        h = _gcd(f, g)
+        return h.pa, f.exquo(h).pa, g.exquo(h).pa
     h, cff, cfg = found
     return ({m: _mpq(c, 1) for m, c in h.items()},
             {m: MPQ(c, cf) for m, c in cff.items()},
@@ -973,78 +958,80 @@ def _primitive(f):
 
 
 # ---------------------------------------------------------------------------
-# sympy: the Q(w) gcd and the PRS fallback
+# the gcd over Q(w): the subresultant PRS, with exact divisions only
 # ---------------------------------------------------------------------------
 
-@cache
-def _qomega_domain():
-    """sympy's QQ(w), built on first use: evaluating the expression for w
-    loads sympy's tensor and combinatorics modules, which nothing else
-    needs."""
-    from sympy import I, QQ, Rational, sqrt
-    return QQ.algebraic_field(Rational(-1, 2) + sqrt(3) * I / 2)
+def _gcd(f: CPoly, g: CPoly):
+    """The gcd of two nonzero polynomials over Q(w), lex-leading coefficient 1.
+
+    In the first variable x that occurs in f or g, the gcd is c, the gcd of
+    all the coefficients of f and g in x (taken recursively), times the
+    primitive part of the last nonzero remainder of the subresultant PRS of
+    f/c and g/c (Collins 1967, Brown and Traub 1971; Cohen's Algorithm
+    3.3.1).  That primitive part is the gcd of the primitive parts of f and
+    g, so neither side's own content is needed.  Each pseudo-remainder is
+    divided by s*t^d, which divides it exactly, so the coefficients stay in
+    Q(w)[other variables].  A pair with no w-part stays rational throughout.
+    """
+    ring_ = f.ring
+    i = next((i for i in range(ring_.ngens) if f.degree_in(i) or g.degree_in(i)), None)
+    if i is None:
+        return CPoly.one(ring_)
+    c = _content([*_coefficients(f, i).values(), *_coefficients(g, i).values()])
+    f, g = f.exquo(c), g.exquo(c)
+    if f.degree_in(i) < g.degree_in(i):
+        f, g = g, f
+    s = t = CPoly.one(ring_)
+    while g.degree_in(i):
+        d = f.degree_in(i) - g.degree_in(i)
+        r = _prem(f, g, i)
+        if r.is_zero():
+            return _monic(c * g.exquo(_content(_coefficients(g, i).values())))
+        f, g = g, r.exquo(s * t ** d)
+        s = _coefficients(f, i)[f.degree_in(i)]
+        if d:
+            t = (s ** d).exquo(t ** (d - 1))
+    return c  # a remainder of degree 0: the primitive parts are coprime
 
 
-def _to_sympy(ngens, pa, pb=None):
-    """pa + w*pb as a sympy ring element: over QQ when pb is None, else
-    over QQ(w)."""
-    from sympy import QQ
-    from sympy.polys.rings import ring
-
-    names = [f"x{i}" for i in range(ngens)]
-    if pb is None:
-        R = ring(names, QQ)[0]
-        return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in pa.items()})
-    from sympy.polys.polyclasses import ANP
-
-    dom = _qomega_domain()
-    R = ring(names, dom)[0]
-    mod = dom.one.mod
-    terms = {m: [_Q0, c] for m, c in pa.items()}
-    for m, c in pb.items():
-        terms.setdefault(m, [_Q0, _Q0])[0] = c
-    return R.from_dict({m: ANP([QQ(c.numerator, c.denominator) for c in bc], mod, QQ)
-                        for m, bc in terms.items()})
+def _coefficients(p: CPoly, i):
+    """p as a polynomial in x_i: {k: the coefficient of x_i^k}, each a
+    polynomial in the other variables."""
+    parts = {}
+    for j, part in enumerate((p.pa, p.pb or {})):
+        for m, c in part.items():
+            parts.setdefault(m[i], ({}, {}))[j][m[:i] + (0,) + m[i + 1:]] = c
+    return {k: CPoly(p.ring, a, b) for k, (a, b) in parts.items()}
 
 
-def _from_sympy(poly):
-    """(pa, pb) of a sympy ring element over QQ or QQ(w); pb is empty when
-    the element is rational."""
-    pa, pb = {}, {}
-    for m, c in poly.terms():
-        if hasattr(c, "to_list"):  # an element of QQ(w): [b, a] or [a]
-            bc = c.to_list()
-            a, b = bc[-1], (bc[0] if len(bc) == 2 else 0)
-        else:
-            a, b = c, 0
-        if a:
-            pa[m] = MPQ(a)
-        if b:
-            pb[m] = MPQ(b)
-    return pa, pb
+def _content(polys):
+    """The gcd of nonzero polynomials, lex-leading coefficient 1.  The
+    smallest come first, and the gcd stops at the first constant."""
+    c = None
+    for q in sorted(polys, key=_monomial_count):
+        c = _monic(q) if c is None else _gcd(c, q)
+        if c.is_ground():
+            break
+    return c
 
 
-def _prs_gcd(f, g):
-    """(h, f/h, g/h) for two rational polynomials by sympy's subresultant
-    PRS gcd, which never gives up."""
-    from sympy.polys.euclidtools import dmp_ff_prs_gcd
+def _prem(f: CPoly, g: CPoly, i):
+    """The pseudo-remainder of f by g in x_i: the remainder of
+    lc(g)^(deg f - deg g + 1) * f, which needs no division."""
+    n = g.degree_in(i)
+    lc = _coefficients(g, i)[n]
+    k = f.degree_in(i) - n + 1
+    while not f.is_zero() and (m := f.degree_in(i)) >= n:
+        shift = [0] * f.ring.ngens
+        shift[i] = m - n
+        f = lc * f - _coefficients(f, i)[m] * CPoly.monomial(f.ring, shift) * g
+        k -= 1
+    return f * lc ** k
 
-    n = len(next(iter(f)))
-    sf, sg = _to_sympy(n, f), _to_sympy(n, g)
-    R = sf.ring
-    found = dmp_ff_prs_gcd(sf.to_dense(), sg.to_dense(), n - 1, R.domain)
-    return tuple(_from_sympy(R.from_dense(p))[0] for p in found)
 
-
-def _algebraic_cancel(num: CPoly, den: CPoly):
-    n = num.ring.ngens
-    an = _to_sympy(n, num.pa, num.pb or {})
-    ad = _to_sympy(n, den.pa, den.pb or {})
-    g = an.gcd(ad)
-    if g.is_ground:
-        return num, den
-    return (CPoly(num.ring, *_from_sympy(an.quo(g))),
-            CPoly(num.ring, *_from_sympy(ad.quo(g))))
+def _monic(p: CPoly):
+    """p scaled to lex-leading coefficient 1."""
+    return p.mul_scalar(p.leading()[1].inv())
 
 
 # ---------------------------------------------------------------------------

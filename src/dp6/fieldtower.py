@@ -958,7 +958,7 @@ class RadElement:
             c = lo * red.den + hi * red.num
             den = mono
             for f in factors:
-                q = c.exquo_rational(f) if f.is_rational() else None
+                q = c.exquo(f) if f.is_rational() else None
                 if q is None:
                     den = den * f
                 else:

@@ -1,11 +1,13 @@
 """Canonical forms and power detection in the polynomial layer."""
 
 import copy
+import functools
 import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -260,14 +262,11 @@ def test_mixed_term_multiple_skips_the_algebraic_gcd(monkeypatch, f):
     t2 = CPoly.from_terms(_S, {(2, 0, 1, 0): QOmega(-2, 5)})
     want = cancel_pair(t1, t2)
 
-    def refuse(num, den):
+    def refuse(f, g):
         raise AssertionError("Q(w) gcd reached")
 
-    monkeypatch.setattr(_ratfunc, "_algebraic_cancel", refuse)
+    monkeypatch.setattr(_ratfunc, "_gcd", refuse)
     assert _key(cancel_pair(f * t1, f * t2)) == _key(want)
-
-
-_ALGEBRAIC_CANCEL = _ratfunc._algebraic_cancel
 
 
 def _poly(*terms):
@@ -283,6 +282,8 @@ _B = _poly(((2, 0, 0), 1, 0), ((0, 0, 1), 0, -1), ((0, 1, 0), 1, 0))
 _RATIONAL = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 2, 0), ((0, 0, 0), -3, 0))
 _SPLIT = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 0, -1))
 _CONJUGATE = _poly(((1, 0, 0), 1, 0), ((0, 1, 0), 1, 1))
+# x1 - w*x2, split over Q(w), in the variables of the slow pair
+_SPLIT_S = CPoly.from_terms(_S, {(1, 0, 0, 0): QOmega(1), (0, 1, 0, 0): QOmega(0, -1)})
 
 _COPRIME = {
     "a/b": (_A, _B),
@@ -300,37 +301,46 @@ _PLANTED = {
 
 
 def _count_algebraic_cancel(monkeypatch):
-    calls = []
+    """The outermost calls of the gcd over Q(w): `_gcd` recurses on
+    contents, and those inner calls are not counted."""
+    calls, depth = [], []
+    gcd = _ratfunc._gcd
 
-    def counted(num, den):
-        calls.append((num, den))
-        return _ALGEBRAIC_CANCEL(num, den)
+    def counted(f, g):
+        if not depth:
+            calls.append((f, g))
+        depth.append(None)
+        try:
+            return gcd(f, g)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(_ratfunc, "_algebraic_cancel", counted)
+    monkeypatch.setattr(_ratfunc, "_gcd", counted)
     return calls
 
 
 def _by_algebraic_gcd(num, den):
-    """The canonical pair by the gcd over Q(w) alone, with no norm filter."""
-    return monic_pair(*_ALGEBRAIC_CANCEL(*strip_monomial_content(num, den)))
+    """The canonical pair by sympy's gcd over Q(w) alone, with no norm filter."""
+    return monic_pair(*_sympy_cancel(*strip_monomial_content(num, den)))
 
 
 @pytest.mark.parametrize("name", sorted(_COPRIME) + sorted(_PLANTED))
 def test_norm_filter_matches_the_algebraic_gcd(monkeypatch, name):
     """The norm filter of `cancel_pair` answers coprime only on coprime pairs:
     the result always equals the gcd over Q(w)'s, and a pair with a planted
-    common factor always reaches that gcd.  A coprime pair whose norms share
-    no factor never does."""
+    common factor always reaches that gcd, twice: gcd(den, d), d the gcd of
+    the norms, then the gcd of num and that.  A coprime pair whose norms
+    share no factor never does."""
     num, den = _COPRIME.get(name) or _PLANTED[name]
     want = _by_algebraic_gcd(num, den)
     calls = _count_algebraic_cancel(monkeypatch)
     assert _key(cancel_pair(num, den)) == _key(want)
     if name in _PLANTED:
         assert want[1].degree_in(0) < den.degree_in(0)  # the factor cancels
-        assert len(calls) == 1
+        assert len(calls) == 2
     else:
         assert _key(want) == _key(monic_pair(num, den))
-        assert len(calls) == (name == "conjugate-factors")
+        assert len(calls) == 2 * (name == "conjugate-factors")
 
 
 def _modules_after(code, packages=("sympy",)):
@@ -356,15 +366,42 @@ for name in ("example-main", "z6-index2-hex", "z6-index6", "d6-swap"):
 
 
 def test_import_does_not_build_the_algebraic_domain():
-    """Importing dp6 loads no sympy module at all: the polynomial layer is
-    dp6's own, and sympy is imported only where a Q(w) gcd or the PRS gcd
-    is needed."""
+    """Importing dp6 loads no sympy module at all: the polynomial layer,
+    its gcds included, is dp6's own."""
     assert _modules_after("import dp6, dp6.cli") == "[]"
 
 
 def test_bundled_runs_load_no_sympy():
     """Every bundled scenario runs, plain and --strict, without sympy."""
     assert _modules_after(_BUNDLED_RUNS) == "[]"
+
+
+_MIXED_CUBE_CANCEL = """
+from dp6._ratfunc import MPQ, CPoly, QOmega, cancel_pair, rational_ring
+S = rational_ring(("x1", "x2", "x3", "y"))
+num = CPoly.from_terms(S, {(1, 2, 0, 2): QOmega(MPQ(10, 7), MPQ(2, 7)),
+                           (0, 2, 0, 3): QOmega(-1, -1)})
+den = CPoly.from_terms(S, {(4, 0, 4, 0): QOmega(1),
+                           (3, 0, 3, 0): QOmega(MPQ(-10, 7), MPQ(-2, 7))})
+s = CPoly.from_terms(S, {(1, 0, 0, 0): QOmega(1), (0, 1, 0, 0): QOmega(0, -1)})
+n, d = cancel_pair(num ** 3 * s, den ** 3 * s)
+assert d.degree_in(0) == 12
+"""
+
+
+def test_mixed_cube_with_a_split_factor_cancels_quickly():
+    """The cube of the slow mixed pair times s = x1 - w*x2 on both sides:
+    s cancels, the pair is sympy's, and the native gcd takes well under the
+    second (sympy's gcd over QQ(w) takes about ten).  The same cancel in a
+    fresh interpreter loads no sympy module."""
+    num, den = _MIXED_NUM ** 3 * _SPLIT_S, _MIXED_DEN ** 3 * _SPLIT_S
+    start = time.perf_counter()
+    got = cancel_pair(num, den)
+    elapsed = time.perf_counter() - start
+    assert got[1].degree_in(0) == den.degree_in(0) - 1  # s cancels
+    assert _key(got) == _key(_by_algebraic_gcd(num, den))
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert _modules_after(_MIXED_CUBE_CANCEL) == "[]"
 
 
 #: start-up costs dp6 no longer pays: the `@dataclass` machinery (which also
@@ -558,6 +595,64 @@ def _sympy_poly(ring_, p):
     return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.items()})
 
 
+@functools.cache
+def _qomega_domain():
+    """sympy's QQ(w), built once."""
+    from sympy import I, QQ, Rational, sqrt
+    return QQ.algebraic_field(Rational(-1, 2) + sqrt(3) * I / 2)
+
+
+def _to_sympy(ngens, pa, pb=None):
+    """pa + w*pb as a sympy ring element: over QQ when pb is None, else
+    over QQ(w)."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    names = [f"x{i}" for i in range(ngens)]
+    if pb is None:
+        return _sympy_poly(rational_ring(names), pa)
+    from sympy.polys.polyclasses import ANP
+
+    dom = _qomega_domain()
+    R = ring(names, dom)[0]
+    mod = dom.one.mod
+    terms = {m: [MPQ(0), c] for m, c in pa.items()}
+    for m, c in pb.items():
+        terms.setdefault(m, [MPQ(0), MPQ(0)])[0] = c
+    return R.from_dict({m: ANP([QQ(c.numerator, c.denominator) for c in bc], mod, QQ)
+                        for m, bc in terms.items()})
+
+
+def _from_sympy(poly):
+    """(pa, pb) of a sympy ring element over QQ or QQ(w); pb is empty when
+    the element is rational."""
+    pa, pb = {}, {}
+    for m, c in poly.terms():
+        if hasattr(c, "to_list"):  # an element of QQ(w): [b, a] or [a]
+            bc = c.to_list()
+            a, b = bc[-1], (bc[0] if len(bc) == 2 else 0)
+        else:
+            a, b = c, 0
+        if a:
+            pa[m] = MPQ(a)
+        if b:
+            pb[m] = MPQ(b)
+    return pa, pb
+
+
+def _sympy_cancel(num, den):
+    """(num/g, den/g) for g sympy's gcd over QQ(w), its subresultant PRS:
+    the reference for `_ratfunc._gcd`."""
+    n = num.ring.ngens
+    an = _to_sympy(n, num.pa, num.pb or {})
+    ad = _to_sympy(n, den.pa, den.pb or {})
+    g = an.gcd(ad)
+    if g.is_ground:
+        return num, den
+    return (CPoly(num.ring, *_from_sympy(an.quo(g))),
+            CPoly(num.ring, *_from_sympy(ad.quo(g))))
+
+
 _RATIONALS = st.builds(MPQ, st.integers(-30, 30).filter(bool), st.integers(1, 12))
 
 
@@ -614,6 +709,65 @@ def test_rational_gcd_where_sympy_gives_up(monkeypatch):
     _check_gcd_against_sympy(ring_, num * h, den * h)
 
 
+def _differential_pairs(rng, count):
+    """(kind, num, den): pairs in one to four variables, 70% with mixed Q(w)
+    coefficients, of kind coprime (no planted factor), rational, split
+    (x1 - w*xn, or x1 - w in one variable), squared (a factor of two terms,
+    squared), or scalar (each side a Q(w) constant times a rational
+    polynomial, with a planted rational factor)."""
+    def coeff(mixed):
+        c = QOmega(MPQ(rng.randint(-5, 5), rng.randint(1, 4)),
+                   MPQ(rng.randint(-5, 5), rng.randint(1, 4)) if mixed else 0)
+        return c if not c.is_zero() else QOmega.one()
+
+    for _ in range(count):
+        ring_ = rng.choice(_RINGS)
+        n = ring_.ngens
+        mixed = rng.random() < 0.7
+
+        def poly(terms, top, mixed):
+            return CPoly.from_terms(ring_, {tuple(rng.randint(0, top) for _ in range(n)):
+                                            coeff(mixed) for _ in range(terms)})
+
+        kind = rng.choice(["coprime", "rational", "split", "squared", "scalar"])
+        a, b = poly(rng.randint(1, 3), 2, mixed), poly(rng.randint(1, 3), 2, mixed)
+        h = CPoly.one(ring_)
+        if kind == "rational":
+            h = poly(rng.randint(2, 3), 1, False)
+        elif kind == "split":
+            last = CPoly.variable(ring_, n - 1) if n > 1 else CPoly.one(ring_)
+            h = CPoly.variable(ring_, 0) - CPoly.const(ring_, QOmega.omega()) * last
+        elif kind == "squared":
+            h = poly(2, 1, mixed) ** 2
+        elif kind == "scalar":
+            a, b = (poly(rng.randint(1, 3), 2, False).mul_scalar(coeff(True))
+                    for _ in range(2))
+            h = poly(2, 1, False)
+        yield kind, a * h, b * h
+
+
+def test_gcd_matches_sympy_on_seeded_pairs(monkeypatch):
+    """`cancel_pair` and `_gcd` against sympy's gcd over QQ(w) on 200 seeded
+    pairs: the same canonical pair, and a monic `_gcd` that divides both
+    sides.  Rational pairs run again with the heuristic gcd giving up, so
+    `_gcd` decides them too."""
+    kinds, rational = set(), 0
+    for kind, num, den in _differential_pairs(random.Random(32), 200):
+        want = _key(_by_algebraic_gcd(num, den))
+        assert _key(cancel_pair(num, den)) == want, (kind, num, den)
+        h = _ratfunc._gcd(num, den)
+        assert h.leading()[1].is_one()
+        assert _key(monic_pair(num.exquo(h), den.exquo(h))) == want, (kind, num, den)
+        if num.is_rational() and den.is_rational():
+            rational += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(_ratfunc, "_heugcd", lambda f, g: None)
+                assert _key(cancel_pair(num, den)) == want, (kind, num, den)
+        if want != _key(monic_pair(*strip_monomial_content(num, den))):
+            kinds.add(kind)  # the planted factor cancels
+    assert kinds == {"rational", "split", "squared", "scalar"} and rational > 30
+
+
 def _sqf_nth_root(p, n):
     """The n-th root of p by sympy's squarefree split: with p = x^m * core and
     core = c * prod f^k, the f lex-monic, the root is x^(m/n) * c^(1/n) *
@@ -625,11 +779,11 @@ def _sqf_nth_root(p, n):
     core = p.shift_down(mins)
     root = CPoly.one(ring_)
     if not core.is_ground():
-        split = _ratfunc._to_sympy(ring_.ngens, core.pa, core.pb).sqf_list()[1]
+        split = _to_sympy(ring_.ngens, core.pa, core.pb).sqf_list()[1]
         for f, k in split:
             if k % n:
                 return None
-            root = root * CPoly(ring_, *_ratfunc._from_sympy(f)) ** (k // n)
+            root = root * CPoly(ring_, *_from_sympy(f)) ** (k // n)
     mon, lc = (root ** n).leading()
     c = QOmega(*(dict(part).get(mon, 0) for part in core.key()))
     c = None if c.is_zero() else qomega_nth_roots(c * lc.inv(), n)

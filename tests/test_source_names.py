@@ -59,19 +59,33 @@ def test_no_undefined_or_unused_names(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
+def _imported_modules(node):
+    """The modules an import statement names; none for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
+def test_no_module_imports_sympy():
+    """dp6 has no runtime dependency: no module of `src/dp6`, `_ratfunc`
+    included, imports sympy, at the top or inside a function."""
+    found = [
+        f"{path.name}:{node.lineno} import {m}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for m in _imported_modules(node)
+        if m.split(".")[0] == "sympy"
+    ]
+    assert not found, f"sympy imported: {found}"
+
+
 def _storage_reads(tree):
-    """(line, what) for each place a module imports sympy, reads a CPoly's
-    `pa` or `pb` part, or reads an attribute of a polynomial ring."""
+    """(line, what) for each place a module reads a CPoly's `pa` or `pb`
+    part, or reads an attribute of a polynomial ring."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            modules = []
-        found += [(node.lineno, f"import {m}") for m in modules
-                  if m.split(".")[0] == "sympy"]
         if isinstance(node, ast.Attribute):
             if node.attr in ("pa", "pb"):
                 found.append((node.lineno, f".{node.attr}"))
@@ -85,9 +99,9 @@ def _storage_reads(tree):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_ratfunc.py"],
                          ids=lambda p: p.name)
 def test_only_ratfunc_knows_the_polynomial_storage(path):
-    """`_ratfunc` alone imports sympy and reads how a polynomial is stored;
-    the other modules go through CPoly's methods.  Passing a ring on as an
-    argument is allowed."""
+    """`_ratfunc` alone reads how a polynomial is stored; the other modules
+    go through CPoly's methods.  Passing a ring on as an argument is
+    allowed."""
     found = _storage_reads(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name} reads the polynomial storage: {found}"
 
